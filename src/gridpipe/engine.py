@@ -1,18 +1,31 @@
 """Dependency graph construction and deterministic recalculation.
 
-Formulas compile once into closures over the workbook's value cache;
-streaming a million records never re-walks an AST or rebuilds the
-graph. Recalculation is synchronous: when it returns, every cached
-value is consistent, so callers can never observe a half-finished
-calculation.
+Every evaluation -- ``recalculate``, a streaming run's per-record step,
+``evaluate_source`` -- runs a *plan*: formula cells in topological
+order, compiled into one generated function ``run(values)`` over the
+workbook's value dict. In it each plan cell is a local, a precedent
+outside the plan is one ``values.get``, and operator and function
+implementations are constants called directly. Every value read or
+computed is checked, and an error breaks out of its cell where the
+formula first meets it, left to right. Only the observed cells (and
+cells some range reads) are written back.
+
+A plan is pruned by demand: cells downstream of the written (dirty)
+cells and upstream of an observed cell. ``recalculate`` observes every
+affected cell, so it keeps full-downstream semantics; a streaming run
+observes its output cells only and leaves the rest stale until the next
+``recalculate(wb)``. Plans depend only on the workbook's structure and
+are cached, so nothing is rebuilt per record.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import ConfigError
 from .formula import Binary, Call, CellRef, Literal, NameRef, RangeRef, Unary
+from .formula import extract_references, parse_formula
 from .functions import RANGE_ONLY, SCALAR, lookup
 from .values import (
     BLANK,
@@ -30,12 +43,12 @@ from .workbook import CellAddress, Workbook, format_a1
 
 __all__ = [
     "DependencyGraph",
+    "Plan",
     "CycleError",
     "UnknownNameError",
-    "EvalContext",
     "build_graph",
+    "compile_plan",
     "recalculate",
-    "evaluate",
     "evaluate_source",
 ]
 
@@ -52,221 +65,249 @@ class UnknownNameError(ConfigError):
     """A formula references a defined name that does not exist."""
 
 
-class EvalContext:
-    """Workbook view a single formula evaluates against (read-only)."""
+# --- Code generation -----------------------------------------------------------
 
-    __slots__ = ("workbook", "sheet")
+# Operand kinds known at compile time. A SCALAR operand is a value that
+# is not an error (it was checked where it was produced); a RANGE operand
+# is a constant tuple of key rows, read only where a function takes a range.
+_SCALAR, _RANGE = "scalar", "range"
 
-    def __init__(self, workbook: Workbook, sheet: str):
-        self.workbook = workbook
-        self.sheet = sheet.upper()
-
-
-# --- Compilation to closures -------------------------------------------------
+_CHUNK = 8  # plan cells per generated function; compile() memory grows with it
 
 
-def _compile(ast, ctx: EvalContext):
-    """Compile an AST into a zero-argument closure producing a CellValue."""
-    values = ctx.workbook.values
-    cls = ast.__class__
+def _block(get, key_rows):
+    """A range's values, or the first error among them in row-major order."""
+    block = RangeValue([[get(k, BLANK) for k in row] for row in key_rows])
+    return next((v for v in block if v.__class__ is CellError), block)
 
-    if cls is Literal:
-        v = ast.value
-        if v.__class__ is int:
-            v = float(v)
-        if v.__class__ is float and not math.isfinite(v):
-            v = NUM_ERROR  # numbers are finite end-to-end
-        return lambda: v
 
-    if cls is CellRef:
-        wb = ctx.workbook
-        if not (1 <= ast.row <= wb.max_rows and 1 <= ast.col <= wb.max_cols):
-            return lambda: REF_ERROR
-        key = (ctx.sheet, ast.row, ast.col)
-        get = values.get
-        return lambda: get(key, BLANK)
+class _Emitter:
+    """Writes the body of one generated plan function, cell by cell.
 
-    if cls is RangeRef:
-        key_rows = _range_keys(ctx.sheet, ast.start.row, ast.start.col, ast.end.row, ast.end.col)
-        get = values.get
-        return lambda: RangeValue(
-            [[get(k, BLANK) for k in row] for row in key_rows]
-        )
+    Each cell is a ``while True:`` block that an error leaves by
+    ``break`` with the error as the cell's value.
+    """
 
-    if cls is NameRef:
-        wb = ctx.workbook
-        if not wb.has_name(ast.name):
-            return lambda: NAME_ERROR
-        rng = wb.resolve_name(ast.name)
-        get = values.get
-        if rng.size() == 1:
-            key = next(rng.keys())
-            return lambda: get(key, BLANK)
-        key_rows = _range_keys(
-            rng.start.sheet.upper(),
-            rng.start.row,
-            rng.start.col,
-            rng.end.row,
-            rng.end.col,
-        )
-        return lambda: RangeValue(
-            [[get(k, BLANK) for k in row] for row in key_rows]
-        )
+    def __init__(self, wb: Workbook):
+        self.wb = wb
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {}  # globals of the generated function
+        self.locals: dict[tuple, str] = {}  # plan cell key -> local name
+        self.temps = 0
 
-    if cls is Unary:
-        op = UNARY_OPS[ast.op]
-        inner = _compile(ast.operand, ctx)
+    def const(self, value) -> str:
+        name = f"k{len(self.consts)}"
+        self.consts[name] = value
+        return name
 
-        def run_unary():
-            v = inner()
+    def check(self, operand: str) -> None:
+        """Leave the cell with ``operand`` as its value if it is an error."""
+        self.lines.append(f"    if {operand}.__class__ is CellError: {self.target} = {operand}; break")
+
+    def temp(self, expr: str) -> str:
+        """A new local holding ``expr``, checked for an error."""
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.lines.append(f"    {name} = {expr}")
+        self.check(name)
+        return name
+
+    def fail(self, error: CellValue):
+        """The cell's value is ``error`` once evaluation gets here."""
+        name = self.const(error)
+        self.lines.append(f"    {self.target} = {name}")
+        self.lines.append("    break")
+        return name, _SCALAR
+
+    def cell(self, key: tuple, ast, write: bool) -> None:
+        target = self.target = f"c{len(self.locals)}"
+        self.lines.append("while True:")
+        operand, kind = self.expr(ast, key[0])
+        if kind is _RANGE:  # a bare range is no cell value
+            self.fail(VALUE_ERROR)
+        else:
+            self.lines.append(f"    {target} = {operand}")
+            self.lines.append("    break")
+        self.locals[key] = target
+        if write:
+            self.lines.append(f"values[{key!r}] = {target}")
+
+    def read(self, key: tuple):
+        local = self.locals.get(key)
+        if local is None:
+            return self.temp(f"get({key!r}, BLANK)"), _SCALAR
+        self.check(local)
+        return local, _SCALAR
+
+    def expr(self, node, sheet: str):
+        cls = node.__class__
+        wb = self.wb
+
+        if cls is Literal:
+            v = node.value
+            if v.__class__ is int:
+                v = float(v)
+            if v.__class__ is float and not math.isfinite(v):
+                v = NUM_ERROR  # numbers are finite end-to-end
             if v.__class__ is CellError:
-                return v
-            if v.__class__ is RangeValue:
-                return VALUE_ERROR
-            return op(v)
+                return self.fail(v)
+            return (repr(v) if v.__class__ in (str, float, bool) else self.const(v)), _SCALAR
 
-        return run_unary
+        if cls is CellRef:
+            if not (1 <= node.row <= wb.max_rows and 1 <= node.col <= wb.max_cols):
+                return self.fail(REF_ERROR)
+            return self.read((sheet, node.row, node.col))
 
-    if cls is Binary:
-        op = BINARY_OPS[ast.op]
-        left = _compile(ast.left, ctx)
-        right = _compile(ast.right, ctx)
+        if cls is RangeRef:
+            start, end = node.start, node.end
+            return _key_rows(sheet, start.row, start.col, end.row, end.col), _RANGE
 
-        def run_binary():
-            a = left()
-            if a.__class__ is CellError:
-                return a
-            b = right()
-            if b.__class__ is CellError:
-                return b
-            return op(a, b)
+        if cls is NameRef:
+            if not wb.has_name(node.name):
+                return self.fail(NAME_ERROR)
+            rng = wb.resolve_name(node.name)
+            if rng.size() == 1:
+                return self.read(next(rng.keys()))
+            s, e = rng.start, rng.end
+            return _key_rows(s.sheet.upper(), s.row, s.col, e.row, e.col), _RANGE
 
-        return run_binary
+        if cls is Unary:
+            operand, kind = self.expr(node.operand, sheet)
+            if kind is _RANGE:
+                return self.fail(VALUE_ERROR)
+            return self.temp(f"{self.const(UNARY_OPS[node.op])}({operand})"), _SCALAR
 
-    if cls is Call:
-        sig = lookup(ast.name)
-        if sig is None:
-            return lambda: NAME_ERROR
-        if len(ast.args) < sig.min_args or (
-            sig.max_args is not None and len(ast.args) > sig.max_args
-        ):
-            return lambda: VALUE_ERROR
-        arg_fns = tuple(_compile(arg, ctx) for arg in ast.args)
-        kinds = tuple(
-            sig.arg_kinds[min(i, len(sig.arg_kinds) - 1)] for i in range(len(arg_fns))
-        )
-        impl = sig.impl
-        scalar_only = all(kind is SCALAR for kind in kinds)
+        if cls is Binary:
+            left, left_kind = self.expr(node.left, sheet)
+            right, right_kind = self.expr(node.right, sheet)
+            if left_kind is _RANGE or right_kind is _RANGE:
+                return self.fail(VALUE_ERROR)  # every operator rejects a range
+            return self.temp(f"{self.const(BINARY_OPS[node.op])}({left}, {right})"), _SCALAR
 
-        if scalar_only:
-
-            def run_call_scalar():
-                args = []
-                append = args.append
-                for fn in arg_fns:
-                    v = fn()
-                    c = v.__class__
-                    if c is CellError:
-                        return v
-                    if c is RangeValue:
-                        return VALUE_ERROR
-                    append(v)
-                return impl(args)
-
-            return run_call_scalar
-
-        def run_call():
+        if cls is Call:
+            sig = lookup(node.name)
+            if sig is None:
+                return self.fail(NAME_ERROR)
+            if len(node.args) < sig.min_args or (
+                sig.max_args is not None and len(node.args) > sig.max_args
+            ):
+                return self.fail(VALUE_ERROR)
             args = []
-            append = args.append
-            for fn, kind in zip(arg_fns, kinds):
-                v = fn()
-                c = v.__class__
-                if c is CellError:
-                    return v
-                if c is RangeValue:
-                    if kind is SCALAR:
-                        return VALUE_ERROR
-                    # first error inside the block propagates
-                    for member in v:
-                        if member.__class__ is CellError:
-                            return member
-                elif kind is RANGE_ONLY:
-                    return VALUE_ERROR
-                append(v)
-            return impl(args)
+            for i, arg in enumerate(node.args):
+                arg_kind = sig.arg_kinds[min(i, len(sig.arg_kinds) - 1)]
+                operand, kind = self.expr(arg, sheet)
+                if kind is _RANGE:
+                    if arg_kind is SCALAR:
+                        return self.fail(VALUE_ERROR)
+                    operand = self.temp(f"_block(get, {self.const(operand)})")
+                elif arg_kind is RANGE_ONLY:
+                    return self.fail(VALUE_ERROR)
+                args.append(operand)
+            return self.temp(f"{self.const(sig.impl)}([{', '.join(args)}])"), _SCALAR
 
-        return run_call
+        raise TypeError(f"not an AST node: {node!r}")
 
-    raise TypeError(f"not an AST node: {ast!r}")
+    def function(self, name: str):
+        """Compile the cells emitted so far; the function returns the last."""
+        last = f"c{len(self.locals) - 1}" if self.locals else "None"
+        body = ["get = values.get", *self.lines, f"return {last}"]
+        source = "def run(values):\n" + "".join(f"    {text}\n" for text in body)
+        namespace = {"BLANK": BLANK, "CellError": CellError, "_block": _block}
+        namespace.update(self.consts)
+        exec(compile(source, f"<{name}>", "exec"), namespace)
+        return namespace["run"]
 
 
-def _range_keys(sheet, row1, col1, row2, col2):
+def _key_rows(sheet, row1, col1, row2, col2):
     return tuple(
         tuple((sheet, r, c) for c in range(col1, col2 + 1))
         for r in range(row1, row2 + 1)
     )
 
 
-def evaluate(ast, ctx: EvalContext) -> CellValue:
-    """Evaluate an AST against the context's cached cell values."""
-    return _compile(ast, ctx)()
+# The formula cells one evaluation computes, in topological order, and
+# ``run(values)``, which evaluates them and writes back the observed ones.
+Plan = namedtuple("Plan", ["cells", "run"])
 
 
 def evaluate_source(workbook: Workbook, source: str, sheet: str | None = None) -> CellValue:
-    """One-shot parse and evaluate of a formula string."""
-    from .formula import parse_formula
-
+    """One-shot parse and evaluate of a formula against cached values."""
     ast = parse_formula(source)
-    return evaluate(ast, EvalContext(workbook, sheet or workbook.default_sheet()))
+    emitter = _Emitter(workbook)
+    emitter.cell(((sheet or workbook.default_sheet()).upper(), 0, 0), ast, write=False)
+    return emitter.function("formula")(workbook.values)
 
 
 # --- Dependency graph --------------------------------------------------------
 
 
 class DependencyGraph:
-    """Compiled formula cells, their precedent edges, and a topo order."""
+    """Formula cells, their precedent edges, a topo order, and plans."""
 
     def __init__(self):
         self.order: list[tuple] = []  # formula keys, topological
-        self.compiled: dict[tuple, object] = {}  # key -> closure
         self.dependents: dict[tuple, list[tuple]] = {}  # precedent key -> formula keys
+        self.precedents: dict[tuple, set[tuple]] = {}  # formula key -> precedent keys
+        self.block_reads: set[tuple] = set()  # keys some formula reads through a range
         self.topo_index: dict[tuple, int] = {}
         self.version = -1
-        self._plan_cache: dict[frozenset, list] = {}
+        self._plans: dict[tuple, Plan] = {}
 
-    def __deepcopy__(self, memo):
-        # Compiled closures are bound to one workbook's value cache; a
-        # copied workbook must rebuild rather than share them.
-        return DependencyGraph()
-
-    def plan(self, dirty_keys: frozenset) -> list:
-        """Evaluation steps for a dirty set: (key, closure) in topo order."""
-        cached = self._plan_cache.get(dirty_keys)
+    def plan(self, wb: Workbook, dirty: frozenset | None, observed: frozenset | None = None) -> Plan:
+        """The compiled plan for a dirty set (None: every formula cell),
+        pruned to cells upstream of ``observed`` (None: all observed)."""
+        cached = self._plans.get((dirty, observed))
         if cached is not None:
             return cached
-        affected = set()
-        stack = list(dirty_keys)
-        dependents = self.dependents
-        while stack:
-            key = stack.pop()
-            for dep in dependents.get(key, ()):
-                if dep not in affected:
-                    affected.add(dep)
-                    stack.append(dep)
-        index = self.topo_index
-        steps = [
-            (key, self.compiled[key])
-            for key in sorted(affected, key=index.__getitem__)
-        ]
-        if len(self._plan_cache) < 64:
-            self._plan_cache[dirty_keys] = steps
-        return steps
+        affected = set(self.order) if dirty is None else _closure(dirty, self.dependents)
+        if observed is None:
+            writes = affected
+        else:
+            affected &= _closure(observed, self.precedents) | observed
+            writes = (observed | self.block_reads) & affected
+        cells = sorted(affected, key=self.topo_index.__getitem__)
+        # One function per chunk of cells bounds the compiler's memory;
+        # a cell a later chunk reads is handed over through ``values``.
+        chunk_of = {key: i // _CHUNK for i, key in enumerate(cells)}
+        writes |= {
+            key for key in cells
+            if any(chunk_of.get(d, -1) > chunk_of[key] for d in self.dependents.get(key, ()))
+        }
+        runs = []
+        for start in range(0, max(len(cells), 1), _CHUNK):
+            emitter = _Emitter(wb)
+            for key in cells[start : start + _CHUNK]:
+                emitter.cell(key, wb._formulas[key], key in writes)
+            runs.append(emitter.function(f"plan cells {start}+"))
+        plan = Plan(cells, runs[0] if len(runs) == 1 else _chain(runs))
+        if len(self._plans) < 64:
+            self._plans[(dirty, observed)] = plan
+        return plan
 
 
-def _formula_dependencies(wb: Workbook, key: tuple, ast) -> set[tuple]:
-    """Precedent cell keys of one formula, ranges expanded to members."""
-    from .formula import extract_references
+def _chain(runs):
+    def run(values):
+        for part in runs:
+            part(values)
 
+    return run
+
+
+def _closure(start, edges: dict) -> set:
+    """Keys reachable from ``start`` along one or more ``edges``."""
+    reached: set = set()
+    stack = list(start)
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    return reached
+
+
+def _formula_dependencies(wb: Workbook, key: tuple, ast, block_reads: set) -> set[tuple]:
+    """Precedent cell keys of one formula, ranges expanded to members;
+    keys read through a range are also added to ``block_reads``."""
     sheet = key[0]
     deps: set[tuple] = set()
     for ref in extract_references(ast):
@@ -274,10 +315,11 @@ def _formula_dependencies(wb: Workbook, key: tuple, ast) -> set[tuple]:
         if cls is CellRef:
             deps.add((sheet, ref.row, ref.col))
         elif cls is RangeRef:
-            for r in range(ref.start.row, ref.end.row + 1):
-                for c in range(ref.start.col, ref.end.col + 1):
-                    deps.add((sheet, r, c))
-        else:  # NameRef
+            s, e = ref.start, ref.end
+            members = [k for row in _key_rows(sheet, s.row, s.col, e.row, e.col) for k in row]
+            deps.update(members)
+            block_reads.update(members)
+        else:  # NameRef; one cell is read as a cell, more as a range
             if not wb.has_name(ref.name):
                 raise UnknownNameError(
                     f"formula in {sheet}!{format_a1(key[1], key[2])} "
@@ -285,83 +327,59 @@ def _formula_dependencies(wb: Workbook, key: tuple, ast) -> set[tuple]:
                 )
             rng = wb.resolve_name(ref.name)
             deps.update(rng.keys())
+            if rng.size() > 1:
+                block_reads.update(rng.keys())
     return deps
 
 
-def _find_cycle(deps_of: dict, start: tuple) -> list[tuple]:
-    """One cycle reachable from start, as a list of keys."""
-    path: list[tuple] = []
-    on_path: set[tuple] = set()
-    done: set[tuple] = set()
-
-    def visit(node) -> list | None:
-        if node in on_path:
-            return path[path.index(node) :] + [node]
-        if node in done or node not in deps_of:
-            return None
-        on_path.add(node)
-        path.append(node)
-        for nxt in deps_of[node]:
-            found = visit(nxt)
-            if found is not None:
-                return found
-        path.pop()
-        on_path.remove(node)
-        done.add(node)
-        return None
-
-    return visit(start) or [start, start]
-
-
 def build_graph(wb: Workbook) -> DependencyGraph:
-    """Compile every formula and derive the recalculation order.
+    """Derive the recalculation order and precedent edges.
 
     Rebuilt only when formulas or names change, never per record.
     """
     graph = DependencyGraph()
-    formula_deps: dict[tuple, set[tuple]] = {}
+    formula_deps = graph.precedents
     for key, ast in wb._formulas.items():
-        formula_deps[key] = _formula_dependencies(wb, key, ast)
+        formula_deps[key] = _formula_dependencies(wb, key, ast, graph.block_reads)
 
-    # Kahn's algorithm over formula-to-formula edges.
-    indegree = {key: 0 for key in formula_deps}
-    dependents_f: dict[tuple, list[tuple]] = {key: [] for key in formula_deps}
     for key, deps in formula_deps.items():
         for dep in deps:
-            if dep in formula_deps:
-                indegree[key] += 1
-                dependents_f[dep].append(key)
+            graph.dependents.setdefault(dep, []).append(key)
 
+    # Kahn's algorithm over formula-to-formula edges.
+    indegree = {key: sum(dep in formula_deps for dep in deps) for key, deps in formula_deps.items()}
     ready = sorted(key for key, deg in indegree.items() if deg == 0)
-    order: list[tuple] = []
+    order = graph.order
     while ready:
         key = ready.pop()
         order.append(key)
-        for dependent in dependents_f[key]:
+        for dependent in graph.dependents.get(key, ()):
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
                 ready.append(dependent)
     if len(order) != len(formula_deps):
+        # Every cell left over has a left-over precedent: walk them
+        # until one repeats.
         remaining = {k for k, deg in indegree.items() if deg > 0}
-        start = min(remaining)
-        cycle_keys = _find_cycle(
-            {k: [d for d in formula_deps[k] if d in remaining] for k in remaining},
-            start,
-        )
-        cycle = [f"{k[0]}!{format_a1(k[1], k[2])}" for k in cycle_keys]
-        raise CycleError(cycle)
+        path: dict[tuple, int] = {}
+        key = min(remaining)
+        while key not in path:
+            path[key] = len(path)
+            key = min(d for d in formula_deps[key] if d in remaining)
+        cycle = list(path)[path[key] :] + [key]
+        raise CycleError([f"{k[0]}!{format_a1(k[1], k[2])}" for k in cycle])
 
-    graph.order = order
     graph.topo_index = {key: i for i, key in enumerate(order)}
-    for key, deps in formula_deps.items():
-        for dep in deps:
-            graph.dependents.setdefault(dep, []).append(key)
-    for key in order:
-        ctx = EvalContext(wb, key[0])
-        graph.compiled[key] = _compile(wb._formulas[key], ctx)
     graph.version = wb.structure_version
     wb.graph = graph
     return graph
+
+
+def compile_plan(wb: Workbook, dirty, observed) -> Plan:
+    """The formula cells downstream of the ``dirty`` keys and upstream
+    of the ``observed`` keys, writing back only the observed ones (and
+    cells some range reads)."""
+    return _current_graph(wb).plan(wb, frozenset(dirty), frozenset(observed))
 
 
 def _current_graph(wb: Workbook) -> DependencyGraph:
@@ -376,20 +394,15 @@ def recalculate(wb: Workbook, dirty=None) -> int:
 
     ``dirty`` is an iterable of CellAddress (or raw keys); None means a
     full recalculation. Every affected cell is evaluated exactly once,
-    in topological order. Evaluation problems become error values in
-    cells, never exceptions. Returns the number of cells evaluated.
+    in topological order, and written back. Evaluation problems become
+    error values in cells, never exceptions. Returns the number of cells
+    evaluated.
     """
     graph = _current_graph(wb)
-    values = wb.values
-    if dirty is None:
-        steps = [(key, graph.compiled[key]) for key in graph.order]
-    else:
-        dirty_keys = frozenset(
-            a.key() if isinstance(a, CellAddress) else a for a in dirty
-        )
-        if not dirty_keys:
+    if dirty is not None:
+        dirty = frozenset(a.key() if isinstance(a, CellAddress) else a for a in dirty)
+        if not dirty:
             return 0
-        steps = graph.plan(dirty_keys)
-    for key, fn in steps:
-        values[key] = fn()
-    return len(steps)
+    plan = graph.plan(wb, dirty)
+    plan.run(wb.values)
+    return len(plan.cells)

@@ -2,8 +2,9 @@
 
 Each implementation receives already-evaluated arguments with errors
 filtered out by the engine (an error argument propagates before the
-function runs) and returns a CellValue. Functions never raise: every
-failure is an error value.
+function runs), and a range only where its signature accepts one, so a
+scalar argument always renders as text. It returns a CellValue.
+Functions never raise: every failure is an error value.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .values import (
     REF_ERROR,
     VALUE_ERROR,
     parse_number,
+    render_value,
     to_boolean,
     to_number,
-    to_text,
     values_equal,
 )
 
@@ -122,10 +123,7 @@ def roman_text(n: int) -> str:
 
 @_register("ARABIC", 1, 1, (SCALAR,))
 def arabic(args):
-    text = to_text(args[0])
-    if text.__class__ is CellError:
-        return text
-    return arabic_value(text)
+    return arabic_value(render_value(args[0]))
 
 
 @_register("ROMAN", 1, 1, (SCALAR,))
@@ -188,13 +186,7 @@ def isblank(args):
 
 @_register("EXACT", 2, 2, (SCALAR, SCALAR))
 def exact(args):
-    a = to_text(args[0])
-    if a.__class__ is CellError:
-        return a
-    b = to_text(args[1])
-    if b.__class__ is CellError:
-        return b
-    return a == b
+    return render_value(args[0]) == render_value(args[1])
 
 
 # --- Aggregation ------------------------------------------------------------
@@ -266,38 +258,22 @@ def max_(args):
 
 @_register("CONCATENATE", 1, None, (SCALAR,))
 def concatenate(args):
-    parts = []
-    for arg in args:
-        t = to_text(arg)
-        if t.__class__ is CellError:
-            return t
-        parts.append(t)
-    return "".join(parts)
+    return "".join(render_value(arg) for arg in args)
 
 
 @_register("LEN", 1, 1, (SCALAR,))
 def len_(args):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t
-    return float(len(t))
+    return float(len(render_value(args[0])))
 
 
-def _text_and_count(args, default_count=1.0):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t, None
-    n = to_number(args[1]) if len(args) > 1 else default_count
-    if n.__class__ is CellError:
-        return t, n
-    return t, n
+def _text_and_count(args):
+    """LEFT/RIGHT arguments: the text, and the count (default 1)."""
+    return render_value(args[0]), to_number(args[1]) if len(args) > 1 else 1.0
 
 
 @_register("LEFT", 1, 2, (SCALAR, SCALAR))
 def left(args):
     t, n = _text_and_count(args)
-    if n is None:
-        return t
     if n.__class__ is CellError:
         return n
     if n < 0 or not n.is_integer():
@@ -308,8 +284,6 @@ def left(args):
 @_register("RIGHT", 1, 2, (SCALAR, SCALAR))
 def right(args):
     t, n = _text_and_count(args)
-    if n is None:
-        return t
     if n.__class__ is CellError:
         return n
     if n < 0 or not n.is_integer():
@@ -320,9 +294,7 @@ def right(args):
 
 @_register("MID", 3, 3, (SCALAR, SCALAR, SCALAR))
 def mid(args):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t
+    t = render_value(args[0])
     start = to_number(args[1])
     if start.__class__ is CellError:
         return start
@@ -337,15 +309,9 @@ def mid(args):
 
 @_register("SUBSTITUTE", 3, 4, (SCALAR, SCALAR, SCALAR, SCALAR))
 def substitute(args):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t
-    old = to_text(args[1])
-    if old.__class__ is CellError:
-        return old
-    new = to_text(args[2])
-    if new.__class__ is CellError:
-        return new
+    t = render_value(args[0])
+    old = render_value(args[1])
+    new = render_value(args[2])
     if len(args) == 3:
         return t.replace(old, new) if old else t
     instance = to_number(args[3])
@@ -365,27 +331,19 @@ def substitute(args):
 
 @_register("TRIM", 1, 1, (SCALAR,))
 def trim(args):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t
+    t = render_value(args[0])
     # Spreadsheet TRIM: strip and collapse runs of 0x20 spaces only.
     return " ".join(part for part in t.split(" ") if part)
 
 
 @_register("UPPER", 1, 1, (SCALAR,))
 def upper(args):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t
-    return t.upper()
+    return render_value(args[0]).upper()
 
 
 @_register("LOWER", 1, 1, (SCALAR,))
 def lower(args):
-    t = to_text(args[0])
-    if t.__class__ is CellError:
-        return t
-    return t.lower()
+    return render_value(args[0]).lower()
 
 
 @_register("VALUE", 1, 1, (SCALAR,))
@@ -395,9 +353,7 @@ def value(args):
         return v
     if v.__class__ is bool:
         return VALUE_ERROR
-    t = to_text(v)
-    if t.__class__ is CellError:
-        return t
+    t = render_value(v)
     parsed = parse_number(t)
     return VALUE_ERROR if parsed is None else parsed
 
@@ -408,8 +364,6 @@ def value(args):
 @_register("VLOOKUP", 3, 3, (SCALAR, RANGE_ONLY, SCALAR))
 def vlookup(args):
     key, table, col = args
-    if table.__class__ is not RangeValue:
-        return VALUE_ERROR
     index = to_number(col)
     if index.__class__ is CellError:
         return index

@@ -2,11 +2,12 @@
 recalculate, collect the output cells, and write the result.
 
 Per record the engine (1) parses the fields, (2) bulk-writes them as
-text literals into the input range, (3) recalculates everything
-downstream of the input and carry-forward cells, (4) consults the skip
-cell, and (5) for kept records writes the joined output line and copies
-it into the carry-forward cells. Cross-row rules (duplicate detection)
-fall out of the carry-forward mechanism. Also hosts the sorted-file
+text literals into the input range, (3) runs the compiled plan: the
+cells downstream of the input and carry-forward cells that the output
+and skip cells read, (4) consults the skip cell, and (5) for kept
+records writes the joined output line and copies it into the
+carry-forward cells. Cross-row rules (duplicate detection) fall out of
+the carry-forward mechanism. Also hosts the sorted-file
 comparison loop, which drives a status cell the same way.
 """
 
@@ -15,13 +16,13 @@ from __future__ import annotations
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .csvio import read_records
-from .engine import recalculate
+from .engine import compile_plan, recalculate
 from .errors import ConfigError, DataError
 from .values import BLANK, CellError, CellValue, render_value, values_equal
-from .workbook import CellRange, Workbook
+from .workbook import CellRange, Workbook, format_a1
 
 __all__ = [
     "PipelineSpec",
@@ -95,15 +96,10 @@ class RunStats:
     records_skipped: int = 0
     records_errored: int = 0
     elapsed: float = 0.0
+    plan_cells: list[str] = field(default_factory=list, compare=False)  # A1, topo order
 
     def as_dict(self) -> dict:
-        return {
-            "records_read": self.records_read,
-            "records_written": self.records_written,
-            "records_skipped": self.records_skipped,
-            "records_errored": self.records_errored,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -159,6 +155,10 @@ def _range_for(wb: Workbook, name: str, what: str) -> CellRange:
         raise ConfigError(f"{what} range {name!r}: {exc}") from exc
 
 
+def _a1(wb: Workbook, key: tuple) -> str:
+    return f"{wb.sheet_display_name(key[0])}!{format_a1(key[1], key[2])}"
+
+
 def _require_formula_free(wb: Workbook, rng: CellRange, what: str) -> None:
     for addr in rng.addresses():
         if wb.formula_at(addr) is not None:
@@ -186,7 +186,12 @@ def run_pipeline(
     progress_every: int = 0,
     progress_stream=None,
 ) -> RunStats:
-    """Stream the input file through the workbook into the output file."""
+    """Stream the input file through the workbook into the output file.
+
+    Each record evaluates only the formula cells the output and skip
+    cells read (``plan_cells`` in the stats). Afterwards the other
+    formula cells are stale; ``recalculate(wb)`` refreshes them.
+    """
     started = time.perf_counter()
     input_range = _range_for(wb, spec.input_range, "input")
     output_range = _range_for(wb, spec.output_range, "output")
@@ -229,12 +234,14 @@ def run_pipeline(
         raise ConfigError(f"unknown record error policy: {spec.on_record_error!r}")
 
     recalculate(wb)  # cells not fed by the stream are computed once
-    plan = wb.graph.plan(frozenset(input_keys + carry_keys))
     values = wb.values
+    observed = payload_keys + ([skip_key] if skip_key is not None else [])
+    plan = compile_plan(wb, input_keys + carry_keys, observed)
+    run = plan.run
     sentinel = spec.skip_sentinel
     fail_fast = spec.on_record_error == "fail-fast"
     single_carry = len(carry_keys) == 1
-    stats = RunStats()
+    stats = RunStats(plan_cells=[_a1(wb, key) for key in plan.cells])
 
     with open(spec.output_path, "w", encoding="utf-8", newline="\n") as out:
         records = read_records(spec.input_path, spec.csv_mode)
@@ -262,14 +269,14 @@ def run_pipeline(
 
                 for key, text in zip(input_keys, row):
                     values[key] = text
-                for key, fn in plan:
-                    values[key] = fn()
+                run(values)
 
                 if skip_key is not None:
                     flag = values.get(skip_key, BLANK)
                     if flag.__class__ is CellError:
                         raise RecordError(
-                            f"record {stats.records_read}: skip cell is {flag.code}"
+                            f"record {stats.records_read}: skip cell "
+                            f"{_a1(wb, skip_key)} is {flag.code}"
                         )
                     if flag is True or values_equal(flag, sentinel):
                         stats.records_skipped += 1
@@ -283,7 +290,7 @@ def run_pipeline(
                     if value.__class__ is CellError:
                         raise RecordError(
                             f"record {stats.records_read}: output cell "
-                            f"{key[0]}!r{key[1]}c{key[2]} is {value.code}"
+                            f"{_a1(wb, key)} is {value.code}"
                         )
                     rendered.append(render_value(value))
                 line = ",".join(rendered)
@@ -337,7 +344,9 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     left/right ranges and the status cell decides: LEFT means the left
     record is unmatched (advance left), RIGHT the converse, MATCH
     advances both. The tail of the longer file is one-sided by
-    construction.
+    construction. Only the status cell and the formula cells it reads
+    are evaluated; afterwards the others are stale until
+    ``recalculate(wb)``.
     """
     left_range = _range_for(wb, spec.left_range, "left")
     right_range = _range_for(wb, spec.right_range, "right")
@@ -353,8 +362,8 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     left_keys = list(left_range.keys())
     right_keys = list(right_range.keys())
     recalculate(wb)
-    plan = wb.graph.plan(frozenset(left_keys + right_keys))
     values = wb.values
+    run = compile_plan(wb, left_keys + right_keys, [status_key]).run
 
     left_records = read_records(spec.left_path, spec.csv_mode)
     right_records = read_records(spec.right_path, spec.csv_mode)
@@ -372,11 +381,12 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
             values[key] = text
         for key, text in zip(right_keys, _fit_fields(right[1], len(right_keys), "pad-truncate", index)):
             values[key] = text
-        for key, fn in plan:
-            values[key] = fn()
+        run(values)
         status = values.get(status_key, BLANK)
         if status.__class__ is CellError:
-            raise StatusCellError(f"record pair {index}: status cell is {status.code}")
+            raise StatusCellError(
+                f"record pair {index}: status cell {_a1(wb, status_key)} is {status.code}"
+            )
         verdict = render_value(status).strip().upper()
         if verdict == "LEFT":
             report.left_only.append(left[0])

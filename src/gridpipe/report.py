@@ -79,11 +79,11 @@ def translation_table(headers: list[str]) -> dict[str, int]:
     return table
 
 
-def _split_names(text: str, where: str, warn) -> list[str]:
+def _split_names(text: str, where: str, warn=None) -> list[str]:
     names = []
     for part in text.split(","):
         cleaned = part.strip()
-        if part != cleaned and part.strip() != "":
+        if warn and part != cleaned and cleaned:
             warn(f"superfluous spaces in subtotal {where}: {part!r}")
         if cleaned:
             names.append(cleaned)
@@ -124,9 +124,9 @@ def make_job(
     )
 
 
-def parse_job_line(text: str, translation: dict[str, int], warn=None) -> SubtotalJob:
-    """One job from ``[sum|count] <measures> : <group columns>``."""
-    emit = warn or log.warning
+def parse_job_line(text: str, translation: dict[str, int]) -> SubtotalJob:
+    """One job from ``[sum|count] <measures> : <group columns>``. Spaces
+    around ``:`` and ``,`` are syntax, trimmed without a warning."""
     aggregate_kind = "sum"
     body = text.strip()
     head = body.split(None, 1)
@@ -138,8 +138,8 @@ def parse_job_line(text: str, translation: dict[str, int], warn=None) -> Subtota
             f"subtotal job needs '<measures> : <group columns>', got {text!r}"
         )
     measures_text, groups_text = body.split(":", 1)
-    measures = _split_names(measures_text, "measures", emit)
-    group_by = _split_names(groups_text, "group columns", emit)
+    measures = _split_names(measures_text, "measures")
+    group_by = _split_names(groups_text, "group columns")
     return make_job(measures, group_by, translation, aggregate_kind)
 
 

@@ -151,13 +151,6 @@ def to_number(value: CellValue) -> float | CellError:
     return VALUE_ERROR
 
 
-def to_text(value: CellValue) -> str | CellError:
-    """Coerce a scalar to text; ranges do not coerce."""
-    if isinstance(value, RangeValue):
-        return VALUE_ERROR
-    return render_value(value)
-
-
 def to_boolean(value: CellValue) -> bool | CellError:
     """Coerce a scalar to a boolean: blank -> FALSE, numbers -> nonzero,
     the texts TRUE/FALSE (any case) -> their value."""
@@ -244,13 +237,8 @@ def power(a: CellValue, b: CellValue) -> CellValue:
 
 
 def concat(a: CellValue, b: CellValue) -> CellValue:
-    x = to_text(a)
-    if x.__class__ is CellError:
-        return x
-    y = to_text(b)
-    if y.__class__ is CellError:
-        return y
-    return x + y
+    # The engine passes no error and no range to an operator.
+    return render_value(a) + render_value(b)
 
 
 def negate(a: CellValue) -> CellValue:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 from gridpipe.cli import main
 
@@ -52,6 +53,34 @@ def test_run_stats_json(workdir):
     assert stats["records_written"] == 1
     assert stats["records_read"] == (
         stats["records_written"] + stats["records_skipped"] + stats["records_errored"]
+    )
+
+
+def test_run_stats_json_lists_the_plan_cells(workdir):
+    _write(workdir, "caesar_in.csv", TOGA_FILE)
+    stats_path = workdir / "stats.json"
+    assert main(
+        ["--quiet", "run", str(workdir / "caesar.job"), "--stats-json", str(stats_path)]
+    ) == 0
+    assert json.loads(stats_path.read_text())["plan_cells"] == ["Main!F2", "Main!H2"]
+
+
+def test_store_job_run_logs_no_warnings(workdir, caplog, capsys):
+    # The job line "Number : Item, Colour" has ordinary spaces around
+    # ":" and ","; they are syntax, not a data smell worth a warning.
+    _write(
+        workdir,
+        "store_raw.csv",
+        "Id,Item,Colour,Number\n2,Belt,Tan,V\n1,Toga,Purple,MCDLIX\n2,Belt,Tan,V\n",
+    )
+    caplog.set_level(logging.WARNING)
+    assert main(["run", str(workdir / "store.job")]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert not [
+        line for line in capsys.readouterr().err.splitlines() if line.startswith("gridpipe:")
+    ]
+    assert _read(workdir, "store_report.csv") == (
+        "Item,Colour,Sum of Number\nBelt,Tan,5\nToga,Purple,1459\n"
     )
 
 

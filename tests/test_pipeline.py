@@ -151,6 +151,48 @@ def test_output_cell_error_fail_fast_and_lenient(workdir):
     assert stats.records_read == stats.records_written + stats.records_skipped + stats.records_errored
 
 
+def test_output_cell_error_names_the_cell_in_a1(workdir):
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,NOPE\n")
+    with pytest.raises(RecordError) as err:
+        run_pipeline(_spec(workdir), _caesar(workdir))
+    assert str(err.value) == "record 1: output cell Main!H2 is #VALUE!"
+
+
+def test_skip_cell_error_names_the_cell_in_a1(workdir):
+    _write(workdir, "n,word\nx,bad\n")
+    with pytest.raises(RecordError) as err:
+        run_pipeline(_spec(workdir, skip_cell="Flag"), _skip_workbook())
+    assert str(err.value) == "record 1: skip cell Main!C2 is #VALUE!"
+
+
+def test_run_stats_list_the_pruned_plan(workdir):
+    _write(workdir, "Id,Item,Colour,Number\n")
+    stats = run_pipeline(_spec(workdir), _caesar(workdir))
+    assert stats.plan_cells == ["Main!F2", "Main!H2"]
+    assert stats.as_dict()["plan_cells"] == ["Main!F2", "Main!H2"]
+
+
+def _constant_workbook(output, constant_cell="Z1"):
+    # A freshly built workbook: no cell has been evaluated yet.
+    wb = Workbook()
+    wb.set_cell(_addr(constant_cell), parse_formula("=1000"))
+    wb.set_cell(_addr("C2"), parse_formula(output))
+    wb.define_name("Scale", _rng(constant_cell, constant_cell))
+    wb.define_name("InputCells", _rng("A2", "B2"))
+    wb.define_name("OutputCells", _rng("C2", "C2"))
+    return wb
+
+
+@pytest.mark.parametrize("output", ["=ARABIC(B2)/Z1", "=ARABIC(B2)/Scale"])
+def test_run_reads_formula_constants_outside_the_stream(workdir, output):
+    # Z1 is upstream of the output but not fed by the input, so it is
+    # not in the per-record plan; the run must still compute it first.
+    _write(workdir, "n,roman\n1,MM\n2,D\n")
+    stats = run_pipeline(_spec(workdir), _constant_workbook(output))
+    assert stats.plan_cells == ["Main!C2"]
+    assert _output(workdir) == "n,roman\n2\n0.5\n"
+
+
 def test_input_range_over_formula_cells_is_rejected(workdir):
     wb = _caesar(workdir)
     wb.define_name("BadInput", _rng("F2", "F2"))  # the conversion formula
@@ -409,6 +451,26 @@ def test_compare_against_set_difference_oracle(workdir):
     assert report.left_only == [f"{k:04d},x,y,z" for k in sorted(only_left)]
     assert report.right_only == [f"{k:04d},x,y,z" for k in sorted(only_right)]
     assert report.matches == len(set(left_keys) & set(right_keys))
+
+
+@pytest.mark.parametrize("verdict", ["Z1", "Verdict"])
+def test_compare_reads_formula_constants_outside_the_stream(workdir, verdict):
+    wb = Workbook()
+    wb.set_cell(_addr("Z1"), parse_formula('="MATCH"'))
+    wb.set_cell(
+        _addr("K2"),
+        parse_formula(f'=IF(A2<F2,"LEFT",IF(A2>F2,"RIGHT",{verdict}))'),
+    )
+    wb.define_name("Verdict", _rng("Z1", "Z1"))
+    wb.define_name("LeftCells", _rng("A2", "A2"))
+    wb.define_name("RightCells", _rng("F2", "F2"))
+    wb.define_name("Status", _rng("K2", "K2"))
+    _write(workdir, "1\n2\n", "left.csv")
+    _write(workdir, "2\n3\n", "right.csv")
+    report = compare_files(
+        CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv")), wb
+    )
+    assert (report.left_only, report.right_only, report.matches) == (["1"], ["3"], 1)
 
 
 def test_compare_status_cell_must_name_a_side(workdir):
