@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import shutil
 import sys
 
 from . import config as config_mod
@@ -17,7 +18,7 @@ from .csvio import read_records
 from .engine import recalculate
 from .errors import ConfigError, DataError
 from .pipeline import run_pipeline, compare_files, validate_headers
-from .report import parse_job_line, aggregate, render_report, translation_table
+from .report import parse_job_line, render_report, subtotal, translation_table
 from .sortio import sort_file
 from .values import CellError, render_value
 
@@ -146,10 +147,7 @@ def _cmd_run(args) -> int:
             handle.write("\n")
 
     if args.raw_out:
-        with open(spec.output_path, encoding="utf-8") as src, open(
-            args.raw_out, "w", encoding="utf-8", newline="\n"
-        ) as dst:
-            dst.write(src.read())
+        shutil.copyfile(spec.output_path, args.raw_out)
 
     if job.subtotals is not None:
         _write_subtotals(job, spec.output_path, spec.csv_mode)
@@ -158,17 +156,14 @@ def _cmd_run(args) -> int:
 
 def _write_subtotals(job, data_path: str, csv_mode: str) -> None:
     sub = job.subtotals
-    records = list(read_records(data_path, csv_mode))
-    if not records:
+    records = read_records(data_path, csv_mode)
+    head = next(records, None)
+    if head is None:
         raise DataError(f"{data_path}: no header row to aggregate against")
-    headers = records[0][1]
-    translation = translation_table(headers)
-    rows = [fields for _, fields in records[1:]]
-    rendered = []
-    for line in sub.job_lines:
-        table = aggregate(rows, parse_job_line(line, translation))
-        rendered.append(render_report(table, sub.format))
-    text = "\n".join(rendered)
+    translation = translation_table(head[1])
+    jobs = [parse_job_line(line, translation) for line in sub.job_lines]
+    tables = subtotal((fields for _, fields in records), jobs)
+    text = "\n".join(render_report(table, sub.format) for table in tables)
     if sub.output_path:
         with open(sub.output_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

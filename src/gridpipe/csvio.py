@@ -30,14 +30,6 @@ class BadCsvMode(DataError):
     pass
 
 
-def _strip_eol(line: str) -> str:
-    if line.endswith("\r\n"):
-        return line[:-2]
-    if line.endswith("\n") or line.endswith("\r"):
-        return line[:-1]
-    return line
-
-
 def split_record(raw: str, mode: str = "rfc4180") -> list[str]:
     """Fields of one record (no trailing newline in ``raw``)."""
     if mode == "naive-split":
@@ -62,22 +54,32 @@ def read_records(path, mode: str = "rfc4180") -> Iterator[tuple[str, list[str]]]
     if mode not in CSV_MODES:
         raise BadCsvMode(f"unknown csv mode: {mode!r}")
     with open(path, encoding="utf-8-sig", newline="") as handle:
+        # With newline="" a line holds one terminator (CR, LF or CRLF)
+        # and no other CR or LF, so rstrip removes exactly that.
         if mode == "naive-split":
             for line in handle:
-                raw = _strip_eol(line)
+                raw = line.rstrip("\r\n")
                 yield raw, raw.split(",")
             return
         pending: list[str] = []
+        quotes = 0  # quote characters in the lines read for this record
         for line in handle:
-            stripped = _strip_eol(line)
-            pending.append(stripped)
+            raw = line.rstrip("\r\n")
+            quotes += raw.count('"')
             # An odd number of quotes so far means the record continues
             # on the next physical line.
-            if sum(part.count('"') for part in pending) % 2 == 1:
+            if quotes % 2:
+                pending.append(raw)
                 continue
-            raw = "\n".join(pending)
-            pending = []
-            yield raw, split_record(raw)
+            if pending:
+                pending.append(raw)
+                raw = "\n".join(pending)
+                pending = []
+            if quotes:
+                quotes = 0
+                yield raw, split_record(raw)
+            else:
+                yield raw, raw.split(",")
         if pending:  # unterminated quote at EOF: surface as-is
             raw = "\n".join(pending)
             yield raw, split_record(raw)

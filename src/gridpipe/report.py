@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .csvio import encode_record
 from .errors import ConfigError, DataError, UnknownColumn
@@ -24,6 +25,7 @@ __all__ = [
     "parse_subtotal_spec",
     "parse_job_line",
     "aggregate",
+    "subtotal",
     "render_report",
 ]
 
@@ -175,35 +177,47 @@ def parse_subtotal_spec(block: list[list], translation: dict[str, int], warn=Non
     return spec
 
 
+def subtotal(records: Iterable[list[str]], jobs: list[SubtotalJob]) -> list[ReportTable]:
+    """One table per job from a single pass over ``records``.
+
+    ``records`` may be a one-shot iterator: each record feeds every
+    job's group accumulator and is then dropped, so memory is O(groups).
+    Aggregates accumulate in input order. A non-numeric measure raises
+    at the first record that holds one (within it, the first job, then
+    the first measure).
+    """
+    accumulators: list[dict[tuple[str, ...], list[float]]] = [{} for _ in jobs]
+    for record_index, fields in enumerate(records, start=1):
+        width = len(fields)
+        for job, groups in zip(jobs, accumulators):
+            key = tuple(fields[i] if i < width else "" for i in job.group_indices)
+            totals = groups.get(key)
+            if totals is None:
+                totals = groups[key] = [0.0] * len(job.measure_indices)
+            for slot, column_index in enumerate(job.measure_indices):
+                text = fields[column_index] if column_index < width else ""
+                if not text.strip():
+                    continue  # blank fields are neither counted nor summed
+                if job.aggregate == "count":
+                    totals[slot] += 1.0
+                    continue
+                number = parse_number(text)
+                if number is None:
+                    raise NonNumericMeasure(record_index, job.measures[slot], text)
+                totals[slot] += number
+    return [
+        ReportTable(
+            group_names=list(job.group_by),
+            measure_labels=[f"{job.aggregate.capitalize()} of {m}" for m in job.measures],
+            rows=sorted(groups.items()),
+        )
+        for job, groups in zip(jobs, accumulators)
+    ]
+
+
 def aggregate(records: list[list[str]], job: SubtotalJob) -> ReportTable:
     """One row per distinct group key, aggregates accumulated in input order."""
-    groups: dict[tuple[str, ...], list[float]] = {}
-    width = len(job.measure_indices)
-    for record_index, fields in enumerate(records, start=1):
-        key = tuple(
-            fields[i] if i < len(fields) else "" for i in job.group_indices
-        )
-        totals = groups.get(key)
-        if totals is None:
-            totals = groups[key] = [0.0] * width
-        for slot, column_index in enumerate(job.measure_indices):
-            text = fields[column_index] if column_index < len(fields) else ""
-            if job.aggregate == "count":
-                if text.strip():
-                    totals[slot] += 1.0
-                continue
-            if not text.strip():
-                continue  # blank fields contribute nothing to a sum
-            number = parse_number(text)
-            if number is None:
-                raise NonNumericMeasure(record_index, job.measures[slot], text)
-            totals[slot] += number
-    label = "Sum of %s" if job.aggregate == "sum" else "Count of %s"
-    return ReportTable(
-        group_names=list(job.group_by),
-        measure_labels=[label % m for m in job.measures],
-        rows=sorted(groups.items()),
-    )
+    return subtotal(records, [job])[0]
 
 
 def render_report(table: ReportTable, format: str = "csv") -> str:

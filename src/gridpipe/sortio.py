@@ -82,29 +82,31 @@ class _Desc:
 def _key_element(field_text: str, collation: str):
     # Numeric-aware collation is a total order: all numbers sort before
     # all non-numeric text, numbers numerically, text case-insensitively.
+    # The tag decides first, so a number is never compared with a text.
     if collation == "numeric-aware":
         number = parse_number(field_text)
         if number is not None:
-            return (0, number, "")
-        return (1, 0.0, field_text.upper())
+            return (0, number)
+        return (1, field_text.upper())
     return field_text.upper()
 
 
 def _key_function(keys: list[SortKey], indices: list[int]):
-    def composite(fields: list[str], row_no: int):
-        elements = []
-        for sort_key, index in zip(keys, indices):
-            if index >= len(fields):
-                raise MissingColumn(
-                    f"row {row_no}: no column {index + 1} for sort key"
-                )
-            element = _key_element(fields[index], sort_key.collation)
-            if sort_key.descending:
-                element = _Desc(element)
-            elements.append(element)
-        return tuple(elements)
+    """Sort key of a row: the bare element for one key, else a tuple."""
+    pairs = list(zip(keys, indices))
 
-    return composite
+    def element(fields: list[str], row_no: int, sort_key: SortKey, index: int):
+        if index >= len(fields):
+            raise MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
+        value = _key_element(fields[index], sort_key.collation)
+        return _Desc(value) if sort_key.descending else value
+
+    if len(pairs) == 1:
+        [(sort_key, index)] = pairs
+        return lambda fields, row_no: element(fields, row_no, sort_key, index)
+    return lambda fields, row_no: tuple(
+        element(fields, row_no, sort_key, index) for sort_key, index in pairs
+    )
 
 
 def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> list[int]:
@@ -215,9 +217,6 @@ def _sort_external(spec, records, key_of, header_raw) -> int:
                 flush()
         flush()
 
-        if not runs:
-            return _write_output(spec, header_raw, ())
-
         def run_reader(path):
             with open(path, encoding="utf-8") as handle:
                 for line in handle:
@@ -226,8 +225,10 @@ def _sort_external(spec, records, key_of, header_raw) -> int:
         def merge_key(raw):
             return key_of(split_record(raw, mode), 0)
 
+        # Merge at most MERGE_FAN_IN runs at a time until the last merge
+        # can stream straight into the output file.
         generation = 0
-        while len(runs) > 1:
+        while len(runs) > MERGE_FAN_IN:
             generation += 1
             merged: list[str] = []
             for group_start in range(0, len(runs), MERGE_FAN_IN):
@@ -241,7 +242,8 @@ def _sort_external(spec, records, key_of, header_raw) -> int:
                     os.remove(p)
             runs = merged
 
-        return _write_output(spec, header_raw, run_reader(runs[0]))
+        lines = heapq.merge(*(run_reader(p) for p in runs), key=merge_key)
+        return _write_output(spec, header_raw, lines)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

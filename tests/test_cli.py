@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
+import random
+import tracemalloc
 
-from gridpipe.cli import main
+from gridpipe.cli import _write_subtotals, main
+from gridpipe.config import load_job
+from gridpipe.csvio import read_records
+from gridpipe.report import aggregate, parse_job_line, render_report, translation_table
 
 TOGA_FILE = "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n"
 
@@ -190,6 +195,57 @@ def test_report_command_over_data_file(workdir, capsys):
     report = _read(workdir, "store_report.csv")
     assert "Toga,Purple,15" in report
     assert "Belt,Tan,1" in report
+
+
+def test_report_with_two_job_lines_matches_the_per_job_reports(workdir):
+    job_lines = ["Number : Item, Colour", "count Number, Id : Item"]
+    store_job = _read(workdir, "store.job")
+    _write(
+        workdir,
+        "two.job",
+        store_job.replace(
+            "job = Number : Item, Colour", "\n".join(f"job = {line}" for line in job_lines)
+        ),
+    )
+    _write(
+        workdir,
+        "data.csv",
+        'Id,Item,Colour,Number\n1,"Toga, large",Purple,10\n2,Belt,Tan,\n'
+        '3,"Toga, large",Purple,5\n4,Belt,"Tan ""dark""",1\n',
+    )
+    assert main(
+        ["--quiet", "report", str(workdir / "two.job"), str(workdir / "data.csv")]
+    ) == 0
+
+    rows = [fields for _, fields in read_records(workdir / "data.csv")]
+    translation = translation_table(rows[0])
+    expected = "\n".join(
+        render_report(aggregate(rows[1:], parse_job_line(line, translation)))
+        for line in job_lines
+    )
+    assert (workdir / "store_report.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_report_memory_does_not_grow_with_the_data_file(workdir):
+    rng = random.Random(7)
+    items = ["Toga", "Belt", "Crown", "Sandal"]
+    colours = ["Purple", "Tan", "Red"]
+    with open(workdir / "big.csv", "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("Id,Item,Colour,Number\n")
+        for i in range(20_000):
+            item, colour = rng.choice(items), rng.choice(colours)
+            handle.write(f"{i},{item},{colour},{rng.randint(1, 3999)}\n")
+    job = load_job(str(workdir / "store.job"))
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _write_subtotals(job, str(workdir / "big.csv"), "rfc4180")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1 << 20
+    assert _read(workdir, "store_report.csv").count("\n") == 1 + len(items) * len(colours)
 
 
 def test_compare_command(workdir, capsys):

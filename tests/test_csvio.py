@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridpipe.csvio import encode_record, read_records, split_record
+from gridpipe.errors import DataError
 
 
 def _write(tmp_path, text: str, name="data.csv"):
@@ -97,3 +98,62 @@ def test_encode_read_property(tmp_path_factory, rows):
     )
     parsed = [fields for _, fields in read_records(path)]
     assert parsed == rows
+
+
+
+def _strip_eol(line: str) -> str:
+    if line.endswith("\r\n"):
+        return line[:-2]
+    if line.endswith("\n") or line.endswith("\r"):
+        return line[:-1]
+    return line
+
+
+def _parity_reader(path, mode):
+    """The quote-parity reader that read_records replaced, kept as an oracle."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        if mode == "naive-split":
+            for line in handle:
+                raw = _strip_eol(line)
+                yield raw, raw.split(",")
+            return
+        pending = []
+        for line in handle:
+            pending.append(_strip_eol(line))
+            if sum(part.count('"') for part in pending) % 2 == 1:
+                continue
+            raw = "\n".join(pending)
+            pending = []
+            yield raw, split_record(raw)
+        if pending:
+            raw = "\n".join(pending)
+            yield raw, split_record(raw)
+
+
+def _outcome(records):
+    try:
+        return list(records)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(
+    lines=st.lists(
+        st.tuples(
+            st.text(alphabet='ab ,"', max_size=12),
+            st.sampled_from(["\n", "\r", "\r\n"]),
+        ),
+        max_size=10,
+    ),
+    final_newline=st.booleans(),
+)
+@example(lines=[("x" * 8191, "\r\n"), ('"a', "\r\n"), ('b"', "\n")], final_newline=True)
+@settings(max_examples=300)
+def test_read_records_matches_the_parity_reader(tmp_path_factory, lines, final_newline):
+    text = "".join(body + ending for body, ending in lines)
+    if lines and not final_newline:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("parity") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for mode in ("rfc4180", "naive-split"):
+        assert _outcome(read_records(path, mode)) == _outcome(_parity_reader(path, mode))

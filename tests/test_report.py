@@ -16,6 +16,7 @@ from gridpipe.report import (
     parse_job_line,
     parse_subtotal_spec,
     render_report,
+    subtotal,
     translation_table,
 )
 
@@ -181,6 +182,31 @@ def test_aggregation_is_permutation_invariant_for_integers():
     rng.shuffle(shuffled)
     table_b = aggregate(shuffled, _job())
     assert table_a.rows == table_b.rows
+
+
+def test_subtotal_over_one_shot_generator_matches_per_job_aggregate():
+    rng = random.Random(41)
+    records = [
+        [
+            str(i),
+            rng.choice(["Toga", "Belt", "Crown"]),
+            rng.choice(["Red", "Blue", ""]),
+            rng.choice(["", str(rng.randint(-9, 99))]),
+            str(rng.randint(0, 9)),
+        ]
+        for i in range(300)
+    ]
+    jobs = [_job(), _job(("Number", "Amount"), ("Item",), "count")]
+    tables = subtotal((record for record in records), jobs)
+    assert tables == [aggregate(records, job) for job in jobs]
+
+
+def test_subtotal_reports_first_non_numeric_measure_in_input_order():
+    jobs = [_job(("Number",), ("Item",)), _job(("Amount",), ("Item",))]
+    records = [["1", "Toga", "Red", "5", "oops"], ["2", "Toga", "Red", "bad", "0"]]
+    with pytest.raises(NonNumericMeasure) as err:
+        subtotal(iter(records), jobs)
+    assert (err.value.record_index, err.value.column) == (1, "Amount")
 
 
 # --- rendering ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridpipe.errors import UnknownColumn
 from gridpipe.sortio import (
+    MERGE_FAN_IN,
     BadControlTable,
     MissingColumn,
     SortKey,
@@ -18,6 +19,7 @@ from gridpipe.sortio import (
     sort_file,
     sort_records,
 )
+from gridpipe.values import parse_number
 
 
 def _write_rows(path, rows, header=None):
@@ -248,6 +250,48 @@ def test_external_path_byte_identical_to_in_memory(tmp_path):
     assert (tmp_path / "mem.csv").read_bytes() == (tmp_path / "ext.csv").read_bytes()
 
 
+def _numbered_rows(count: int, seed: int = 5) -> str:
+    rng = random.Random(seed)
+    return "".join(
+        f"{rng.randint(0, 40)},{rng.choice('abcXYZ')},{i}\n" for i in range(count)
+    )
+
+
+_MULTILINE_ROWS = "".join(
+    f'{k},"line {i}\nstill ""{i}"", here",{i}\n' if i % 3 == 0 else f"{k},plain,{i}\n"
+    for i, k in enumerate([5, 3, 9, 3, 1, 7, 5, 2, 8, 3, 6, 4])
+)
+
+
+@pytest.mark.parametrize(
+    "header, body, budget",
+    [
+        ("k,g,seq\n", _numbered_rows(16 * MERGE_FAN_IN), 16),  # exactly MERGE_FAN_IN runs
+        ("k,g,seq\n", _numbered_rows(1000), 16),  # under MERGE_FAN_IN runs
+        ("k,g,seq\n", _numbered_rows(50), 100),  # a single run
+        ("k,g,seq\n", "", 4),  # header only
+        ("", "", 4),  # empty file
+        ("k,g,seq\n", _MULTILINE_ROWS, 2),  # quoted fields spanning lines
+    ],
+    ids=["fan-in-runs", "under-fan-in", "single-run", "header-only", "empty", "multi-line"],
+)
+def test_external_output_byte_identical_to_in_memory(tmp_path, header, body, budget):
+    (tmp_path / "in.csv").write_text(header + body, encoding="utf-8")
+    keys = [SortKey(1), SortKey(2, descending=True, collation="text")]
+    outputs = []
+    for name, rows in (("mem.csv", 0), ("ext.csv", budget)):
+        spec = SortSpec(
+            str(tmp_path / "in.csv"),
+            str(tmp_path / name),
+            has_headings=bool(header),
+            keys=keys,
+            memory_budget_rows=rows,
+            scratch_dir=str(tmp_path),
+        )
+        outputs.append((sort_file(spec), (tmp_path / name).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_external_scratch_is_cleaned_up(tmp_path):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
@@ -324,3 +368,42 @@ def test_sequential_equivalence_property(data):
     composite = sort_records(rows, keys)
     sequential = sort_records(sort_records(rows, [keys[1]]), [keys[0]])
     assert sequential == composite
+
+
+# --- the key, against the three-item key it replaced --------------------------------
+
+
+def _three_item_key_element(field_text: str, collation: str):
+    """The numeric-aware key element sortio used before, kept as an oracle."""
+    if collation == "numeric-aware":
+        number = parse_number(field_text)
+        if number is not None:
+            return (0, number, "")
+        return (1, 0.0, field_text.upper())
+    return field_text.upper()
+
+
+def test_key_orders_like_the_three_item_key(tmp_path):
+    rng = random.Random(61)
+    values = ["", "  ", "0", "-0", "0.0", "7", " 7 ", "2.50", "-3", "1e3", "10",
+              "ant", "Bee", "bee", "x1", "N/A", "-", "1e", "DOG"]
+    for trial in range(150):
+        cols = rng.randint(1, 4)
+        rows = [
+            [rng.choice(values) for _ in range(cols)] + [str(i)]
+            for i in range(rng.randint(0, 40))
+        ]
+        keys = _random_keys(rng, cols)
+        text = "".join(",".join(row) + "\n" for row in rows)
+        (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+        spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"), keys=keys)
+        sort_file(spec)
+
+        # Stable sorts from the last key to the first give the composite order.
+        expected = list(rows)
+        for key in reversed(keys):
+            expected.sort(
+                key=lambda row: _three_item_key_element(row[key.column - 1], key.collation),
+                reverse=key.descending,
+            )
+        assert _read_lines(tmp_path / "out.csv") == [",".join(r) for r in expected], trial
