@@ -14,7 +14,7 @@ import shutil
 import sys
 
 from . import config as config_mod
-from .csvio import read_records
+from .csvio import atomic_output, read_records
 from .engine import recalculate
 from .errors import ConfigError, DataError
 from .pipeline import run_pipeline, compare_files, validate_headers
@@ -165,7 +165,7 @@ def _write_subtotals(job, data_path: str, csv_mode: str) -> None:
     tables = subtotal((fields for _, fields in records), jobs)
     text = "\n".join(render_report(table, sub.format) for table in tables)
     if sub.output_path:
-        with open(sub.output_path, "w", encoding="utf-8", newline="\n") as handle:
+        with atomic_output(sub.output_path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -10,18 +10,21 @@ Two reading modes:
 
 Readers yield ``(raw, fields)`` so callers that must preserve records
 byte-for-byte (sorting, comparison) can write the original text back
-out. Output always uses LF line endings and UTF-8.
+out. Output always uses LF line endings and UTF-8, and reaches its path
+only once it is complete (``atomic_output``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+from contextlib import contextmanager
 from typing import Iterator
 
 from .errors import DataError
 
-__all__ = ["read_records", "split_record", "encode_record", "CSV_MODES"]
+__all__ = ["read_records", "split_record", "encode_record", "atomic_output", "CSV_MODES"]
 
 CSV_MODES = ("rfc4180", "naive-split")
 
@@ -87,10 +90,25 @@ def read_records(path, mode: str = "rfc4180") -> Iterator[tuple[str, list[str]]]
 
 def encode_field(field: str) -> str:
     """RFC-style quoting: only when the field needs it."""
-    if any(ch in field for ch in ',"\n\r'):
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
         return '"' + field.replace('"', '""') + '"'
     return field
 
 
 def encode_record(fields: list[str]) -> str:
     return ",".join(encode_field(f) for f in fields)
+
+
+@contextmanager
+def atomic_output(path):
+    """Write ``path`` (UTF-8, LF) through a temp file beside it, which
+    replaces it when the block completes and is removed if it raises."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise

@@ -6,16 +6,17 @@ order, compiled into one generated function ``run(values)`` over the
 workbook's value dict. In it each plan cell is a local, a precedent
 outside the plan is one ``values.get``, and operator and function
 implementations are constants called directly. Every value read or
-computed is checked, and an error breaks out of its cell where the
-formula first meets it, left to right. Only the observed cells (and
-cells some range reads) are written back.
+computed that can be an error is checked, and an error breaks out of its
+cell where the formula first meets it, left to right. Only the observed
+cells (and cells some range reads) are written back.
 
 A plan is pruned by demand: cells downstream of the written (dirty)
 cells and upstream of an observed cell. ``recalculate`` observes every
 affected cell, so it keeps full-downstream semantics; a streaming run
 observes its output cells only and leaves the rest stale until the next
-``recalculate(wb)``. Plans depend only on the workbook's structure and
-are cached, so nothing is rebuilt per record.
+``recalculate(wb)``; its plan is a record step, whose fields arrive as
+text locals and whose observed values are returned. Plans depend only
+on the structure and are cached, so nothing is rebuilt per record.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ class UnknownNameError(ConfigError):
 # --- Code generation -----------------------------------------------------------
 
 # Operand kinds known at compile time. A SCALAR operand is a value that
-# is not an error (it was checked where it was produced); a RANGE operand
-# is a constant tuple of key rows, read only where a function takes a range.
-_SCALAR, _RANGE = "scalar", "range"
+# is not an error (it was checked where it was produced); TEXT (a str)
+# and BOOL never are. A RANGE operand is a constant tuple of key rows,
+# read only where a function takes a range.
+_SCALAR, _TEXT, _BOOL, _RANGE = "scalar", "text", "bool", "range"
+_TEXT_COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 _CHUNK = 8  # plan cells per generated function; compile() memory grows with it
 
@@ -85,14 +88,18 @@ class _Emitter:
     """Writes the body of one generated plan function, cell by cell.
 
     Each cell is a ``while True:`` block that an error leaves by
-    ``break`` with the error as the cell's value.
+    ``break`` with the error as the cell's value. A record step's
+    function unpacks the keys in ``fields`` from its ``row`` argument.
     """
 
-    def __init__(self, wb: Workbook):
+    def __init__(self, wb: Workbook, fields=None):
         self.wb = wb
+        self.fields = fields
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}  # globals of the generated function
-        self.locals: dict[tuple, str] = {}  # plan cell key -> local name
+        # plan cell or field key -> local name, and the kind of its value
+        self.locals = {key: f"p{i}" for i, key in enumerate(fields or ())}
+        self.kinds = dict.fromkeys(self.locals, _TEXT)
         self.temps = 0
 
     def const(self, value) -> str:
@@ -129,6 +136,7 @@ class _Emitter:
             self.lines.append(f"    {target} = {operand}")
             self.lines.append("    break")
         self.locals[key] = target
+        self.kinds[key] = _SCALAR if kind is _RANGE else kind  # only SCALAR exits on errors
         if write:
             self.lines.append(f"values[{key!r}] = {target}")
 
@@ -136,8 +144,9 @@ class _Emitter:
         local = self.locals.get(key)
         if local is None:
             return self.temp(f"get({key!r}, BLANK)"), _SCALAR
-        self.check(local)
-        return local, _SCALAR
+        if self.kinds[key] is _SCALAR:
+            self.check(local)
+        return local, self.kinds[key]
 
     def expr(self, node, sheet: str):
         cls = node.__class__
@@ -151,7 +160,8 @@ class _Emitter:
                 v = NUM_ERROR  # numbers are finite end-to-end
             if v.__class__ is CellError:
                 return self.fail(v)
-            return (repr(v) if v.__class__ in (str, float, bool) else self.const(v)), _SCALAR
+            kind = _TEXT if v.__class__ is str else _BOOL if v.__class__ is bool else _SCALAR
+            return (repr(v) if v.__class__ in (str, float, bool) else self.const(v)), kind
 
         if cls is CellRef:
             if not (1 <= node.row <= wb.max_rows and 1 <= node.col <= wb.max_cols):
@@ -182,6 +192,11 @@ class _Emitter:
             right, right_kind = self.expr(node.right, sheet)
             if left_kind is _RANGE or right_kind is _RANGE:
                 return self.fail(VALUE_ERROR)  # every operator rejects a range
+            if left_kind is _TEXT and right_kind is _TEXT:
+                if node.op == "&":
+                    return f"({left} + {right})", _TEXT
+                if node.op in _TEXT_COMPARE:
+                    return f"({left}.upper() {_TEXT_COMPARE[node.op]} {right}.upper())", _BOOL
             return self.temp(f"{self.const(BINARY_OPS[node.op])}({left}, {right})"), _SCALAR
 
         if cls is Call:
@@ -207,11 +222,23 @@ class _Emitter:
 
         raise TypeError(f"not an AST node: {node!r}")
 
-    def function(self, name: str):
-        """Compile the cells emitted so far; the function returns the last."""
-        last = f"c{len(self.locals) - 1}" if self.locals else "None"
-        body = ["get = values.get", *self.lines, f"return {last}"]
-        source = "def run(values):\n" + "".join(f"    {text}\n" for text in body)
+    def function(self, name: str, top=(), observed=None):
+        """Compile the cells emitted so far into ``run(values)``, or
+        ``run(values, row)`` for a record step, which first writes the
+        ``top`` fields to ``values``. It returns the ``observed`` values
+        as a tuple, or else the last cell's value."""
+        head = ["get = values.get"]
+        if self.fields:
+            head.append("".join(f"p{i}, " for i in range(len(self.fields))) + "= row")
+        head += [f"values[{key!r}] = {self.locals[key]}" for key in top]
+        if observed is None:
+            result = f"c{len(self.locals) - 1}" if self.locals else "None"
+        else:
+            operands = [self.locals.get(key) or f"get({key!r}, BLANK)" for key in observed]
+            result = "(" + "".join(f"{operand}, " for operand in operands) + ")"
+        body = [*head, *self.lines, f"return {result}"]
+        source = f"def run(values{'' if self.fields is None else ', row'}):\n"
+        source += "".join(f"    {text}\n" for text in body)
         namespace = {"BLANK": BLANK, "CellError": CellError, "_block": _block}
         namespace.update(self.consts)
         exec(compile(source, f"<{name}>", "exec"), namespace)
@@ -226,7 +253,7 @@ def _key_rows(sheet, row1, col1, row2, col2):
 
 
 # The formula cells one evaluation computes, in topological order, and
-# ``run(values)``, which evaluates them and writes back the observed ones.
+# ``run(values)`` (a record step: ``run(values, row)``) evaluating them.
 Plan = namedtuple("Plan", ["cells", "run"])
 
 
@@ -253,42 +280,55 @@ class DependencyGraph:
         self.version = -1
         self._plans: dict[tuple, Plan] = {}
 
-    def plan(self, wb: Workbook, dirty: frozenset | None, observed: frozenset | None = None) -> Plan:
+    def plan(self, wb: Workbook, dirty: frozenset | None, observed=None, fields=None) -> Plan:
         """The compiled plan for a dirty set (None: every formula cell),
-        pruned to cells upstream of ``observed`` (None: all observed)."""
-        cached = self._plans.get((dirty, observed))
+        pruned to cells upstream of ``observed`` (None: all observed).
+        With ``fields`` it is a record step (see ``compile_plan``)."""
+        cache_key = (dirty, observed, fields)
+        cached = self._plans.get(cache_key)
         if cached is not None:
             return cached
+        if fields is not None:
+            dirty = dirty.union(fields)
         affected = set(self.order) if dirty is None else _closure(dirty, self.dependents)
         if observed is None:
             writes = affected
         else:
-            affected &= _closure(observed, self.precedents) | observed
-            writes = (observed | self.block_reads) & affected
+            wanted = frozenset(observed)
+            affected &= _closure(wanted, self.precedents) | wanted
+            writes = (wanted | self.block_reads) & affected
         cells = sorted(affected, key=self.topo_index.__getitem__)
         # One function per chunk of cells bounds the compiler's memory;
         # a cell a later chunk reads is handed over through ``values``.
         chunk_of = {key: i // _CHUNK for i, key in enumerate(cells)}
+        last = max(len(cells) - 1, 0) // _CHUNK
+        if fields is not None:  # the last chunk returns its observed values
+            writes = {k for k in writes if k in self.block_reads or chunk_of[k] < last}
         writes |= {
             key for key in cells
             if any(chunk_of.get(d, -1) > chunk_of[key] for d in self.dependents.get(key, ()))
         }
+        top = [key for key in fields or () if key in self.block_reads]
         runs = []
         for start in range(0, max(len(cells), 1), _CHUNK):
-            emitter = _Emitter(wb)
+            emitter = _Emitter(wb, fields)
             for key in cells[start : start + _CHUNK]:
                 emitter.cell(key, wb._formulas[key], key in writes)
-            runs.append(emitter.function(f"plan cells {start}+"))
+            returns = observed if fields is not None and start // _CHUNK == last else None
+            runs.append(emitter.function(f"plan cells {start}+", top if start == 0 else (), returns))
         plan = Plan(cells, runs[0] if len(runs) == 1 else _chain(runs))
         if len(self._plans) < 64:
-            self._plans[(dirty, observed)] = plan
+            self._plans[cache_key] = plan
         return plan
 
 
 def _chain(runs):
-    def run(values):
-        for part in runs:
-            part(values)
+    *head, tail = runs
+
+    def run(values, *row):
+        for part in head:
+            part(values, *row)
+        return tail(values, *row)
 
     return run
 
@@ -375,11 +415,20 @@ def build_graph(wb: Workbook) -> DependencyGraph:
     return graph
 
 
-def compile_plan(wb: Workbook, dirty, observed) -> Plan:
+def compile_plan(wb: Workbook, dirty, observed, fields=None) -> Plan:
     """The formula cells downstream of the ``dirty`` keys and upstream
     of the ``observed`` keys, writing back only the observed ones (and
-    cells some range reads)."""
-    return _current_graph(wb).plan(wb, frozenset(dirty), frozenset(observed))
+    cells some range reads).
+
+    With ``fields`` (literal keys) it is a record step ``run(values,
+    row)``: ``row`` holds the fields' texts, and it returns the observed
+    values in order, writing them only where a range or a later chunk
+    reads them.
+    """
+    graph = _current_graph(wb)
+    if fields is None:
+        return graph.plan(wb, frozenset(dirty), frozenset(observed))
+    return graph.plan(wb, frozenset(dirty), tuple(observed), tuple(fields))
 
 
 def _current_graph(wb: Workbook) -> DependencyGraph:

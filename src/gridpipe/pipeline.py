@@ -1,14 +1,15 @@
 """The streaming loop: drop each record into the input cells,
 recalculate, collect the output cells, and write the result.
 
-Per record the engine (1) parses the fields, (2) bulk-writes them as
-text literals into the input range, (3) runs the compiled plan: the
-cells downstream of the input and carry-forward cells that the output
-and skip cells read, (4) consults the skip cell, and (5) for kept
-records writes the joined output line and copies it into the
-carry-forward cells. Cross-row rules (duplicate detection) fall out of
-the carry-forward mechanism. Also hosts the sorted-file
-comparison loop, which drives a status cell the same way.
+Per record the engine (1) parses the fields, (2) fits them to the input
+range, (3) runs the compiled record step, which takes the fields as
+text and returns the output and skip cells' values, computing only the
+cells downstream of the input and carry-forward cells that those read,
+(4) consults the skip cell, and (5) for kept records writes the joined
+output line and copies it into the carry-forward cells. Cross-row rules
+(duplicate detection) fall out of the carry-forward mechanism. Also
+hosts the sorted-file comparison loop, which drives a status cell
+through the same step.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .csvio import read_records
+from .csvio import atomic_output, encode_record, read_records
 from .engine import compile_plan, recalculate
 from .errors import ConfigError, DataError
-from .values import BLANK, CellError, CellValue, render_value, values_equal
+from .values import CellError, CellValue, render_value, values_equal
 from .workbook import CellRange, Workbook, format_a1
 
 __all__ = [
@@ -180,6 +181,49 @@ def _fit_fields(fields: list[str], width: int, policy: str, record_no: int) -> l
     return fields[:width]
 
 
+def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_keys: list,
+                 policy: str, what: str, error: type, skip=None):
+    """The per-record step shared by ``run_pipeline`` and ``compare_files``.
+
+    Returns ``(step, write_back, plan)``. ``step(number, fields, *more)``
+    fits each field list to its range, runs the plan and returns the
+    values of the ``observed`` cells in order. An error value raises
+    ``error`` naming the record and the cell by its role in ``observed``.
+    A record whose first value is TRUE or equals the ``skip`` sentinel
+    returns None unchecked. ``write_back()`` stores the last record's
+    fields and values.
+    """
+    recalculate(wb)  # cells not fed by the stream are computed once
+    field_keys = [key for rng in ranges for key in rng.keys()]
+    width, *more_widths = [rng.size() for rng in ranges]
+    plan = compile_plan(wb, carry_keys, observed, field_keys)
+    run, values = plan.run, wb.values
+    names = [f"{role} {_a1(wb, key)}" for key, role in observed.items()]
+    last_row = last_out = ()
+
+    def step(number, fields, *more):
+        nonlocal last_row, last_out
+        row = fields if len(fields) == width else _fit_fields(fields, width, policy, number)
+        if more:  # the right-hand side of a comparison
+            for fields, size in zip(more, more_widths):
+                row = row + _fit_fields(fields, size, policy, number)
+        last_row = row
+        last_out = out = run(values, row)
+        if skip is not None and (out[0] is True or values_equal(out[0], skip)):
+            return None
+        for value in out:
+            if value.__class__ is CellError:
+                name = next(n for n, v in zip(names, out) if v is value)
+                raise error(f"{what} {number}: {name} is {value.code}")
+        return out
+
+    def write_back():
+        values.update(zip(field_keys, last_row))
+        values.update(zip(observed, last_out))
+
+    return step, write_back, plan
+
+
 def run_pipeline(
     spec: PipelineSpec,
     wb: Workbook,
@@ -189,14 +233,14 @@ def run_pipeline(
     """Stream the input file through the workbook into the output file.
 
     Each record evaluates only the formula cells the output and skip
-    cells read (``plan_cells`` in the stats). Afterwards the other
+    cells read (``plan_cells`` in the stats). Afterwards the input,
+    output and skip cells hold the last record's values and the other
     formula cells are stale; ``recalculate(wb)`` refreshes them.
     """
     started = time.perf_counter()
     input_range = _range_for(wb, spec.input_range, "input")
     output_range = _range_for(wb, spec.output_range, "output")
     _require_formula_free(wb, input_range, "input")
-    wb.declare_writable(input_range)
 
     skip_key = None
     if spec.skip_cell:
@@ -214,7 +258,6 @@ def run_pipeline(
     if spec.carry_forward_range:
         carry_range = _range_for(wb, spec.carry_forward_range, "carry-forward")
         _require_formula_free(wb, carry_range, "carry-forward")
-        wb.declare_writable(carry_range)
         carry_keys = list(carry_range.keys())
         if len(carry_keys) not in (1, len(payload_keys)):
             raise ConfigError(
@@ -222,8 +265,6 @@ def run_pipeline(
                 f"expected 1 or {len(payload_keys)} (the output payload width)"
             )
 
-    input_keys = list(input_range.keys())
-    width = len(input_keys)
     if spec.header_policy == "validate" and not spec.expected_headers:
         raise ConfigError("header policy 'validate' requires expected headers")
     if spec.header_policy not in ("pass-through", "validate", "none"):
@@ -233,17 +274,21 @@ def run_pipeline(
     if spec.on_record_error not in ("fail-fast", "skip-and-log"):
         raise ConfigError(f"unknown record error policy: {spec.on_record_error!r}")
 
-    recalculate(wb)  # cells not fed by the stream are computed once
     values = wb.values
-    observed = payload_keys + ([skip_key] if skip_key is not None else [])
-    plan = compile_plan(wb, input_keys + carry_keys, observed)
-    run = plan.run
-    sentinel = spec.skip_sentinel
+    observed = dict.fromkeys(payload_keys, "output cell")
+    if skip_key is not None:
+        observed = {skip_key: "skip cell", **observed}
+    step, write_back, plan = _record_step(
+        wb, [input_range], observed, carry_keys, spec.field_count_policy, "record",
+        RecordError, None if skip_key is None else spec.skip_sentinel,
+    )
+    first = 0 if skip_key is None else 1  # where the payload starts in a step's values
+    width = len(payload_keys)
     fail_fast = spec.on_record_error == "fail-fast"
     single_carry = len(carry_keys) == 1
     stats = RunStats(plan_cells=[_a1(wb, key) for key in plan.cells])
 
-    with open(spec.output_path, "w", encoding="utf-8", newline="\n") as out:
+    with atomic_output(spec.output_path) as out:
         records = read_records(spec.input_path, spec.csv_mode)
 
         if spec.header_policy in ("pass-through", "validate"):
@@ -265,54 +310,37 @@ def run_pipeline(
                     f"input exceeds the configured row limit ({spec.max_rows})"
                 )
             try:
-                row = _fit_fields(fields, width, spec.field_count_policy, stats.records_read)
-
-                for key, text in zip(input_keys, row):
-                    values[key] = text
-                run(values)
-
-                if skip_key is not None:
-                    flag = values.get(skip_key, BLANK)
-                    if flag.__class__ is CellError:
-                        raise RecordError(
-                            f"record {stats.records_read}: skip cell "
-                            f"{_a1(wb, skip_key)} is {flag.code}"
-                        )
-                    if flag is True or values_equal(flag, sentinel):
-                        stats.records_skipped += 1
-                        if progress_every:
-                            report_progress(stats, progress_every, progress_stream)
-                        continue
-
-                rendered = []
-                for key in payload_keys:
-                    value = values.get(key, BLANK)
-                    if value.__class__ is CellError:
-                        raise RecordError(
-                            f"record {stats.records_read}: output cell "
-                            f"{_a1(wb, key)} is {value.code}"
-                        )
-                    rendered.append(render_value(value))
-                line = ",".join(rendered)
+                result = step(stats.records_read, fields)
             except DataError as exc:
-                if fail_fast:
-                    stats.records_errored += 1
-                    raise
                 stats.records_errored += 1
+                if fail_fast:
+                    raise
                 log.warning("%s (record skipped)", exc)
                 if progress_every:
                     report_progress(stats, progress_every, progress_stream)
                 continue
+            if result is None:
+                stats.records_skipped += 1
+                if progress_every:
+                    report_progress(stats, progress_every, progress_stream)
+                continue
 
+            if width == 1:  # a single-cell payload is written verbatim
+                line = render_value(result[first])
+            else:
+                rendered = [render_value(value) for value in result[first:]]
+                line = ",".join(rendered)
+                if line.count(",") != width - 1 or '"' in line or "\n" in line or "\r" in line:
+                    line = encode_record(rendered)
             out.write(line + "\n")
             stats.records_written += 1
             if single_carry:
                 values[carry_keys[0]] = line
             elif carry_keys:
-                for key, text in zip(carry_keys, rendered):
-                    values[key] = text
+                values.update(zip(carry_keys, rendered))
             if progress_every:
                 report_progress(stats, progress_every, progress_stream)
+    write_back()
 
     stats.elapsed = time.perf_counter() - started
     assert stats.records_read == (
@@ -356,14 +384,8 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     status_key = next(status_range.keys())
     _require_formula_free(wb, left_range, "left")
     _require_formula_free(wb, right_range, "right")
-    wb.declare_writable(left_range)
-    wb.declare_writable(right_range)
-
-    left_keys = list(left_range.keys())
-    right_keys = list(right_range.keys())
-    recalculate(wb)
-    values = wb.values
-    run = compile_plan(wb, left_keys + right_keys, [status_key]).run
+    step, write_back, _ = _record_step(wb, [left_range, right_range], {status_key: "status cell"},
+                                       [], "pad-truncate", "record pair", StatusCellError)
 
     left_records = read_records(spec.left_path, spec.csv_mode)
     right_records = read_records(spec.right_path, spec.csv_mode)
@@ -377,16 +399,7 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     index = 0
     while left is not None and right is not None:
         index += 1
-        for key, text in zip(left_keys, _fit_fields(left[1], len(left_keys), "pad-truncate", index)):
-            values[key] = text
-        for key, text in zip(right_keys, _fit_fields(right[1], len(right_keys), "pad-truncate", index)):
-            values[key] = text
-        run(values)
-        status = values.get(status_key, BLANK)
-        if status.__class__ is CellError:
-            raise StatusCellError(
-                f"record pair {index}: status cell {_a1(wb, status_key)} is {status.code}"
-            )
+        (status,) = step(index, left[1], right[1])
         verdict = render_value(status).strip().upper()
         if verdict == "LEFT":
             report.left_only.append(left[0])
@@ -403,6 +416,7 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
                 f"record pair {index}: status cell returned {verdict!r}, "
                 "expected LEFT, RIGHT, or MATCH"
             )
+    write_back()
     while left is not None:
         report.left_only.append(left[0])
         left = next(left_records, None)
@@ -411,7 +425,7 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
         right = next(right_records, None)
 
     if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8", newline="\n") as out:
+        with atomic_output(spec.output_path) as out:
             for line in report.lines():
                 out.write(line + "\n")
     return report

@@ -18,7 +18,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 
-from .csvio import read_records, split_record
+from .csvio import atomic_output, read_records, split_record
 from .errors import ConfigError, DataError, UnknownColumn
 from .values import parse_number
 
@@ -173,7 +173,7 @@ def sort_file(spec: SortSpec) -> int:
 
 def _write_output(spec: SortSpec, header_raw, lines) -> int:
     count = 0
-    with open(spec.output_path, "w", encoding="utf-8", newline="\n") as out:
+    with atomic_output(spec.output_path) as out:
         if header_raw is not None:
             out.write(header_raw + "\n")
         for raw in lines:

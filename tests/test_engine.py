@@ -17,7 +17,7 @@ from gridpipe.engine import (
     recalculate,
 )
 from gridpipe.formula import parse_formula
-from gridpipe.values import DIV0, NA_ERROR, NAME_ERROR, NUM_ERROR, VALUE_ERROR
+from gridpipe.values import BLANK, DIV0, NA_ERROR, NAME_ERROR, NUM_ERROR, VALUE_ERROR
 from gridpipe.workbook import CellAddress, CellRange, Workbook, format_a1, parse_a1
 
 FIXTURES = "fixtures"
@@ -356,3 +356,114 @@ def test_wrong_arity_is_value_error():
     wb = Workbook()
     assert evaluate_source(wb, "=LEN()") == VALUE_ERROR
     assert evaluate_source(wb, '=LEN("a","b")') == VALUE_ERROR
+
+
+# --- record steps -----------------------------------------------------------------
+
+# Field texts that meet numbers, booleans and the wbgen texts t0..t9.
+FIELD_TEXTS = ["", "t3", "T3", "12", "TRUE", "-", "b"]
+
+
+def _add_text_cells(rng, wb, count):
+    """Formula cells in column G that compare or join two earlier cells,
+    so field texts meet every text operator."""
+    keys = sorted(wb._formulas) + sorted(wb._literals)
+    for row in range(1, count + 1):
+        a, b, c = (format_a1(k[1], k[2]) for k in rng.choices(keys, k=3))
+        op = rng.choice(["=", "<>", "<", "<=", ">", ">=", "&"])
+        source = rng.choice([f"={a}{op}{b}", f"=IF({a}{op}{b},{c},{a}&{b})"])
+        wb.set_cell(_addr(f"G{row}"), parse_formula(source))
+        keys.append(("MAIN", row, 7))
+
+
+def _record_step_matches_full_recalculation(rng, max_cells=50):
+    wb, literals = wbgen.make_random_workbook(rng, max_cells)
+    _add_text_cells(rng, wb, rng.randint(0, 8))
+    recalculate(wb)
+    fields = [addr.key() for addr in rng.sample(literals, rng.randint(1, len(literals)))]
+    row = [rng.choice(FIELD_TEXTS) for _ in fields]
+    cells = sorted(wb._formulas) + sorted(wb._literals)
+    observed = rng.sample(cells, rng.randint(0, len(cells)))
+    before = wbgen.snapshot(wb)
+    out = compile_plan(wb, [], observed, fields).run(wb.values, row)
+    written = {k: v for k, v in wbgen.snapshot(wb).items() if before.get(k) != v}
+    wb.values.update(zip(fields, row))  # the pipeline's write-back
+    wb.values.update(zip(observed, out))
+    got = wbgen.snapshot(wb)
+    recalculate(wb)  # the fields are in ``values`` now, so this is the oracle
+    want = wbgen.snapshot(wb)
+    returned = [(v.__class__.__name__, repr(v)) for v in out]
+    return (
+        [key for key, value in zip(observed, returned) if value != want[key]]
+        + [key for key in observed if got[key] != want[key]]
+        + [key for key, value in written.items() if value != want[key]]
+    )
+
+
+def test_record_step_agrees_with_full_recalculation():
+    # The guard for the record step: random texts passed as the fields
+    # of random literal cells give, for a random observed subset, the
+    # values a full recalculation computes (by type and repr), and every
+    # cell the step writes to ``values`` is fresh.
+    for seed in range(1000):
+        assert _record_step_matches_full_recalculation(random.Random(seed)) == [], seed
+
+
+def test_record_steps_spanning_several_generated_functions_agree_with_full():
+    for seed in range(20):
+        rng = random.Random(seed)
+        assert _record_step_matches_full_recalculation(rng, max_cells=600) == [], seed
+
+
+def _step_values(cells: dict, fields: dict, observed: list):
+    """A record step's values for ``fields`` (A1 -> text), checked
+    against a full recalculation over the same texts."""
+    wb = _sheet(cells)
+    recalculate(wb)
+    keys = [_addr(a1).key() for a1 in observed]
+    row = list(fields.values())
+    out = compile_plan(wb, [], keys, [_addr(a1).key() for a1 in fields]).run(wb.values, row)
+    for a1, text in fields.items():
+        wb.set_cell(_addr(a1), text)
+    recalculate(wb)
+    assert list(out) == [wb.values.get(key, BLANK) for key in keys]
+    return out
+
+
+@pytest.mark.parametrize(
+    "formula,fields,expected",
+    [
+        ("=A2=B2", {"A2": "a", "B2": "A"}, True),
+        ("=A2<B2", {"A2": "b", "B2": "A"}, False),
+        ("=A2<>B2", {"A2": "T3", "B2": "t3"}, False),
+        ('=A2&"-"&B2', {"A2": "", "B2": "12"}, "-12"),
+        ("=A2&C1", {"A2": "x"}, "x5"),  # C1 holds the number 5
+        ("=A2=C1", {"A2": "5"}, False),  # text is never equal to a number
+        ("=SUM(A1:B3)+LEN(A1)", {"A1": "12"}, 4.0),  # the range skips the text
+    ],
+)
+def test_record_step_examples(formula, fields, expected):
+    cells = {"A1": 7.0, "B1": 2.0, "C1": 5.0, "D1": formula}
+    assert _step_values(cells, fields, ["D1"]) == (expected,)
+
+
+def test_record_step_returns_fields_and_errors_in_observed_order():
+    cells = {"C1": "=1/0", "D1": "=A1&B1", "E1": "=D1"}
+    out = _step_values(cells, {"A1": "x", "B1": ""}, ["E1", "B1", "C1", "Z9", "A1"])
+    assert out == ("x", "", DIV0, BLANK, "x")
+
+
+def test_text_operators_keep_their_text_kind_in_generated_code(monkeypatch):
+    import builtins
+
+    import gridpipe.engine as engine
+
+    sources = []
+    monkeypatch.setattr(
+        engine, "compile", lambda source, *args: sources.append(source) or builtins.compile(source, *args),
+        raising=False,
+    )
+    _step_values({"C1": '=A1&","&B1', "D1": "=C1=B1"}, {"A1": "a", "B1": "b"}, ["D1"])
+    [source] = [text for text in sources if "= row" in text]
+    assert "((p0 + ',') + p1)" in source
+    assert "CellError" not in source  # no value here can be an error

@@ -7,11 +7,14 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridpipe.config import load_definition
+from gridpipe.csvio import encode_record, read_records
 from gridpipe.errors import ConfigError
 from gridpipe.formula import parse_formula
 from gridpipe.functions import roman_text
+from gridpipe.values import VALUE_ERROR
 from gridpipe.pipeline import (
     CompareSpec,
     FieldCountError,
@@ -204,6 +207,81 @@ def test_unknown_range_name_is_config_error(workdir):
     _write(workdir, "h\n")
     with pytest.raises(ConfigError):
         run_pipeline(_spec(workdir, input_range="Nope"), _caesar(workdir))
+
+
+def test_run_leaves_input_and_output_cells_holding_the_last_record(workdir):
+    # The step keeps fields and outputs out of the workbook per record;
+    # the run writes the last record's back once, errored or not.
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,V\n2,Belt,Tan,MCDLIX\n")
+    wb = _caesar(workdir)
+    run_pipeline(_spec(workdir), wb)
+    assert wb.read_range(wb.resolve_name("InputCells")) == [["2", "Belt", "Tan", "MCDLIX"]]
+    assert wb.read_range(wb.resolve_name("OutputCells")) == [["2,Belt,Tan,1459"]]
+
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,V\n2,Belt,Tan\n")  # padded
+    run_pipeline(_spec(workdir, on_record_error="skip-and-log"), wb)
+    assert wb.read_range(wb.resolve_name("InputCells")) == [["2", "Belt", "Tan", ""]]
+    assert wb.read_range(wb.resolve_name("OutputCells")) == [[VALUE_ERROR]]
+
+
+def test_failed_run_leaves_no_output_file(workdir):
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,I\n2,Belt,Tan,NOPE\n")
+    before = sorted(path.name for path in workdir.iterdir())
+    with pytest.raises(RecordError):
+        run_pipeline(_spec(workdir), _caesar(workdir))
+    assert sorted(path.name for path in workdir.iterdir()) == before  # no output, no temp file
+
+
+def _echo_workbook(width, carry=None):
+    """Output cells F2.. echo the input cells A2..; ``carry`` names a
+    carry-forward range on row 5."""
+    wb = Workbook()
+    for col in range(width):
+        wb.set_cell(_addr(f"{'FGHIJ'[col]}2"), parse_formula(f"={'ABCDE'[col]}2"))
+    wb.define_name("InputCells", _rng("A2", f"{'ABCDE'[width - 1]}2"))
+    wb.define_name("OutputCells", _rng("F2", f"{'FGHIJ'[width - 1]}2"))
+    if carry:
+        wb.define_name("Carry", _rng(*carry))
+    return wb
+
+
+def test_multi_cell_payload_is_quoted_and_carried_unquoted(workdir):
+    _write(workdir, 'h,h\n"Toga, large","5"" wide"\nplain,text\n')
+    wb = _echo_workbook(2, carry=("A5", "B5"))
+    run_pipeline(_spec(workdir, carry_forward_range="Carry"), wb)
+    assert _output(workdir) == 'h,h\n"Toga, large","5"" wide"\nplain,text\n'
+    assert wb.read_range(wb.resolve_name("Carry")) == [["plain", "text"]]
+
+    _write(workdir, 'h,h\n"Toga, large",x\n')
+    wb = _echo_workbook(2, carry=("A5", "A5"))
+    run_pipeline(_spec(workdir, carry_forward_range="Carry"), wb)
+    assert wb.get_value(_addr("A5")) == '"Toga, large",x'  # the line as written
+
+
+_PAYLOAD_TEXT = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs",),
+        # The reader joins a quoted field's lines with LF, so a CR in a
+        # field reads back as LF; a leading BOM is dropped as the
+        # file's byte order mark.
+        blacklist_characters="\r\x00\ufeff",
+    ),
+    max_size=6,
+)
+
+
+@given(
+    width=st.integers(min_value=2, max_value=4),
+    rows=st.lists(st.lists(_PAYLOAD_TEXT, min_size=4, max_size=4), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_multi_cell_payload_reads_back_as_written(tmp_path_factory, width, rows):
+    rows = [row[:width] for row in rows]
+    tmp = tmp_path_factory.mktemp("payload")
+    (tmp / "in.csv").write_text("".join(encode_record(row) + "\n" for row in rows), encoding="utf-8")
+    spec = _spec(tmp, header_policy="none")
+    run_pipeline(spec, _echo_workbook(width))
+    assert [fields for _, fields in read_records(spec.output_path)] == rows
 
 
 # --- skip and carry-forward -----------------------------------------------------
@@ -499,3 +577,13 @@ def test_compare_with_headings_skips_first_lines(workdir):
         wb,
     )
     assert report.is_empty() and report.matches == 1
+
+
+def test_compare_leaves_the_last_pair_in_its_cells(workdir):
+    _write(workdir, "1,a\n3,b\n", "left.csv")
+    _write(workdir, "2,c\n3\n", "right.csv")
+    wb = load_definition(workdir / "compare.sheet")
+    compare_files(CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv")), wb)
+    assert wb.read_range(wb.resolve_name("LeftCells")) == [["3", "b", "", ""]]
+    assert wb.read_range(wb.resolve_name("RightCells")) == [["3", "", "", ""]]
+    assert wb.get_value(_addr("K2")) == "MATCH"
