@@ -18,8 +18,8 @@ from .pipeline import (
     run_pipeline,
     validate_headers,
 )
-from .report import SubtotalJob, aggregate, parse_subtotal_spec, render_report
-from .sortio import SortKey, SortSpec, parse_sort_params, sort_file
+from .report import SubtotalJob, aggregate, render_report
+from .sortio import SortKey, SortSpec, sort_file
 from .values import BLANK, CellError
 from .workbook import CellAddress, CellRange, Workbook, parse_a1
 
@@ -48,8 +48,6 @@ __all__ = [
     "load_definition",
     "load_job",
     "parse_a1",
-    "parse_sort_params",
-    "parse_subtotal_spec",
     "recalculate",
     "render_definition",
     "render_report",

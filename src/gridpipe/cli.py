@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import shutil
 import sys
 
 from . import config as config_mod
@@ -52,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="stop at the first bad record")
     err_group.add_argument("--lenient", action="store_true",
                            help="log bad records and continue")
-    run.add_argument("--raw-out", metavar="PATH",
-                     help="also dump the pre-report record table here")
     run.add_argument("--stats-json", metavar="PATH",
                      help="write run statistics as JSON")
 
@@ -145,9 +142,6 @@ def _cmd_run(args) -> int:
         with open(args.stats_json, "w", encoding="utf-8") as handle:
             json.dump(stats.as_dict(), handle, indent=2)
             handle.write("\n")
-
-    if args.raw_out:
-        shutil.copyfile(spec.output_path, args.raw_out)
 
     if job.subtotals is not None:
         _write_subtotals(job, spec.output_path, spec.csv_mode)

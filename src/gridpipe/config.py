@@ -82,7 +82,7 @@ class UnknownRangeName(ConfigError):
 
 
 class LimitExceeded(ConfigError):
-    """A control table larger than the configured cap."""
+    """A job-file list (headers, sort keys, subtotal jobs) over its cap."""
 
 
 def _read_text(path) -> str:

@@ -11,7 +11,7 @@ class GridError(Exception):
 
 
 class ConfigError(GridError):
-    """A definition file, job file, control table, or name is invalid."""
+    """A definition file, job file, or name is invalid."""
 
 
 class DataError(GridError):

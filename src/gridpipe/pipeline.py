@@ -120,20 +120,17 @@ class HeaderReport:
         )
 
 
-def validate_headers(found: list[str], expected: list[str], trim: bool = True) -> HeaderReport:
+def validate_headers(found: list[str], expected: list[str]) -> HeaderReport:
     """Positional, case-insensitive header comparison.
 
-    With ``trim`` on, surrounding whitespace is ignored but reported as
-    a warning, since stray spaces in headers are a classic data smell.
+    Surrounding whitespace is ignored but reported as a warning, since
+    stray spaces in headers are a classic data smell.
     """
     warnings = []
     for position, (got, want) in enumerate(zip(found, expected), start=1):
-        got_cmp, want_cmp = got, want
-        if trim:
-            if got != got.strip():
-                warnings.append(f"superfluous spaces in header {position}: {got!r}")
-            got_cmp, want_cmp = got.strip(), want.strip()
-        if got_cmp.upper() != want_cmp.upper():
+        if got != got.strip():
+            warnings.append(f"superfluous spaces in header {position}: {got!r}")
+        if got.strip().upper() != want.strip().upper():
             return HeaderReport(False, position, got, want, warnings)
     if len(found) != len(expected):
         position = min(len(found), len(expected)) + 1
@@ -316,28 +313,24 @@ def run_pipeline(
                 if fail_fast:
                     raise
                 log.warning("%s (record skipped)", exc)
-                if progress_every:
-                    report_progress(stats, progress_every, progress_stream)
-                continue
-            if result is None:
-                stats.records_skipped += 1
-                if progress_every:
-                    report_progress(stats, progress_every, progress_stream)
-                continue
-
-            if width == 1:  # a single-cell payload is written verbatim
-                line = render_value(result[first])
             else:
-                rendered = [render_value(value) for value in result[first:]]
-                line = ",".join(rendered)
-                if line.count(",") != width - 1 or '"' in line or "\n" in line or "\r" in line:
-                    line = encode_record(rendered)
-            out.write(line + "\n")
-            stats.records_written += 1
-            if single_carry:
-                values[carry_keys[0]] = line
-            elif carry_keys:
-                values.update(zip(carry_keys, rendered))
+                if result is None:
+                    stats.records_skipped += 1
+                else:
+                    if width == 1:  # a single-cell payload is written verbatim
+                        line = render_value(result[first])
+                    else:
+                        rendered = [render_value(value) for value in result[first:]]
+                        line = ",".join(rendered)
+                        if (line.count(",") != width - 1 or '"' in line
+                                or "\n" in line or "\r" in line):
+                            line = encode_record(rendered)
+                    out.write(line + "\n")
+                    stats.records_written += 1
+                    if single_carry:
+                        values[carry_keys[0]] = line
+                    elif carry_keys:
+                        values.update(zip(carry_keys, rendered))
             if progress_every:
                 report_progress(stats, progress_every, progress_stream)
     write_back()

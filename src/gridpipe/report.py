@@ -7,8 +7,7 @@ lexicographically so output diffs are deterministic.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .csvio import encode_record
@@ -17,23 +16,19 @@ from .values import parse_number, render_number
 
 __all__ = [
     "SubtotalJob",
-    "SubtotalSpec",
     "ReportTable",
     "UnknownColumn",
     "BadControlTable",
     "NonNumericMeasure",
-    "parse_subtotal_spec",
     "parse_job_line",
     "aggregate",
     "subtotal",
     "render_report",
 ]
 
-log = logging.getLogger(__name__)
-
 
 class BadControlTable(ConfigError):
-    """A subtotal control table with an unusable row."""
+    """A subtotal job line with an unusable part."""
 
 
 class NonNumericMeasure(DataError):
@@ -57,13 +52,6 @@ class SubtotalJob:
 
 
 @dataclass
-class SubtotalSpec:
-    jobs: list[SubtotalJob] = field(default_factory=list)
-    output_path: str | None = None
-    format: str = "csv"  # csv | aligned-text
-
-
-@dataclass
 class ReportTable:
     group_names: list[str]
     measure_labels: list[str]
@@ -81,12 +69,10 @@ def translation_table(headers: list[str]) -> dict[str, int]:
     return table
 
 
-def _split_names(text: str, where: str, warn=None) -> list[str]:
+def _split_names(text: str, where: str) -> list[str]:
     names = []
     for part in text.split(","):
         cleaned = part.strip()
-        if warn and part != cleaned and cleaned:
-            warn(f"superfluous spaces in subtotal {where}: {part!r}")
         if cleaned:
             names.append(cleaned)
     if not names:
@@ -143,38 +129,6 @@ def parse_job_line(text: str, translation: dict[str, int]) -> SubtotalJob:
     measures = _split_names(measures_text, "measures")
     group_by = _split_names(groups_text, "group columns")
     return make_job(measures, group_by, translation, aggregate_kind)
-
-
-_LABEL_ROW = ("subtotal these amounts", "for column names")
-
-
-def parse_subtotal_spec(block: list[list], translation: dict[str, int], warn=None) -> SubtotalSpec:
-    """Jobs from an on-sheet control block of (measures, group columns) rows.
-
-    A leading label row and a bare title row are recognised and
-    skipped; every other row must carry both columns.
-    """
-    emit = warn or log.warning
-    spec = SubtotalSpec()
-    for row in block:
-        texts = ["" if v is None else str(v) for v in row]
-        while len(texts) < 2:
-            texts.append("")
-        first, second = texts[0].strip(), texts[1].strip()
-        if not first and not second:
-            continue
-        if first.lower() == "subtotals" and not second:
-            continue
-        if (first.lower(), second.lower()) == _LABEL_ROW:
-            continue
-        if not first or not second:
-            raise BadControlTable(
-                f"subtotal row needs measures and group columns, got {texts!r}"
-            )
-        measures = _split_names(texts[0], "measures", emit)
-        group_by = _split_names(texts[1], "group columns", emit)
-        spec.jobs.append(make_job(measures, group_by, translation))
-    return spec
 
 
 def subtotal(records: Iterable[list[str]], jobs: list[SubtotalJob]) -> list[ReportTable]:

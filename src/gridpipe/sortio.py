@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import os
 import shutil
 import tempfile
@@ -25,21 +24,12 @@ from .values import parse_number
 __all__ = [
     "SortKey",
     "SortSpec",
-    "BadControlTable",
     "MissingColumn",
     "UnknownColumn",
     "sort_file",
-    "sort_records",
-    "parse_sort_params",
 ]
 
-log = logging.getLogger(__name__)
-
 MERGE_FAN_IN = 64
-
-
-class BadControlTable(ConfigError):
-    """A sort control table with an unusable cell."""
 
 
 class MissingColumn(DataError):
@@ -131,17 +121,6 @@ def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> lis
         else:
             raise UnknownColumn(f"sort key column {column!r} not in header")
     return indices
-
-
-def sort_records(rows: list[list[str]], keys: list[SortKey]) -> list[list[str]]:
-    """Stable multi-key sort of parsed rows (test and library helper)."""
-    if not all(isinstance(k.column, int) for k in keys):
-        raise ConfigError("sort_records requires positional key columns")
-    indices = [k.column - 1 for k in keys]
-    if any(i < 0 for i in indices):
-        raise ConfigError("sort key columns are 1-based")
-    key_of = _key_function(keys, indices)
-    return sorted(rows, key=lambda row: key_of(row, 0))
 
 
 def sort_file(spec: SortSpec) -> int:
@@ -246,61 +225,3 @@ def _sort_external(spec, records, key_of, header_raw) -> int:
         return _write_output(spec, header_raw, lines)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-
-# --- Control table ----------------------------------------------------------
-
-
-def parse_sort_params(block: list[list], warn=None) -> SortSpec:
-    """Build a SortSpec from the on-sheet control table block.
-
-    Expected shape (a 4-row, 2-column named block): two label/value
-    rows for the input and output paths, a row of column labels, and a
-    row holding the headings flag (y/n) and sort order (asc/desc).
-    Values are trimmed; trimming that changes a value is worth a
-    warning, so it is reported.
-    """
-    emit = warn or log.warning
-
-    def cell(r, c) -> str:
-        try:
-            value = block[r][c]
-        except (IndexError, TypeError):
-            raise BadControlTable(
-                f"sort control table is missing cell row {r + 1}, column {c + 1}"
-            ) from None
-        if value is None:
-            return ""
-        text = value if isinstance(value, str) else str(value)
-        return text
-
-    def tidy(text: str, where: str) -> str:
-        stripped = text.strip()
-        if stripped != text:
-            emit(f"superfluous spaces in sort control table {where}: {text!r}")
-        return stripped
-
-    if len(block) < 4:
-        raise BadControlTable("sort control table must have 4 rows")
-    input_path = tidy(cell(0, 1), "input path")
-    output_path = tidy(cell(1, 1), "output path")
-    headings_text = tidy(cell(3, 0), "headings flag").lower()
-    order_text = tidy(cell(3, 1), "sort order").lower()
-    if headings_text not in ("y", "n"):
-        raise BadControlTable(
-            f"headings flag (row 4, column 1) must be y or n, got {headings_text!r}"
-        )
-    if order_text not in ("asc", "desc"):
-        raise BadControlTable(
-            f"sort order (row 4, column 2) must be asc or desc, got {order_text!r}"
-        )
-    if not input_path:
-        raise BadControlTable("sort input path (row 1, column 2) is empty")
-    if not output_path:
-        raise BadControlTable("sort output path (row 2, column 2) is empty")
-    return SortSpec(
-        input_path=input_path,
-        output_path=output_path,
-        has_headings=headings_text == "y",
-        keys=[SortKey(1, descending=order_text == "desc")],
-    )

@@ -61,12 +61,6 @@ NAME_ERROR = CellError("#NAME?")
 REF_ERROR = CellError("#REF!")
 NA_ERROR = CellError("#N/A")
 NUM_ERROR = CellError("#NUM!")
-CYCLE_ERROR = CellError("#CYCLE!")
-
-ERROR_CODES = {
-    e.code: e
-    for e in (DIV0, VALUE_ERROR, NAME_ERROR, REF_ERROR, NA_ERROR, NUM_ERROR, CYCLE_ERROR)
-}
 
 CellValue = Union[Blank, float, str, bool, CellError]
 

@@ -169,7 +169,6 @@ class Workbook:
         self._literals: dict[tuple, CellValue] = {}
         self.values: dict[tuple, CellValue] = {}  # runtime cache, engine-managed
         self._names: dict[str, NamedRange] = {}  # upper -> NamedRange
-        self._writable: set[tuple] = set()
         self.structure_version = 0
         self.graph = None  # set by the calc engine
 
@@ -267,10 +266,6 @@ class Workbook:
 
     # -- bulk transfer ---------------------------------------------------------
 
-    def declare_writable(self, cells: CellRange) -> None:
-        """Permit literal writes over formula cells in this range."""
-        self._writable.update(cells.keys())
-
     def read_range(self, cells: CellRange) -> list[list[CellValue]]:
         get = self.values.get
         sheet = cells.start.sheet.upper()
@@ -298,12 +293,9 @@ class Workbook:
             for j, c in enumerate(range(cells.start.col, cells.end.col + 1)):
                 key = (sheet, r, c)
                 if key in formulas:
-                    if key not in self._writable:
-                        raise FormulaOverwrite(
-                            f"literal write over formula cell {format_a1(r, c)}"
-                        )
-                    del formulas[key]
-                    self.structure_version += 1
+                    raise FormulaOverwrite(
+                        f"literal write over formula cell {format_a1(r, c)}"
+                    )
                 value = row[j]
                 literals[key] = value
                 values[key] = value

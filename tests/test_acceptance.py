@@ -18,7 +18,7 @@ from gridpipe.engine import recalculate
 from gridpipe.functions import arabic_value, roman_text
 from gridpipe.pipeline import CompareSpec, PipelineSpec, compare_files, run_pipeline
 from gridpipe.report import aggregate, make_job, translation_table
-from gridpipe.sortio import SortKey, SortSpec, sort_file, sort_records
+from gridpipe.sortio import SortKey, SortSpec, sort_file
 
 
 @contextlib.contextmanager
@@ -123,6 +123,14 @@ def test_criterion_4_dedup_matches_first_occurrence_filter(workdir):
         assert stats.records_skipped == 1000 - len(expected)
 
 
+def _sort_rows(directory, rows, keys):
+    """Rows sorted by ``sort_file`` through a file in ``directory``."""
+    text = "".join(",".join(row) + "\n" for row in rows)
+    (directory / "rows.csv").write_text(text, "utf-8")
+    sort_file(SortSpec(str(directory / "rows.csv"), str(directory / "sorted.csv"), keys=keys))
+    return [line.split(",") for line in (directory / "sorted.csv").read_text("utf-8").splitlines()]
+
+
 def test_criterion_5_sort_properties(tmp_path):
     with criterion(
         5, "multiset, stability, sequential equivalence, external=in-memory", 30.0
@@ -155,12 +163,12 @@ def test_criterion_5_sort_properties(tmp_path):
                 for column in key_columns
             ]
 
-            composite = sort_records(rows, keys)
+            composite = _sort_rows(tmp_path, rows, keys)
             assert Counter(map(tuple, composite)) == Counter(map(tuple, rows))
 
             sequential = list(rows)
             for key in reversed(keys):
-                sequential = sort_records(sequential, [key])
+                sequential = _sort_rows(tmp_path, sequential, [key])
             assert sequential == composite
 
             key_of = lambda row: tuple(row[c - 1] for c in key_columns)

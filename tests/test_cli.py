@@ -100,6 +100,22 @@ def test_run_progress_lines_on_stderr(workdir, capsys):
     assert err.count("records processed:") == 3
 
 
+def test_run_progress_counts_skipped_and_errored_records(workdir, capsys):
+    # Id 1 twice (the second is a duplicate, skipped), then a bad numeral.
+    _write(
+        workdir,
+        "store_raw.csv",
+        "Id,Item,Colour,Number\n1,Toga,Purple,I\n1,Toga,Purple,I\n"
+        "2,Belt,Tan,NOPE\n3,Crown,Gold,V\n",
+    )
+    assert main(["run", str(workdir / "store.job"), "--lenient", "--progress", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "read 4, wrote 2, skipped 1, errored 1" in err
+    assert [line for line in err.splitlines() if "records processed:" in line] == [
+        f"records processed: {n}" for n in range(1, 5)
+    ]
+
+
 def test_run_missing_input_data_exits_3(workdir, capsys):
     (workdir / "caesar_in.csv").unlink()
     assert main(["--quiet", "run", str(workdir / "caesar.job")]) == 3
@@ -159,15 +175,6 @@ def test_run_whole_chain_with_sort_and_report(workdir):
     assert report == (
         "Item,Colour,Sum of Number\nBelt,Tan,5\nToga,Purple,1500\n"
     )
-
-
-def test_raw_out_dumps_record_table(workdir):
-    _write(workdir, "caesar_in.csv", TOGA_FILE)
-    raw = workdir / "raw.csv"
-    assert main(
-        ["--quiet", "run", str(workdir / "caesar.job"), "--raw-out", str(raw)]
-    ) == 0
-    assert raw.read_text() == _read(workdir, "caesar_out.csv")
 
 
 # --- sort / report / compare ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Subtotal control tables, aggregation, and rendering."""
+"""Subtotal job lines, aggregation, and rendering."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from gridpipe.report import (
     aggregate,
     make_job,
     parse_job_line,
-    parse_subtotal_spec,
     render_report,
     subtotal,
     translation_table,
@@ -24,46 +23,13 @@ HEADERS = ["Id", "Item", "Colour", "Number", "Amount"]
 TRANSLATION = translation_table(HEADERS)
 
 
-# --- control table parsing -----------------------------------------------------
-
-
-_CONTROL_BLOCK = [
-    ["Subtotals", ""],
-    ["Subtotal these Amounts", "for Column Names"],
-    ["Number", "Item, Colour"],
-    ["Number, Amount", "Item"],
-]
-
-
-def test_parse_subtotal_block():
-    spec = parse_subtotal_spec(_CONTROL_BLOCK, TRANSLATION)
-    assert len(spec.jobs) == 2
-    assert spec.jobs[0].measures == ("Number",)
-    assert spec.jobs[0].group_by == ("Item", "Colour")
-    assert spec.jobs[0].measure_indices == (3,)
-    assert spec.jobs[0].group_indices == (1, 2)
-    assert spec.jobs[1].measures == ("Number", "Amount")
-    assert spec.jobs[1].group_by == ("Item",)
+# --- job lines ------------------------------------------------------------------
 
 
 def test_unknown_measure_column():
     with pytest.raises(UnknownColumn) as err:
-        parse_subtotal_spec([["Weight", "Item"]], TRANSLATION)
+        parse_job_line("Weight : Item", TRANSLATION)
     assert "Weight" in str(err.value)
-
-
-def test_half_filled_row_is_rejected():
-    with pytest.raises(BadControlTable):
-        parse_subtotal_spec([["Number", ""]], TRANSLATION)
-
-
-def test_spaces_in_lists_are_trimmed_with_warning():
-    warnings = []
-    spec = parse_subtotal_spec(
-        [["Number ", " Item ,Colour"]], TRANSLATION, warn=warnings.append
-    )
-    assert spec.jobs[0].group_by == ("Item", "Colour")
-    assert warnings
 
 
 def test_measure_and_group_must_be_disjoint():

@@ -1,4 +1,4 @@
-"""File sorting: control table, stability, external merge equivalence."""
+"""File sorting: stability, external merge equivalence."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from hypothesis import given, settings, strategies as st
 from gridpipe.errors import UnknownColumn
 from gridpipe.sortio import (
     MERGE_FAN_IN,
-    BadControlTable,
     MissingColumn,
     SortKey,
     SortSpec,
-    parse_sort_params,
     sort_file,
-    sort_records,
 )
 from gridpipe.values import parse_number
 
@@ -34,53 +31,12 @@ def _read_lines(path):
     return open(path, encoding="utf-8").read().splitlines()
 
 
-# --- control table ---------------------------------------------------------------
-
-
-_CONTROL_BLOCK = [
-    ["Sort In", "G:\\Work\\Inputs.csv"],
-    ["Sort Out", "G:\\Work\\InputsSorted.csv"],
-    ["Headings ?", "Ascending/Descending"],
-    ["y", "asc"],
-]
-
-
-def test_parse_sort_params_literal_block():
-    spec = parse_sort_params(_CONTROL_BLOCK)
-    assert spec.input_path == "G:\\Work\\Inputs.csv"
-    assert spec.output_path == "G:\\Work\\InputsSorted.csv"
-    assert spec.has_headings is True
-    assert spec.keys == [SortKey(1)]
-
-
-def test_parse_sort_params_trims_with_warning():
-    block = [row[:] for row in _CONTROL_BLOCK]
-    block[3] = ["y", "Asc "]
-    warnings = []
-    spec = parse_sort_params(block, warn=warnings.append)
-    assert spec.keys == [SortKey(1)]
-    assert any("superfluous spaces" in w for w in warnings)
-
-
-def test_parse_sort_params_rejects_unknown_order():
-    block = [row[:] for row in _CONTROL_BLOCK]
-    block[3] = ["y", "up"]
-    with pytest.raises(BadControlTable) as err:
-        parse_sort_params(block)
-    assert "row 4" in str(err.value)
-
-
-def test_parse_sort_params_rejects_short_block():
-    with pytest.raises(BadControlTable):
-        parse_sort_params(_CONTROL_BLOCK[:2])
-
-
-def test_parse_sort_params_descending():
-    block = [row[:] for row in _CONTROL_BLOCK]
-    block[3] = ["n", "desc"]
-    spec = parse_sort_params(block)
-    assert spec.has_headings is False
-    assert spec.keys == [SortKey(1, descending=True)]
+def _sort_rows(directory, rows, keys):
+    """Rows sorted by ``sort_file`` through a file in ``directory``."""
+    _write_rows(directory / "rows.csv", rows)
+    spec = SortSpec(str(directory / "rows.csv"), str(directory / "sorted.csv"), keys=keys)
+    sort_file(spec)
+    return [line.split(",") for line in _read_lines(directory / "sorted.csv")]
 
 
 # --- sort_file --------------------------------------------------------------------
@@ -336,22 +292,22 @@ def _random_keys(rng: random.Random, cols: int):
     ]
 
 
-def test_sequential_single_key_sorts_equal_composite_sort():
+def test_sequential_single_key_sorts_equal_composite_sort(tmp_path):
     rng = random.Random(99)
     for _ in range(60):
         rows = _random_table(rng, rng.randint(0, 80), rng.randint(1, 6))
         cols = len(rows[0]) if rows else 1
         keys = _random_keys(rng, cols)
-        composite = sort_records(rows, keys)
+        composite = _sort_rows(tmp_path, rows, keys)
         sequential = list(rows)
         for key in reversed(keys):
-            sequential = sort_records(sequential, [key])
+            sequential = _sort_rows(tmp_path, sequential, [key])
         assert sequential == composite
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_sequential_equivalence_property(data):
+def test_sequential_equivalence_property(tmp_path_factory, data):
     rows = data.draw(
         st.lists(
             st.tuples(
@@ -365,8 +321,9 @@ def test_sequential_equivalence_property(data):
         SortKey(1, descending=data.draw(st.booleans())),
         SortKey(2, descending=data.draw(st.booleans())),
     ]
-    composite = sort_records(rows, keys)
-    sequential = sort_records(sort_records(rows, [keys[1]]), [keys[0]])
+    directory = tmp_path_factory.mktemp("sequential")
+    composite = _sort_rows(directory, rows, keys)
+    sequential = _sort_rows(directory, _sort_rows(directory, rows, [keys[1]]), [keys[0]])
     assert sequential == composite
 
 

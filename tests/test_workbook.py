@@ -182,15 +182,6 @@ def test_literal_write_over_formula_is_an_error_by_default():
         wb.write_range(_rng("A1", "A1"), [["x"]])
 
 
-def test_declared_writable_range_allows_overwrite():
-    wb = Workbook()
-    wb.set_cell(_addr("A1"), parse_formula("=1+1"))
-    wb.declare_writable(_rng("A1", "A1"))
-    wb.write_range(_rng("A1", "A1"), [["x"]])
-    assert wb.get_value(_addr("A1")) == "x"
-    assert wb.formula_at(_addr("A1")) is None
-
-
 def test_write_read_identity_various_shapes():
     wb = Workbook()
     for corner, rows, cols in [("A1", 1, 1), ("C5", 3, 2), ("B9", 2, 4)]:
