@@ -1,23 +1,30 @@
 """Stable sorting of delimited files, in memory or via external merge.
 
-Both paths produce byte-identical output: records travel as raw text
-and the same composite key drives a stable sort (``sorted``) and a
-stable k-way merge (``heapq.merge`` preserves run order on ties).
-Because every sort is stable, sorting by the last key, then the next,
-up to the first, gives exactly the composite multi-key order -- which
-is also how more keys than a sort dialog allows can be applied by hand.
+There is one path. Each row's composite key is computed once, when the
+row is read, and travels with the raw text as a ``(key, raw)`` pair.
+Rows collect in a chunk; with a memory budget, a full chunk is sorted
+and spilled as a run of pickled blocks when the next row arrives. The
+last chunk is never written: it joins the final ``heapq.merge`` of the
+runs from memory, as its last input. ``heapq.merge`` keeps its inputs'
+order on ties and the runs are merged in input order, so the external
+path is byte-identical to the in-memory one (no budget: no runs).
+Memory is O(budget + MERGE_FAN_IN x block). Because every sort is
+stable, sorting by the last key, then the next, up to the first, gives
+exactly the composite multi-key order -- which is also how more keys
+than a sort dialog allows can be applied by hand.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
-from .csvio import atomic_output, read_records, split_record
+from .csvio import atomic_output, read_records
 from .errors import ConfigError, DataError, UnknownColumn
 from .values import parse_number
 
@@ -30,6 +37,8 @@ __all__ = [
 ]
 
 MERGE_FAN_IN = 64
+_BLOCK_PAIRS = 64  # pairs per pickled block of a spilled run
+_pair_key = itemgetter(0)
 
 
 class MissingColumn(DataError):
@@ -140,88 +149,73 @@ def sort_file(spec: SortSpec) -> int:
         head = next(records, None)
         if head is not None:
             header_raw, header_fields = head
-    indices = _resolve_key_columns(spec, header_fields)
-    key_of = _key_function(spec.keys, indices)
+    key_of = _key_function(spec.keys, _resolve_key_columns(spec, header_fields))
 
-    if spec.memory_budget_rows and spec.memory_budget_rows > 0:
-        count = _sort_external(spec, records, key_of, header_raw)
-    else:
-        count = _sort_in_memory(spec, records, key_of, header_raw)
-    return count
-
-
-def _write_output(spec: SortSpec, header_raw, lines) -> int:
-    count = 0
-    with atomic_output(spec.output_path) as out:
-        if header_raw is not None:
-            out.write(header_raw + "\n")
-        for raw in lines:
-            out.write(raw + "\n")
-            count += 1
-    return count
-
-
-def _sort_in_memory(spec, records, key_of, header_raw) -> int:
-    rows = []
-    for row_no, (raw, fields) in enumerate(records, start=1):
-        rows.append((key_of(fields, row_no), raw))
-    rows.sort(key=lambda pair: pair[0])
-    return _write_output(spec, header_raw, (raw for _, raw in rows))
-
-
-def _sort_external(spec, records, key_of, header_raw) -> int:
-    scratch = tempfile.mkdtemp(prefix="gridsort-", dir=spec.scratch_dir)
-    budget = spec.memory_budget_rows
-    mode = spec.csv_mode
+    # A full chunk spills only when another row arrives, so the last
+    # chunk always stays in memory; without a budget nothing spills.
+    spill_at = spec.memory_budget_rows if spec.memory_budget_rows > 0 else None
+    scratch = None
+    runs: list[str] = []
+    chunk: list[tuple] = []
     try:
-        runs: list[str] = []
-        chunk: list[tuple] = []
-        row_no = 0
-
-        def flush():
-            if not chunk:
-                return
-            chunk.sort(key=lambda pair: pair[0])
-            path = os.path.join(scratch, f"run-{len(runs):06d}")
-            with open(path, "w", encoding="utf-8") as handle:
-                for _, raw in chunk:
-                    handle.write(json.dumps(raw) + "\n")
-            runs.append(path)
-            chunk.clear()
-
-        for raw, fields in records:
-            row_no += 1
+        for row_no, (raw, fields) in enumerate(records, start=1):
+            if len(chunk) == spill_at:
+                if scratch is None:
+                    scratch = tempfile.mkdtemp(prefix="gridsort-", dir=spec.scratch_dir)
+                chunk.sort(key=_pair_key)
+                runs.append(_write_run(os.path.join(scratch, f"run-{len(runs):06d}"), chunk))
+                chunk = []
             chunk.append((key_of(fields, row_no), raw))
-            if len(chunk) >= budget:
-                flush()
-        flush()
+        chunk.sort(key=_pair_key)
 
-        def run_reader(path):
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    yield json.loads(line)
-
-        def merge_key(raw):
-            return key_of(split_record(raw, mode), 0)
-
-        # Merge at most MERGE_FAN_IN runs at a time until the last merge
-        # can stream straight into the output file.
+        # Merge at most MERGE_FAN_IN runs at a time until the spilled
+        # runs and the last chunk can stream straight into the output.
         generation = 0
-        while len(runs) > MERGE_FAN_IN:
+        while len(runs) >= MERGE_FAN_IN:
             generation += 1
-            merged: list[str] = []
-            for group_start in range(0, len(runs), MERGE_FAN_IN):
-                group = runs[group_start : group_start + MERGE_FAN_IN]
-                path = os.path.join(scratch, f"merge-{generation}-{len(merged):06d}")
-                with open(path, "w", encoding="utf-8") as handle:
-                    for raw in heapq.merge(*(run_reader(p) for p in group), key=merge_key):
-                        handle.write(json.dumps(raw) + "\n")
-                merged.append(path)
-                for p in group:
-                    os.remove(p)
-            runs = merged
+            groups = [runs[i : i + MERGE_FAN_IN] for i in range(0, len(runs), MERGE_FAN_IN)]
+            runs = []
+            for group in groups:
+                path = os.path.join(scratch, f"merge-{generation}-{len(runs):06d}")
+                runs.append(
+                    _write_run(path, heapq.merge(*map(_read_run, group), key=_pair_key))
+                )
+                for done in group:
+                    os.remove(done)
 
-        lines = heapq.merge(*(run_reader(p) for p in runs), key=merge_key)
-        return _write_output(spec, header_raw, lines)
+        # The chunk merges last, so equal keys keep their input order.
+        pairs = heapq.merge(*map(_read_run, runs), chunk, key=_pair_key)
+        count = 0
+        with atomic_output(spec.output_path) as out:
+            if header_raw is not None:
+                out.write(header_raw + "\n")
+            for _, raw in pairs:
+                out.write(raw + "\n")
+                count += 1
+        return count
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _write_run(path: str, pairs) -> str:
+    """Store sorted ``(key, raw)`` pairs at ``path`` as pickled blocks,
+    ended by an empty block; returns the path."""
+    import pickle  # importing it raises peak RSS: only a sort that spills pays
+
+    pairs = iter(pairs)
+    with open(path, "wb") as handle:
+        while True:
+            block = list(islice(pairs, _BLOCK_PAIRS))
+            pickle.dump(block, handle, pickle.HIGHEST_PROTOCOL)
+            if not block:
+                return path
+
+
+def _read_run(path: str):
+    """The ``(key, raw)`` pairs of a run written by ``_write_run``."""
+    import pickle
+
+    with open(path, "rb") as handle:
+        while block := pickle.load(handle):
+            yield from block

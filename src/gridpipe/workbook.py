@@ -285,17 +285,20 @@ class Workbook:
             )
         self.add_sheet(cells.start.sheet)
         sheet = cells.start.sheet.upper()
+        rows = range(cells.start.row, cells.end.row + 1)
+        cols = range(cells.start.col, cells.end.col + 1)
+        # Check the whole range first, so a rejected write changes nothing.
         formulas = self._formulas
-        literals = self._literals
-        values = self.values
-        for i, r in enumerate(range(cells.start.row, cells.end.row + 1)):
-            row = matrix[i]
-            for j, c in enumerate(range(cells.start.col, cells.end.col + 1)):
-                key = (sheet, r, c)
-                if key in formulas:
+        for r in rows:
+            for c in cols:
+                if (sheet, r, c) in formulas:
                     raise FormulaOverwrite(
                         f"literal write over formula cell {format_a1(r, c)}"
                     )
-                value = row[j]
+        literals = self._literals
+        values = self.values
+        for r, row in zip(rows, matrix):
+            for c, value in zip(cols, row):
+                key = (sheet, r, c)
                 literals[key] = value
                 values[key] = value

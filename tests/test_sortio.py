@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +32,7 @@ def _write_rows(path, rows, header=None):
 
 
 def _read_lines(path):
-    return open(path, encoding="utf-8").read().splitlines()
+    return Path(path).read_text(encoding="utf-8").splitlines()
 
 
 def _sort_rows(directory, rows, keys):
@@ -223,13 +227,20 @@ _MULTILINE_ROWS = "".join(
     "header, body, budget",
     [
         ("k,g,seq\n", _numbered_rows(16 * MERGE_FAN_IN), 16),  # exactly MERGE_FAN_IN runs
+        # Full chunks only: the last one stays in memory, so 63 chunks
+        # spill 62 runs, and 65 spill MERGE_FAN_IN runs, one generation.
+        ("k,g,seq\n", _numbered_rows(16 * (MERGE_FAN_IN - 1)), 16),
+        ("k,g,seq\n", _numbered_rows(16 * (MERGE_FAN_IN + 1)), 16),
         ("k,g,seq\n", _numbered_rows(1000), 16),  # under MERGE_FAN_IN runs
         ("k,g,seq\n", _numbered_rows(50), 100),  # a single run
         ("k,g,seq\n", "", 4),  # header only
         ("", "", 4),  # empty file
         ("k,g,seq\n", _MULTILINE_ROWS, 2),  # quoted fields spanning lines
     ],
-    ids=["fan-in-runs", "under-fan-in", "single-run", "header-only", "empty", "multi-line"],
+    ids=[
+        "fan-in-runs", "fan-in-less-one-chunks", "fan-in-plus-one-chunks",
+        "under-fan-in", "single-run", "header-only", "empty", "multi-line",
+    ],
 )
 def test_external_output_byte_identical_to_in_memory(tmp_path, header, body, budget):
     (tmp_path / "in.csv").write_text(header + body, encoding="utf-8")
@@ -261,6 +272,42 @@ def test_external_scratch_is_cleaned_up(tmp_path):
         )
     )
     assert list(scratch.iterdir()) == []
+
+
+def test_failed_sort_leaves_no_files_and_unspilled_sort_no_scratch(tmp_path):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    rows = [[str(i), "x"] for i in range(10)] + [["short"]] + [["1", "y"]]
+    _write_rows(tmp_path / "in.csv", rows)
+    spec = SortSpec(
+        str(tmp_path / "in.csv"),
+        str(tmp_path / "out.csv"),
+        keys=[SortKey(2)],
+        memory_budget_rows=3,  # the short row arrives after three spills
+        scratch_dir=str(scratch),
+    )
+    with pytest.raises(MissingColumn, match="row 11"):
+        sort_file(spec)
+    assert list(scratch.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "scratch"]
+
+    del rows[10]
+    _write_rows(tmp_path / "in.csv", rows)
+    for budget in (0, len(rows)):
+        spec.memory_budget_rows = budget
+        # A sort that spilled would fail: this directory does not exist.
+        spec.scratch_dir = str(tmp_path / "absent")
+        assert sort_file(spec) == len(rows)
+
+
+def test_importing_the_cli_does_not_load_pickle():
+    # Only a spilling sort needs pickle; importing it costs peak RSS.
+    code = "import sys, gridpipe.cli; print('pickle' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- the sequential-sort equivalence -------------------------------------------------

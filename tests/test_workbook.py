@@ -182,6 +182,14 @@ def test_literal_write_over_formula_is_an_error_by_default():
         wb.write_range(_rng("A1", "A1"), [["x"]])
 
 
+def test_rejected_write_range_changes_no_cell():
+    wb = Workbook()
+    wb.set_cell(_addr("B1"), parse_formula("=1+1"))
+    with pytest.raises(FormulaOverwrite):
+        wb.write_range(_rng("A1", "B1"), [["x", "y"]])
+    assert wb.get_value(_addr("A1")) is BLANK
+
+
 def test_write_read_identity_various_shapes():
     wb = Workbook()
     for corner, rows, cols in [("A1", 1, 1), ("C5", 3, 2), ("B9", 2, 4)]:
