@@ -3,7 +3,7 @@
 Two reading modes:
 
 * ``rfc4180`` -- quoted fields, doubled-quote escapes, embedded commas
-  and line breaks. The default for real data.
+  and line breaks, kept as written. The default for real data.
 * ``naive-split`` -- the record is split on every comma, quotes are
   ordinary characters. Matches the classic one-line split and is kept
   for fixture fidelity.
@@ -20,6 +20,7 @@ import csv
 import io
 import os
 from contextlib import contextmanager
+from itertools import filterfalse
 from typing import Iterator
 
 from .errors import DataError
@@ -27,6 +28,8 @@ from .errors import DataError
 __all__ = ["read_records", "split_record", "encode_record", "atomic_output", "CSV_MODES"]
 
 CSV_MODES = ("rfc4180", "naive-split")
+
+csv.field_size_limit(2**31 - 1)  # not the stdlib's 128 KiB: see read_records
 
 
 class BadCsvMode(DataError):
@@ -51,41 +54,36 @@ def split_record(raw: str, mode: str = "rfc4180") -> list[str]:
 def read_records(path, mode: str = "rfc4180") -> Iterator[tuple[str, list[str]]]:
     """Stream ``(raw, fields)`` records from a delimited file.
 
-    ``raw`` carries no line terminator; a quoted field spanning physical
-    lines is reassembled with LF separators.
+    ``raw`` is the record's physical lines as written, less the final
+    terminator, and an empty line is one empty field. CR and CRLF inside
+    quotes stay in ``raw`` and ``fields``. One ``csv.reader(strict=True)``
+    parses an rfc4180 file: a malformed record, or a quote open at EOF,
+    is a ``DataError`` naming the file and physical line. Quoted fields,
+    like unquoted ones, have no size limit: this module sets
+    ``csv.field_size_limit`` to 2**31 - 1.
     """
     if mode not in CSV_MODES:
         raise BadCsvMode(f"unknown csv mode: {mode!r}")
     with open(path, encoding="utf-8-sig", newline="") as handle:
         # With newline="" a line holds one terminator (CR, LF or CRLF)
-        # and no other CR or LF, so rstrip removes exactly that.
+        # and no other CR or LF, and a record's last line is empty only
+        # if the record is, so rstrip removes exactly that terminator.
         if mode == "naive-split":
             for line in handle:
                 raw = line.rstrip("\r\n")
                 yield raw, raw.split(",")
             return
-        pending: list[str] = []
-        quotes = 0  # quote characters in the lines read for this record
-        for line in handle:
-            raw = line.rstrip("\r\n")
-            quotes += raw.count('"')
-            # An odd number of quotes so far means the record continues
-            # on the next physical line.
-            if quotes % 2:
-                pending.append(raw)
-                continue
-            if pending:
-                pending.append(raw)
-                raw = "\n".join(pending)
-                pending = []
-            if quotes:
-                quotes = 0
-                yield raw, split_record(raw)
-            else:
-                yield raw, raw.split(",")
-        if pending:  # unterminated quote at EOF: surface as-is
-            raw = "\n".join(pending)
-            yield raw, split_record(raw)
+        consumed: list[str] = []  # the physical lines of the current record
+        # append returns None, so filterfalse hands the reader every line
+        # once it is recorded, with no Python frame per line.
+        reader = csv.reader(filterfalse(consumed.append, handle), strict=True)
+        try:
+            for fields in reader:
+                raw = "".join(consumed).rstrip("\r\n")
+                consumed.clear()
+                yield raw, fields or [""]
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def encode_field(field: str) -> str:

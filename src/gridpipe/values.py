@@ -94,7 +94,8 @@ def parse_number(text: str) -> float | None:
     Returns None when the text is not a (finite) number.
     """
     s = text.strip()
-    if not _NUMBER_RE.fullmatch(s):
+    # isdecimal() is \d's Unicode Nd set: plain digit runs skip the regex.
+    if not (s.isdecimal() or _NUMBER_RE.fullmatch(s)):
         return None
     value = float(s)
     if not math.isfinite(value):

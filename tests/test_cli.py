@@ -7,6 +7,8 @@ import logging
 import random
 import tracemalloc
 
+import pytest
+
 from gridpipe.cli import _write_subtotals, main
 from gridpipe.config import load_job
 from gridpipe.csvio import read_records
@@ -140,6 +142,31 @@ def test_run_lenient_flag_keeps_going(workdir):
     )
     assert main(["--quiet", "run", str(workdir / "caesar.job"), "--lenient"]) == 0
     assert _read(workdir, "caesar_out.csv").splitlines()[1:] == ["2,Belt,Tan,5"]
+
+
+def test_run_keeps_every_record_after_a_stray_quote(workdir, capsys):
+    _write(
+        workdir,
+        "caesar_in.csv",
+        'Id,Item,Colour,Number\n1,Toga 5" wide,Purple,X\n2,Belt,Tan,V\n3,Crown,Gold,I\n',
+    )
+    assert main(["run", str(workdir / "caesar.job"), "--progress", "0"]) == 0
+    assert "read 3, wrote 3" in capsys.readouterr().err
+    assert _read(workdir, "caesar_out.csv").splitlines()[1:] == [
+        '1,Toga 5" wide,Purple,10', "2,Belt,Tan,5", "3,Crown,Gold,1",
+    ]
+
+
+@pytest.mark.parametrize("mode", ["--fail-fast", "--lenient"])
+@pytest.mark.parametrize(
+    "bad, line",
+    [('1,"ab"c,Purple,I\n2,Belt,Tan,V\n', 2), ('1,"Toga\nPurple,I\n2,Belt,Tan,V\n', 4)],
+)
+def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, bad, line):
+    _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n" + bad)
+    assert main(["--quiet", "run", str(workdir / "caesar.job"), mode]) == 2
+    assert f"caesar_in.csv line {line}:" in capsys.readouterr().err
+    assert not list(workdir.glob("caesar_out*"))
 
 
 def test_run_naive_split_flag(workdir):

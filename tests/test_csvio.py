@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridpipe.csvio import encode_record, read_records, split_record
@@ -78,7 +82,7 @@ def test_encode_record_round_trips(tmp_path):
         st.lists(
             st.text(
                 alphabet=st.characters(
-                    blacklist_categories=("Cs",), blacklist_characters="\r\x00"
+                    blacklist_categories=("Cs",), blacklist_characters="\x00"
                 ),
                 max_size=8,
             ),
@@ -101,40 +105,20 @@ def test_encode_read_property(tmp_path_factory, rows):
 
 
 
-def _strip_eol(line: str) -> str:
-    if line.endswith("\r\n"):
-        return line[:-2]
-    if line.endswith("\n") or line.endswith("\r"):
-        return line[:-1]
-    return line
-
-
-def _parity_reader(path, mode):
-    """The quote-parity reader that read_records replaced, kept as an oracle."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        if mode == "naive-split":
-            for line in handle:
-                raw = _strip_eol(line)
-                yield raw, raw.split(",")
-            return
-        pending = []
-        for line in handle:
-            pending.append(_strip_eol(line))
-            if sum(part.count('"') for part in pending) % 2 == 1:
-                continue
-            raw = "\n".join(pending)
-            pending = []
-            yield raw, split_record(raw)
-        if pending:
-            raw = "\n".join(pending)
-            yield raw, split_record(raw)
-
-
-def _outcome(records):
+def _csv_module_records(text: str):
+    """Fields of every record of ``text`` by one strict ``csv.reader``,
+    an empty line read as one empty field; "error" if it rejects the text."""
     try:
-        return list(records)
-    except DataError as exc:
-        return str(exc)
+        return [fields or [""] for fields in csv.reader(io.StringIO(text, newline=""), strict=True)]
+    except csv.Error:
+        return "error"
+
+
+def _read_fields(path, mode):
+    try:
+        return [fields for _, fields in read_records(path, mode)]
+    except DataError:
+        return "error"
 
 
 @given(
@@ -149,11 +133,56 @@ def _outcome(records):
 )
 @example(lines=[("x" * 8191, "\r\n"), ('"a', "\r\n"), ('b"', "\n")], final_newline=True)
 @settings(max_examples=300)
-def test_read_records_matches_the_parity_reader(tmp_path_factory, lines, final_newline):
+def test_read_records_matches_the_csv_module(tmp_path_factory, lines, final_newline):
     text = "".join(body + ending for body, ending in lines)
     if lines and not final_newline:
         text = text[: -len(lines[-1][1])]
-    path = tmp_path_factory.mktemp("parity") / "data.csv"
+    path = tmp_path_factory.mktemp("oracle") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    for mode in ("rfc4180", "naive-split"):
-        assert _outcome(read_records(path, mode)) == _outcome(_parity_reader(path, mode))
+    expected = _csv_module_records(text)
+    assert _read_fields(path, "rfc4180") == expected
+    if expected != "error":
+        for raw, fields in read_records(path):
+            assert _csv_module_records(raw + "\n") == [fields]
+    physical = io.StringIO(text, newline="")
+    assert _read_fields(path, "naive-split") == [
+        line.rstrip("\r\n").split(",") for line in physical
+    ]
+
+
+def test_stray_quote_in_an_unquoted_field_is_a_character(tmp_path):
+    path = _write(tmp_path, '1,Toga 5" wide,Purple,X\n2,Belt,Tan,V\n')
+    assert list(read_records(path)) == [
+        ('1,Toga 5" wide,Purple,X', ["1", 'Toga 5" wide', "Purple", "X"]),
+        ("2,Belt,Tan,V", ["2", "Belt", "Tan", "V"]),
+    ]
+
+
+@pytest.mark.parametrize("inner", ["a\r\nb", "a\rb"])
+def test_cr_and_crlf_inside_quotes_are_kept(tmp_path, inner):
+    path = _write(tmp_path, f'3,"{inner}"\n4,x\n')
+    assert list(read_records(path)) == [(f'3,"{inner}"', ["3", inner]), ("4,x", ["4", "x"])]
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        ('Id,Item\n1,"ab"c,x\n2,d\n', 2, "expected after"),
+        ('Id,Item\n1,"open\nstill open\n', 3, "unexpected end of data"),
+    ],
+)
+def test_malformed_record_names_file_and_physical_line(tmp_path, text, line, reason):
+    path = _write(tmp_path, text)
+    records = read_records(path)
+    assert next(records) == ("Id,Item", ["Id", "Item"])
+    with pytest.raises(DataError, match=reason) as caught:
+        next(records)
+    assert f"{path} line {line}:" in str(caught.value)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_field_over_the_stdlib_limit_reads_back_whole(tmp_path, quoted):
+    big = "x" * (200 * 1024)
+    path = _write(tmp_path, "1," + (f'"{big}"' if quoted else big) + ",z\n")
+    [(_, fields)] = list(read_records(path))
+    assert fields == ["1", big, "z"]

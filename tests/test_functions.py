@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -24,12 +25,39 @@ from gridpipe.values import (
     RangeValue,
     REF_ERROR,
     VALUE_ERROR,
+    _NUMBER_RE,
+    parse_number,
 )
 from gridpipe.workbook import Workbook, parse_a1
 
 
 def ev(source: str, wb: Workbook | None = None):
     return evaluate_source(wb or Workbook(), source)
+
+
+# --- number parsing -------------------------------------------------------------
+
+
+def _regex_parse_number(text: str):
+    s = text.strip()
+    if not _NUMBER_RE.fullmatch(s):
+        return None
+    value = float(s)
+    return value if math.isfinite(value) else None
+
+
+@pytest.mark.parametrize("text", ["\u0663\u0664", "0042", "9" * 400, " 12 ", "1_0", ""])
+def test_parse_number_digit_fast_path_agrees_with_the_regex(text):
+    assert parse_number(text) == _regex_parse_number(text)
+
+
+@given(
+    st.text(
+        alphabet=st.characters(whitelist_categories=("Nd", "Nl", "No")) | st.sampled_from(" _+-.e")
+    )
+)
+def test_parse_number_agrees_with_the_regex_property(text):
+    assert parse_number(text) == _regex_parse_number(text)
 
 
 # --- roman numerals -----------------------------------------------------------

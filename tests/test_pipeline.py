@@ -261,10 +261,9 @@ def test_multi_cell_payload_is_quoted_and_carried_unquoted(workdir):
 _PAYLOAD_TEXT = st.text(
     alphabet=st.characters(
         blacklist_categories=("Cs",),
-        # The reader joins a quoted field's lines with LF, so a CR in a
-        # field reads back as LF; a leading BOM is dropped as the
-        # file's byte order mark.
-        blacklist_characters="\r\x00\ufeff",
+        # A leading BOM is dropped as the file's byte order mark, and
+        # Python 3.10's csv module rejects NUL.
+        blacklist_characters="\x00\ufeff",
     ),
     max_size=6,
 )

@@ -181,6 +181,17 @@ def test_quoted_fields_sort_and_survive_verbatim(tmp_path):
     assert _read_lines(tmp_path / "out.csv") == ['"a,y",1', '"b,x",2']
 
 
+def test_external_sort_keeps_crlf_inside_quotes_byte_for_byte(tmp_path):
+    rows = ['3,"c\r\nc"', '1,"a\rb"', "4,d", "2,b"]
+    (tmp_path / "in.csv").write_bytes("".join(row + "\n" for row in rows).encode())
+    sort_file(
+        SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"), memory_budget_rows=1,
+                 scratch_dir=str(tmp_path))
+    )
+    expected = "".join(row + "\n" for row in sorted(rows))
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
 # --- external merge path -----------------------------------------------------------
 
 
