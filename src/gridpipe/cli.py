@@ -53,23 +53,29 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="log bad records and continue")
     run.add_argument("--stats-json", metavar="PATH",
                      help="write run statistics as JSON")
+    run.set_defaults(handler=_cmd_run)
 
     sort = sub.add_parser("sort", help="sort the job's input file")
     sort.add_argument("job")
+    sort.set_defaults(handler=_cmd_sort)
 
     report = sub.add_parser("report", help="subtotal a data file per the job's spec")
     report.add_argument("job")
     report.add_argument("data", help="delimited data file with a header row")
+    report.set_defaults(handler=_cmd_report)
 
     compare = sub.add_parser("compare", help="diff the job's two sorted files")
     compare.add_argument("job")
+    compare.set_defaults(handler=_cmd_compare)
 
     check = sub.add_parser("check", help="validate the job and definition; touch no data")
     check.add_argument("job")
+    check.set_defaults(handler=_cmd_check)
 
     evaluate = sub.add_parser("eval", help="evaluate one formula against a definition")
     evaluate.add_argument("definition")
     evaluate.add_argument("formula", help='e.g. "=ARABIC(""MCDLIX"")"')
+    evaluate.set_defaults(handler=_cmd_eval)
 
     return parser
 
@@ -82,7 +88,7 @@ def main(argv=None) -> int:
         format="gridpipe: %(message)s",
     )
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -92,22 +98,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def _dispatch(args) -> int:
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sort":
-        return _cmd_sort(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def _cmd_run(args) -> int:

@@ -17,7 +17,6 @@ only once it is complete (``atomic_output``).
 from __future__ import annotations
 
 import csv
-import io
 import os
 from contextlib import contextmanager
 from itertools import filterfalse
@@ -25,7 +24,7 @@ from typing import Iterator
 
 from .errors import DataError
 
-__all__ = ["read_records", "split_record", "encode_record", "atomic_output", "CSV_MODES"]
+__all__ = ["read_records", "encode_record", "atomic_output", "CSV_MODES"]
 
 CSV_MODES = ("rfc4180", "naive-split")
 
@@ -36,21 +35,6 @@ class BadCsvMode(DataError):
     pass
 
 
-def split_record(raw: str, mode: str = "rfc4180") -> list[str]:
-    """Fields of one record (no trailing newline in ``raw``)."""
-    if mode == "naive-split":
-        return raw.split(",")
-    if '"' not in raw:
-        return raw.split(",")
-    try:
-        rows = list(csv.reader(io.StringIO(raw)))
-    except csv.Error as exc:
-        raise DataError(f"unreadable record {raw!r}: {exc}") from None
-    if not rows:
-        return [""]
-    return rows[0]
-
-
 def read_records(path, mode: str = "rfc4180") -> Iterator[tuple[str, list[str]]]:
     """Stream ``(raw, fields)`` records from a delimited file.
 
@@ -58,7 +42,8 @@ def read_records(path, mode: str = "rfc4180") -> Iterator[tuple[str, list[str]]]
     terminator, and an empty line is one empty field. CR and CRLF inside
     quotes stay in ``raw`` and ``fields``. One ``csv.reader(strict=True)``
     parses an rfc4180 file: a malformed record, or a quote open at EOF,
-    is a ``DataError`` naming the file and physical line. Quoted fields,
+    is a ``DataError`` naming the file, the physical line where parsing
+    stopped and the line where the record began. Quoted fields,
     like unquoted ones, have no size limit: this module sets
     ``csv.field_size_limit`` to 2**31 - 1.
     """
@@ -83,7 +68,9 @@ def read_records(path, mode: str = "rfc4180") -> Iterator[tuple[str, list[str]]]
                 consumed.clear()
                 yield raw, fields or [""]
         except csv.Error as exc:
-            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+            line = reader.line_num
+            start = line - len(consumed) + 1
+            raise DataError(f"{path} line {line}: {exc} (record from line {start})") from None
 
 
 def encode_field(field: str) -> str:

@@ -2,21 +2,22 @@
 
 Every evaluation -- ``recalculate``, a streaming run's per-record step,
 ``evaluate_source`` -- runs a *plan*: formula cells in topological
-order, compiled into one generated function ``run(values)`` over the
-workbook's value dict. In it each plan cell is a local, a precedent
-outside the plan is one ``values.get``, and operator and function
-implementations are constants called directly. Every value read or
-computed that can be an error is checked, and an error breaks out of its
-cell where the formula first meets it, left to right. Only the observed
-cells (and cells some range reads) are written back.
+order, compiled into one generated function ``run(values, row=())``
+over the workbook's value dict. In it each plan cell and each field of
+``row`` is a local, a precedent outside the plan is one ``values.get``,
+and operator and function implementations are constants called
+directly. Every value read or computed that can be an error is checked,
+and an error breaks out of its cell where the formula first meets it,
+left to right. It returns the observed values as a tuple and writes
+only the cells a range or a later generated function reads.
 
-A plan is pruned by demand: cells downstream of the written (dirty)
-cells and upstream of an observed cell. ``recalculate`` observes every
-affected cell, so it keeps full-downstream semantics; a streaming run
-observes its output cells only and leaves the rest stale until the next
-``recalculate(wb)``; its plan is a record step, whose fields arrive as
-text locals and whose observed values are returned. Plans depend only
-on the structure and are cached, so nothing is rebuilt per record.
+A plan is pruned by demand: cells downstream of the dirty cells and the
+fields and upstream of an observed cell. ``recalculate`` observes none
+(``observed=None``) and writes every affected cell, so it keeps
+full-downstream semantics; a streaming run observes its output cells
+only and leaves the rest stale until the next ``recalculate(wb)``.
+Plans depend only on the structure and are cached, so nothing is
+rebuilt per record.
 """
 
 from __future__ import annotations
@@ -88,17 +89,17 @@ class _Emitter:
     """Writes the body of one generated plan function, cell by cell.
 
     Each cell is a ``while True:`` block that an error leaves by
-    ``break`` with the error as the cell's value. A record step's
-    function unpacks the keys in ``fields`` from its ``row`` argument.
+    ``break`` with the error as the cell's value. The function unpacks
+    the keys in ``fields`` from its ``row`` argument.
     """
 
-    def __init__(self, wb: Workbook, fields=None):
+    def __init__(self, wb: Workbook, fields=()):
         self.wb = wb
         self.fields = fields
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}  # globals of the generated function
         # plan cell or field key -> local name, and the kind of its value
-        self.locals = {key: f"p{i}" for i, key in enumerate(fields or ())}
+        self.locals = {key: f"p{i}" for i, key in enumerate(fields)}
         self.kinds = dict.fromkeys(self.locals, _TEXT)
         self.temps = 0
 
@@ -222,22 +223,17 @@ class _Emitter:
 
         raise TypeError(f"not an AST node: {node!r}")
 
-    def function(self, name: str, top=(), observed=None):
-        """Compile the cells emitted so far into ``run(values)``, or
-        ``run(values, row)`` for a record step, which first writes the
-        ``top`` fields to ``values``. It returns the ``observed`` values
-        as a tuple, or else the last cell's value."""
+    def function(self, name: str, top, observed):
+        """Compile the cells emitted so far into ``run(values, row=())``,
+        which first writes the ``top`` fields to ``values`` and returns
+        the ``observed`` values as a tuple."""
         head = ["get = values.get"]
         if self.fields:
             head.append("".join(f"p{i}, " for i in range(len(self.fields))) + "= row")
         head += [f"values[{key!r}] = {self.locals[key]}" for key in top]
-        if observed is None:
-            result = f"c{len(self.locals) - 1}" if self.locals else "None"
-        else:
-            operands = [self.locals.get(key) or f"get({key!r}, BLANK)" for key in observed]
-            result = "(" + "".join(f"{operand}, " for operand in operands) + ")"
-        body = [*head, *self.lines, f"return {result}"]
-        source = f"def run(values{'' if self.fields is None else ', row'}):\n"
+        operands = [self.locals.get(key) or f"get({key!r}, BLANK)" for key in observed]
+        body = [*head, *self.lines, "return (" + "".join(f"{op}, " for op in operands) + ")"]
+        source = "def run(values, row=()):\n"
         source += "".join(f"    {text}\n" for text in body)
         namespace = {"BLANK": BLANK, "CellError": CellError, "_block": _block}
         namespace.update(self.consts)
@@ -253,16 +249,17 @@ def _key_rows(sheet, row1, col1, row2, col2):
 
 
 # The formula cells one evaluation computes, in topological order, and
-# ``run(values)`` (a record step: ``run(values, row)``) evaluating them.
+# ``run(values, row=())`` evaluating them and returning the observed values.
 Plan = namedtuple("Plan", ["cells", "run"])
 
 
 def evaluate_source(workbook: Workbook, source: str, sheet: str | None = None) -> CellValue:
     """One-shot parse and evaluate of a formula against cached values."""
     ast = parse_formula(source)
+    key = ((sheet or workbook.default_sheet()).upper(), 0, 0)
     emitter = _Emitter(workbook)
-    emitter.cell(((sheet or workbook.default_sheet()).upper(), 0, 0), ast, write=False)
-    return emitter.function("formula")(workbook.values)
+    emitter.cell(key, ast, write=False)
+    return emitter.function("formula", (), (key,))(workbook.values)[0]
 
 
 # --- Dependency graph --------------------------------------------------------
@@ -280,17 +277,17 @@ class DependencyGraph:
         self.version = -1
         self._plans: dict[tuple, Plan] = {}
 
-    def plan(self, wb: Workbook, dirty: frozenset | None, observed=None, fields=None) -> Plan:
-        """The compiled plan for a dirty set (None: every formula cell),
-        pruned to cells upstream of ``observed`` (None: all observed).
-        With ``fields`` it is a record step (see ``compile_plan``)."""
+    def plan(self, wb: Workbook, dirty: frozenset | None, observed=None, fields=()) -> Plan:
+        """The compiled plan for a dirty set (None: every formula cell)
+        and ``fields``, pruned to cells upstream of ``observed``. With
+        ``observed=None`` it writes every affected cell and returns ()."""
         cache_key = (dirty, observed, fields)
         cached = self._plans.get(cache_key)
         if cached is not None:
             return cached
-        if fields is not None:
-            dirty = dirty.union(fields)
-        affected = set(self.order) if dirty is None else _closure(dirty, self.dependents)
+        affected = (
+            set(self.order) if dirty is None else _closure(dirty.union(fields), self.dependents)
+        )
         if observed is None:
             writes = affected
         else:
@@ -302,19 +299,19 @@ class DependencyGraph:
         # a cell a later chunk reads is handed over through ``values``.
         chunk_of = {key: i // _CHUNK for i, key in enumerate(cells)}
         last = max(len(cells) - 1, 0) // _CHUNK
-        if fields is not None:  # the last chunk returns its observed values
+        if observed is not None:  # the last chunk returns its observed values
             writes = {k for k in writes if k in self.block_reads or chunk_of[k] < last}
         writes |= {
             key for key in cells
             if any(chunk_of.get(d, -1) > chunk_of[key] for d in self.dependents.get(key, ()))
         }
-        top = [key for key in fields or () if key in self.block_reads]
+        top = [key for key in fields if key in self.block_reads]
         runs = []
         for start in range(0, max(len(cells), 1), _CHUNK):
             emitter = _Emitter(wb, fields)
             for key in cells[start : start + _CHUNK]:
                 emitter.cell(key, wb._formulas[key], key in writes)
-            returns = observed if fields is not None and start // _CHUNK == last else None
+            returns = (observed or ()) if start // _CHUNK == last else ()
             runs.append(emitter.function(f"plan cells {start}+", top if start == 0 else (), returns))
         plan = Plan(cells, runs[0] if len(runs) == 1 else _chain(runs))
         if len(self._plans) < 64:
@@ -325,10 +322,10 @@ class DependencyGraph:
 def _chain(runs):
     *head, tail = runs
 
-    def run(values, *row):
+    def run(values, row=()):
         for part in head:
-            part(values, *row)
-        return tail(values, *row)
+            part(values, row)
+        return tail(values, row)
 
     return run
 
@@ -415,20 +412,16 @@ def build_graph(wb: Workbook) -> DependencyGraph:
     return graph
 
 
-def compile_plan(wb: Workbook, dirty, observed, fields=None) -> Plan:
-    """The formula cells downstream of the ``dirty`` keys and upstream
-    of the ``observed`` keys, writing back only the observed ones (and
-    cells some range reads).
+def compile_plan(wb: Workbook, dirty, observed, fields=()) -> Plan:
+    """The formula cells downstream of the ``dirty`` and ``fields`` keys
+    and upstream of the ``observed`` keys, as ``run(values, row=())``.
 
-    With ``fields`` (literal keys) it is a record step ``run(values,
-    row)``: ``row`` holds the fields' texts, and it returns the observed
-    values in order, writing them only where a range or a later chunk
-    reads them.
+    ``row`` holds the texts of the ``fields`` (literal keys), which are
+    not read from ``values``. ``run`` returns the observed values in
+    order and writes a cell to ``values`` only where a range or a later
+    generated function reads it.
     """
-    graph = _current_graph(wb)
-    if fields is None:
-        return graph.plan(wb, frozenset(dirty), frozenset(observed))
-    return graph.plan(wb, frozenset(dirty), tuple(observed), tuple(fields))
+    return _current_graph(wb).plan(wb, frozenset(dirty), tuple(observed), tuple(fields))
 
 
 def _current_graph(wb: Workbook) -> DependencyGraph:

@@ -23,9 +23,8 @@ with ``""`` escaping a single quote.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -42,7 +41,6 @@ __all__ = [
     "Call",
     "tokenize",
     "parse_formula",
-    "parse_body",
     "extract_references",
     "render_ast",
     "render_formula",
@@ -77,40 +75,32 @@ class Token:
 
 # --- AST ------------------------------------------------------------------
 
-Span = tuple  # (start, end) character offsets into the formula body
-
-
 @dataclass(frozen=True)
 class Literal:
     value: object  # float | str | bool
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CellRef:
     row: int
     col: int
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RangeRef:
     start: CellRef
     end: CellRef
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class NameRef:
     name: str  # uppercased
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: object
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -118,14 +108,12 @@ class Binary:
     op: str
     left: object
     right: object
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Call:
     name: str  # uppercased
     args: tuple
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 FormulaAst = object  # any of the node classes above
@@ -251,7 +239,7 @@ def _cellref_node(token: Token) -> CellRef:
     m = _CELLREF.fullmatch(token.lexeme)
     row = int(m.group(2))
     col = column_index(m.group(1))
-    return CellRef(row, col, span=(token.offset, token.offset + len(token.lexeme)))
+    return CellRef(row, col)
 
 
 # --- Parser ---------------------------------------------------------------
@@ -305,32 +293,29 @@ class _Parser:
         node = self.parse_binary(level + 1)
         while (op := self.at_operator(self._LEVELS[level])) is not None:
             self.advance()
-            right = self.parse_binary(level + 1)
-            node = Binary(op, node, right, span=(node.span[0], right.span[1]))
+            node = Binary(op, node, self.parse_binary(level + 1))
         return node
 
     def parse_unary(self):
         token = self.peek()
         if token is not None and token.kind == "operator" and token.lexeme in ("-", "+"):
             self.advance()
-            operand = self.parse_unary()
-            return Unary(token.lexeme, operand, span=(token.offset, operand.span[1]))
+            return Unary(token.lexeme, self.parse_unary())
         return self.parse_primary()
 
     def parse_primary(self):
         token = self.peek()
         if token is None:
             self.fail("a value, reference, or '('")
-        end = token.offset + len(token.lexeme)
         if token.kind == "number":
             self.advance()
-            return Literal(float(token.lexeme), span=(token.offset, end))
+            return Literal(float(token.lexeme))
         if token.kind == "string":
             self.advance()
-            return Literal(decode_string(token.lexeme), span=(token.offset, end))
+            return Literal(decode_string(token.lexeme))
         if token.kind == "boolean":
             self.advance()
-            return Literal(token.lexeme.upper() == "TRUE", span=(token.offset, end))
+            return Literal(token.lexeme.upper() == "TRUE")
         if token.kind == "cellref":
             self.advance()
             start_ref = _cellref_node(token)
@@ -348,7 +333,7 @@ class _Parser:
                 hi = CellRef(
                     max(start_ref.row, end_ref.row), max(start_ref.col, end_ref.col)
                 )
-                return RangeRef(lo, hi, span=(token.offset, end_ref.span[1]))
+                return RangeRef(lo, hi)
             return start_ref
         if token.kind == "name":
             self.advance()
@@ -358,7 +343,7 @@ class _Parser:
                 args = []
                 closer = self.peek()
                 if closer is not None and closer.kind == "punctuation" and closer.lexeme == ")":
-                    close = self.advance()
+                    self.advance()
                 else:
                     while True:
                         args.append(self.parse_expr())
@@ -367,29 +352,15 @@ class _Parser:
                             self.advance()
                             continue
                         break
-                    close = self.expect("punctuation", ")")
-                return Call(
-                    token.lexeme.upper(),
-                    tuple(args),
-                    span=(token.offset, close.offset + 1),
-                )
-            return NameRef(token.lexeme.upper(), span=(token.offset, end))
+                    self.expect("punctuation", ")")
+                return Call(token.lexeme.upper(), tuple(args))
+            return NameRef(token.lexeme.upper())
         if token.kind == "punctuation" and token.lexeme == "(":
             self.advance()
             inner = self.parse_expr()
-            close = self.expect("punctuation", ")")
-            return dataclasses.replace(inner, span=(token.offset, close.offset + 1))
+            self.expect("punctuation", ")")
+            return inner
         self.fail("a value, reference, or '('")
-
-
-def parse_body(source: str, base: int = 0) -> FormulaAst:
-    """Parse a formula body (no leading ``=``)."""
-    parser = _Parser(tokenize(source, base), base + len(source))
-    ast = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(trailing.offset, "end of formula", repr(trailing.lexeme))
-    return ast
 
 
 def parse_formula(source: str) -> FormulaAst:
@@ -399,7 +370,12 @@ def parse_formula(source: str) -> FormulaAst:
     """
     if not source.startswith("="):
         raise ParseError(0, "'='", repr(source[:1] or "end of formula"))
-    return parse_body(source[1:], base=1)
+    parser = _Parser(tokenize(source[1:], base=1), len(source))
+    ast = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing is not None:
+        raise ParseError(trailing.offset, "end of formula", repr(trailing.lexeme))
+    return ast
 
 
 def extract_references(ast: FormulaAst) -> set:

@@ -26,6 +26,7 @@ from operator import itemgetter
 
 from .csvio import atomic_output, read_records
 from .errors import ConfigError, DataError, UnknownColumn
+from .report import translation_table
 from .values import parse_number
 
 __all__ = [
@@ -110,6 +111,7 @@ def _key_function(keys: list[SortKey], indices: list[int]):
 
 def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> list[int]:
     """0-based field indices for the sort keys."""
+    translation = None if header_fields is None else translation_table(header_fields)
     indices = []
     for sort_key in spec.keys:
         column = sort_key.column
@@ -118,17 +120,14 @@ def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> lis
                 raise ConfigError(f"sort key column must be >= 1, got {column}")
             indices.append(column - 1)
             continue
-        if header_fields is None:
+        if translation is None:
             raise ConfigError(
                 f"sort key {column!r} is a header name but the file has no headings"
             )
-        wanted = column.strip().upper()
-        for i, name in enumerate(header_fields):
-            if name.strip().upper() == wanted:
-                indices.append(i)
-                break
-        else:
+        index = translation.get(column.strip().upper())
+        if index is None:
             raise UnknownColumn(f"sort key column {column!r} not in header")
+        indices.append(index)
     return indices
 
 

@@ -159,13 +159,15 @@ def test_run_keeps_every_record_after_a_stray_quote(workdir, capsys):
 
 @pytest.mark.parametrize("mode", ["--fail-fast", "--lenient"])
 @pytest.mark.parametrize(
-    "bad, line",
-    [('1,"ab"c,Purple,I\n2,Belt,Tan,V\n', 2), ('1,"Toga\nPurple,I\n2,Belt,Tan,V\n', 4)],
+    "bad, line, start",
+    [('1,"ab"c,Purple,I\n2,Belt,Tan,V\n', 2, 2), ('1,"Toga\nPurple,I\n2,Belt,Tan,V\n', 4, 2)],
 )
-def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, bad, line):
+def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, bad, line, start):
     _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n" + bad)
     assert main(["--quiet", "run", str(workdir / "caesar.job"), mode]) == 2
-    assert f"caesar_in.csv line {line}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"caesar_in.csv line {line}:" in err
+    assert f"(record from line {start})" in err
     assert not list(workdir.glob("caesar_out*"))
 
 

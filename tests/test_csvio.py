@@ -8,7 +8,7 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridpipe.csvio import encode_record, read_records, split_record
+from gridpipe.csvio import encode_record, read_records
 from gridpipe.errors import DataError
 
 
@@ -61,13 +61,6 @@ def test_naive_split_treats_quotes_as_characters(tmp_path):
     [(raw, fields)] = list(read_records(path, "naive-split"))
     assert fields == ['"a', 'b"', "c"]
     assert raw == '"a,b",c'
-
-
-def test_split_record_modes():
-    assert split_record("a,b") == ["a", "b"]
-    assert split_record('"a,b",c') == ["a,b", "c"]
-    assert split_record('"a,b",c', "naive-split") == ['"a', 'b"', "c"]
-    assert split_record("") == [""]
 
 
 def test_encode_record_round_trips(tmp_path):
@@ -165,19 +158,21 @@ def test_cr_and_crlf_inside_quotes_are_kept(tmp_path, inner):
 
 
 @pytest.mark.parametrize(
-    "text, line, reason",
+    "text, line, reason, start",
     [
-        ('Id,Item\n1,"ab"c,x\n2,d\n', 2, "expected after"),
-        ('Id,Item\n1,"open\nstill open\n', 3, "unexpected end of data"),
+        ('Id,Item\n1,"ab"c,x\n2,d\n', 2, "expected after", 2),
+        ('Id,Item\n1,"open\nstill open\n', 3, "unexpected end of data", 2),
+        ('Id,Item\n1,a\n2,"open\nstill\nopen\n', 5, "unexpected end of data", 3),
     ],
 )
-def test_malformed_record_names_file_and_physical_line(tmp_path, text, line, reason):
+def test_malformed_record_names_file_and_physical_line(tmp_path, text, line, reason, start):
     path = _write(tmp_path, text)
     records = read_records(path)
     assert next(records) == ("Id,Item", ["Id", "Item"])
     with pytest.raises(DataError, match=reason) as caught:
-        next(records)
+        list(records)
     assert f"{path} line {line}:" in str(caught.value)
+    assert str(caught.value).endswith(f"(record from line {start})")
 
 
 @pytest.mark.parametrize("quoted", [False, True])

@@ -9,6 +9,7 @@ import pytest
 import wbgen
 from gridpipe.config import load_definition
 from gridpipe.engine import (
+    _CHUNK,
     CycleError,
     UnknownNameError,
     build_graph,
@@ -193,7 +194,9 @@ def test_pruned_plan_writes_back_only_observed_cells():
     recalculate(wb)
     stale = {a1: wb.get_value(_addr(a1)) for a1 in ("F2", "F10")}
     wb.write_range(wb.resolve_name("InputCells"), [["1", "Toga", "Purple", "MCDLIX"]])
-    compile_plan(wb, _keys(wb, "InputCells"), _keys(wb, "OutputCells")).run(wb.values)
+    observed = _keys(wb, "OutputCells")
+    out = compile_plan(wb, _keys(wb, "InputCells"), observed).run(wb.values)
+    wb.values.update(zip(observed, out))
     assert wb.get_value(_addr("H2")) == "1,Toga,Purple,1459"
     # F2 is evaluated but not observed, F10 is not evaluated: both stale
     assert {a1: wb.get_value(_addr(a1)) for a1 in stale} == stale
@@ -217,7 +220,8 @@ def test_ranges_over_unobserved_plan_cells_read_fresh_values():
     recalculate(wb)
     wb.set_cell(_addr("A1"), 5.0)
     observed = [_addr(a1).key() for a1 in ("C1", "C2", "C3")]
-    compile_plan(wb, [_addr("A1").key()], observed).run(wb.values)
+    out = compile_plan(wb, [_addr("A1").key()], observed).run(wb.values)
+    wb.values.update(zip(observed, out))
     assert [wb.get_value(_addr(a1)) for a1 in ("C1", "C2", "C3")] == [10.0, 22.0, NA_ERROR]
 
 
@@ -227,7 +231,8 @@ def _pruned_step_matches_full_recalculation(rng, max_cells=50):
     dirty = wbgen.mutate_literals(rng, wb, literals, count=rng.randint(1, 4))
     formulas = sorted(wb._formulas)
     observed = rng.sample(formulas, rng.randint(0, len(formulas)))
-    compile_plan(wb, [addr.key() for addr in dirty], observed).run(wb.values)
+    out = compile_plan(wb, [addr.key() for addr in dirty], observed).run(wb.values)
+    wb.values.update(zip(observed, out))
     got = wbgen.snapshot(wb)
     recalculate(wb)  # depends on the literals alone, so it can run after
     want = wbgen.snapshot(wb)
@@ -247,6 +252,31 @@ def test_plans_spanning_several_generated_functions_agree_with_full():
     for seed in range(20):
         rng = random.Random(seed)
         assert _pruned_step_matches_full_recalculation(rng, max_cells=600) == [], seed
+
+
+def test_every_plan_returns_its_observed_values_and_writes_only_hand_overs():
+    # One plan contract with or without fields: ``run`` returns the
+    # observed values and writes a cell only where a later generated
+    # function reads it; ``recalculate`` (observed=None) writes every cell.
+    cells = {"A1": 3.0}
+    for row in range(2, 13):
+        cells[f"A{row}"] = f"=A{row - 1}+1" if row % 2 else f'=LEN(A{row - 1}&"x")'
+        cells[f"B{row}"] = f'=A{row}&"-"'
+        cells[f"C{row}"] = f"=1/(A{row}-A{row})"
+    wb = _sheet(cells)
+    observed = sorted(wb._formulas) + [_addr("A1").key(), _addr("Z9").key()]
+    random.Random(0).shuffle(observed)
+    plan = compile_plan(wb, [_addr("A1").key()], observed)
+    assert len(plan.cells) > 2 * _CHUNK
+    out = plan.run(wb.values)
+    last_chunk = plan.cells[(len(plan.cells) - 1) // _CHUNK * _CHUNK :]
+    assert [key for key in last_chunk if key in wb.values] == []
+    full = _sheet(cells)
+    assert recalculate(full) == len(full._formulas)
+    assert set(full._formulas) <= set(full.values)
+    want = [full.values.get(key, BLANK) for key in observed]
+    assert out.__class__ is tuple
+    assert [(v.__class__, repr(v)) for v in out] == [(v.__class__, repr(v)) for v in want]
 
 
 def test_bare_range_formula_is_value_error():
