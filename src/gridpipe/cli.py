@@ -41,16 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("job", help="job file")
     run.add_argument("--progress", type=int, default=10_000, metavar="N",
                      help="progress line every N records (default 10000)")
-    csv_group = run.add_mutually_exclusive_group()
-    csv_group.add_argument("--strict-csv", action="store_true",
-                           help="force rfc4180 field parsing")
-    csv_group.add_argument("--naive-split", action="store_true",
-                           help="force plain comma splitting")
-    err_group = run.add_mutually_exclusive_group()
-    err_group.add_argument("--fail-fast", action="store_true",
-                           help="stop at the first bad record")
-    err_group.add_argument("--lenient", action="store_true",
-                           help="log bad records and continue")
     run.add_argument("--stats-json", metavar="PATH",
                      help="write run statistics as JSON")
     run.set_defaults(handler=_cmd_run)
@@ -105,15 +95,6 @@ def _cmd_run(args) -> int:
     if job.pipeline is None:
         raise ConfigError(f"{args.job}: [pipeline] section is required by 'run'")
     spec = job.pipeline
-    if args.strict_csv:
-        spec.csv_mode = "rfc4180"
-    elif args.naive_split:
-        spec.csv_mode = "naive-split"
-    if args.fail_fast:
-        spec.on_record_error = "fail-fast"
-    elif args.lenient:
-        spec.on_record_error = "skip-and-log"
-
     if job.sort is not None:
         rows = sort_file(job.sort)
         if not args.quiet:

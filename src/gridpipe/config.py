@@ -31,12 +31,13 @@ the same from anywhere.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, SettingError, check_choices
 from .formula import LexError, ParseError, parse_formula, render_formula
 from .pipeline import CompareSpec, PipelineSpec
-from .sortio import SortKey, SortSpec
+from .report import REPORT_FORMATS
+from .sortio import SortKey, SortSpec, parse_sort_key
 from .values import Blank, parse_number, render_number
 from .workbook import CellAddress, Workbook, normalized_range, parse_a1
 
@@ -47,7 +48,7 @@ __all__ = [
     "UnknownKey",
     "UnknownRangeName",
     "LimitExceeded",
-    "Limits",
+    "MAX_LIST_ENTRIES",
     "JobSubtotals",
     "JobConfig",
     "load_definition",
@@ -256,18 +257,22 @@ def render_definition(wb: Workbook) -> str:
 
 # --- Job files ---------------------------------------------------------------
 
-
-@dataclass
-class Limits:
-    max_rows: int = 0  # 0 = unlimited
-    max_control_entries: int = 10_000
+MAX_LIST_ENTRIES = 10_000  # expected headers, sort keys or subtotal jobs in one job
 
 
 @dataclass
 class JobSubtotals:
-    job_lines: list[str] = field(default_factory=list)
+    job_lines: list[str]  # parsed by report.parse_job_line against the data's headers
     output_path: str | None = None
-    format: str = "csv"
+    format: str = "csv"  # REPORT_FORMATS
+
+    def __post_init__(self):
+        check_choices(self, format=REPORT_FORMATS)
+        for line in self.job_lines:
+            if ":" not in line:
+                raise SettingError(
+                    "job_lines", f"needs '<measures> : <group columns>', got {line!r}"
+                )
 
 
 @dataclass
@@ -280,22 +285,89 @@ class JobConfig:
     subtotals: JobSubtotals | None
     compare: CompareSpec | None
     expected_headers: list[str] | None
-    limits: Limits
 
 
-_SECTIONS = {
-    "pipeline": {
-        "input", "output", "input-range", "output-range", "skip-cell",
-        "skip-sentinel", "carry-forward", "header", "csv", "fields", "on-error",
-    },
-    "sort": {"input", "output", "headings", "key", "csv"},
-    "subtotals": {"output", "format", "job"},
-    "compare": {
-        "left", "right", "output", "left-range", "right-range",
-        "status-cell", "headings", "csv",
-    },
-    "expected-headers": {"headers"},
-    "limits": {"max-rows", "max-control-entries"},
+# Converters from a key's text (a list of texts for a repeatable key) to
+# its field's value; ``base`` is the job file's directory.
+
+
+def _text(value: str, base: str) -> str:
+    return value
+
+
+def _range_name(value: str, base: str) -> str:
+    return value  # checked against the definition once the spec is built
+
+
+def _path(value: str, base: str) -> str:
+    return value if os.path.isabs(value) else os.path.normpath(os.path.join(base, value))
+
+
+def _yes_no(value: str, base: str) -> bool:
+    cleaned = value.lower()
+    if cleaned not in ("y", "n"):
+        raise ConfigError(f"must be y or n, got {value!r}")
+    return cleaned == "y"
+
+
+def _list(values: list, base: str) -> list:
+    if len(values) > MAX_LIST_ENTRIES:
+        raise LimitExceeded(f"{len(values)} entries exceed the cap of {MAX_LIST_ENTRIES}")
+    return values
+
+
+def _names(value: str, base: str) -> list[str]:
+    names = _list([part.strip() for part in value.split(",") if part.strip()], base)
+    if not names:
+        raise ConfigError("list is empty")
+    return names
+
+
+def _sort_keys(values: list[str], base: str) -> list[SortKey]:
+    return [parse_sort_key(value) for value in _list(values, base)]
+
+
+# Per section: the spec it builds and, per job key, the spec field the
+# key sets and its converter. A key the job leaves out is not passed, so
+# the spec's default applies; a field without a default makes its key
+# required. Each spec checks its own values when it is built.
+_SCHEMA = {
+    "expected-headers": (None, {"headers": ("expected_headers", _names)}),
+    "pipeline": (PipelineSpec, {
+        "input": ("input_path", _path),
+        "output": ("output_path", _path),
+        "input-range": ("input_range", _range_name),
+        "output-range": ("output_range", _range_name),
+        "skip-cell": ("skip_cell", _range_name),
+        "skip-sentinel": ("skip_sentinel", _text),
+        "carry-forward": ("carry_forward_range", _range_name),
+        "header": ("header_policy", _text),
+        "csv": ("csv_mode", _text),
+        "fields": ("field_count_policy", _text),
+        "on-error": ("on_record_error", _text),
+    }),
+    "sort": (SortSpec, {
+        "input": ("input_path", _path),
+        "output": ("output_path", _path),
+        "headings": ("has_headings", _yes_no),
+        "key": ("keys", _sort_keys),
+        "csv": ("csv_mode", _text),
+    }),
+    "subtotals": (JobSubtotals, {
+        "output": ("output_path", _path),
+        "format": ("format", _text),
+        "job": ("job_lines", _list),
+    }),
+    "compare": (CompareSpec, {
+        "left": ("left_path", _path),
+        "right": ("right_path", _path),
+        "output": ("output_path", _path),
+        "left-range": ("left_range", _range_name),
+        "right-range": ("right_range", _range_name),
+        "status-cell": ("status_cell", _range_name),
+        "headings": ("has_headings", _yes_no),
+        "csv": ("csv_mode", _text),
+    }),
 }
 _REPEATABLE = {("sort", "key"), ("subtotals", "job")}
 _TOP_KEYS = {"format", "definition"}
@@ -308,7 +380,7 @@ def _parse_job_text(text: str, path) -> dict:
     for line_no, line in _logical_lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise UnknownSection(f"{path}:{line_no}: unknown section [{name}]")
             if name in sections:
                 raise DefinitionError(path, line_no, f"section [{name}] repeated")
@@ -329,7 +401,7 @@ def _parse_job_text(text: str, path) -> dict:
                 raise DefinitionError(path, line_no, f"key {key!r} repeated")
             sections[""][key] = value
             continue
-        if key not in _SECTIONS[current]:
+        if key not in _SCHEMA[current][1]:
             raise UnknownKey(
                 f"{path}:{line_no}: unknown key {key!r} in [{current}]"
             )
@@ -342,244 +414,70 @@ def _parse_job_text(text: str, path) -> dict:
     return sections
 
 
-def _need(section: dict, key: str, where: str, path) -> str:
+def _build_section(path: str, section: str, raw: dict, workbook, **extra):
+    """The section's spec, or for a section without one its settings."""
+    spec_class, table = _SCHEMA[section]
+    settings = dict(extra)
+    for key, (name, convert) in table.items():
+        if key in raw:
+            try:
+                settings[name] = convert(raw[key], os.path.dirname(path))
+            except ConfigError as exc:
+                raise type(exc)(f"{path}: [{section}] {key}: {exc}") from None
+    key_of = {name: key for key, (name, _) in table.items()}
+    if spec_class is None:
+        required = list(key_of)
+    else:
+        required = [f.name for f in fields(spec_class)
+                    if f.default is MISSING and f.default_factory is MISSING]
+    for name in required:
+        if name not in settings:
+            raise ConfigError(f"{path}: [{section}] is missing required key {key_of[name]!r}")
+    if spec_class is None:
+        return settings
+    ranges = [(key, name) for key, (name, convert) in table.items() if convert is _range_name]
+    if ranges and workbook is None:
+        raise ConfigError(f"{path}: [{section}] requires a definition file")
     try:
-        return section[key]
-    except KeyError:
-        raise ConfigError(f"{path}: [{where}] is missing required key {key!r}") from None
-
-
-def _choice(value: str, allowed: tuple, what: str, path) -> str:
-    if value not in allowed:
-        raise ConfigError(
-            f"{path}: {what} must be one of {', '.join(allowed)}; got {value!r}"
-        )
-    return value
-
-
-def _yes_no(value: str, what: str, path) -> bool:
-    cleaned = value.strip().lower()
-    if cleaned not in ("y", "n"):
-        raise ConfigError(f"{path}: {what} must be y or n, got {value!r}")
-    return cleaned == "y"
-
-
-def _parse_sort_key(value: str, path) -> SortKey:
-    parts = value.split()
-    if not parts:
-        raise ConfigError(f"{path}: empty sort key")
-    descending = False
-    collation = "numeric-aware"
-    while len(parts) > 1 and parts[-1].lower() in ("asc", "desc", "text", "numeric", "numeric-aware"):
-        flag = parts.pop().lower()
-        if flag in ("asc", "desc"):
-            descending = flag == "desc"
-        else:
-            collation = "text" if flag == "text" else "numeric-aware"
-    column_text = " ".join(parts)
-    column: int | str = int(column_text) if column_text.isdigit() else column_text
-    return SortKey(column, descending=descending, collation=collation)
+        spec = spec_class(**settings)
+    except SettingError as exc:
+        raise ConfigError(f"{path}: [{section}] {key_of[exc.setting]}: {exc.problem}") from None
+    for key, name in ranges:
+        value = getattr(spec, name)
+        if value is not None and not workbook.has_name(value):
+            raise UnknownRangeName(
+                f"{path}: [{section}] {key}: {value!r} is not defined in the definition file"
+            )
+    return spec
 
 
 def load_job(path) -> JobConfig:
     """Read and fully validate a job file (and its definition)."""
     path = os.path.abspath(path)
-    base = os.path.dirname(path)
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
-
     sections = _parse_job_text(_read_text(path), path)
-    top = sections[""]
+    top = sections.pop("")
     if top.get("format", "1") != "1":
         raise ConfigError(f"{path}: unsupported format: {top['format']!r}")
-
-    limits = Limits()
-    if "limits" in sections:
-        sec = sections["limits"]
-        if "max-rows" in sec:
-            limits.max_rows = _positive_int(sec["max-rows"], "max-rows", path, allow_zero=True)
-        if "max-control-entries" in sec:
-            limits.max_control_entries = _positive_int(
-                sec["max-control-entries"], "max-control-entries", path
-            )
-
-    expected_headers = None
-    if "expected-headers" in sections:
-        raw = _need(sections["expected-headers"], "headers", "expected-headers", path)
-        expected_headers = [part.strip() for part in raw.split(",") if part.strip()]
-        if not expected_headers:
-            raise ConfigError(f"{path}: [expected-headers] headers list is empty")
-        if len(expected_headers) > limits.max_control_entries:
-            raise LimitExceeded(
-                f"{path}: {len(expected_headers)} expected headers exceed the "
-                f"cap of {limits.max_control_entries}"
-            )
 
     definition_path = None
     workbook = None
     if "definition" in top:
-        definition_path = resolve(top["definition"])
+        definition_path = _path(top["definition"], os.path.dirname(path))
         workbook = load_definition(definition_path)
 
-    def require_name(name: str, what: str) -> str:
-        if workbook is None or not workbook.has_name(name):
-            raise UnknownRangeName(
-                f"{path}: {what} {name!r} is not defined in the definition file"
-            )
-        return name
+    def build(section: str, **extra):
+        if section not in sections:
+            return None
+        return _build_section(path, section, sections[section], workbook, **extra)
 
-    pipeline = None
-    if "pipeline" in sections:
-        if workbook is None:
-            raise ConfigError(f"{path}: [pipeline] requires a definition file")
-        sec = sections["pipeline"]
-        header = _choice(
-            sec.get("header", "pass-through"),
-            ("pass-through", "validate", "none"),
-            "[pipeline] header",
-            path,
-        )
-        if header == "validate" and expected_headers is None:
-            raise ConfigError(
-                f"{path}: header = validate requires an [expected-headers] section"
-            )
-        pipeline = PipelineSpec(
-            input_path=resolve(_need(sec, "input", "pipeline", path)),
-            output_path=resolve(_need(sec, "output", "pipeline", path)),
-            input_range=require_name(
-                sec.get("input-range", "InputCells"), "input range"
-            ),
-            output_range=require_name(
-                sec.get("output-range", "OutputCells"), "output range"
-            ),
-            skip_cell=(
-                require_name(sec["skip-cell"], "skip cell")
-                if "skip-cell" in sec
-                else None
-            ),
-            skip_sentinel=sec.get("skip-sentinel", "Skip"),
-            carry_forward_range=(
-                require_name(sec["carry-forward"], "carry-forward range")
-                if "carry-forward" in sec
-                else None
-            ),
-            header_policy=header,
-            expected_headers=expected_headers,
-            csv_mode=_choice(
-                sec.get("csv", "rfc4180"),
-                ("rfc4180", "naive-split"),
-                "[pipeline] csv",
-                path,
-            ),
-            field_count_policy=_choice(
-                sec.get("fields", "pad-truncate"),
-                ("strict", "pad-truncate"),
-                "[pipeline] fields",
-                path,
-            ),
-            on_record_error=_choice(
-                sec.get("on-error", "fail-fast"),
-                ("fail-fast", "skip-and-log"),
-                "[pipeline] on-error",
-                path,
-            ),
-            max_rows=limits.max_rows,
-        )
-
-    sort = None
-    if "sort" in sections:
-        sec = sections["sort"]
-        keys = [_parse_sort_key(k, path) for k in sec.get("key", ["1"])]
-        if len(keys) > limits.max_control_entries:
-            raise LimitExceeded(
-                f"{path}: {len(keys)} sort keys exceed the cap of "
-                f"{limits.max_control_entries}"
-            )
-        sort = SortSpec(
-            input_path=resolve(_need(sec, "input", "sort", path)),
-            output_path=resolve(_need(sec, "output", "sort", path)),
-            has_headings=_yes_no(sec.get("headings", "n"), "[sort] headings", path),
-            keys=keys,
-            csv_mode=_choice(
-                sec.get("csv", "rfc4180"),
-                ("rfc4180", "naive-split"),
-                "[sort] csv",
-                path,
-            ),
-        )
-
-    subtotals = None
-    if "subtotals" in sections:
-        sec = sections["subtotals"]
-        job_lines = sec.get("job", [])
-        if not job_lines:
-            raise ConfigError(f"{path}: [subtotals] has no job lines")
-        if len(job_lines) > limits.max_control_entries:
-            raise LimitExceeded(
-                f"{path}: {len(job_lines)} subtotal jobs exceed the cap of "
-                f"{limits.max_control_entries}"
-            )
-        for line in job_lines:
-            if ":" not in line:
-                raise ConfigError(
-                    f"{path}: subtotal job needs '<measures> : <group columns>', "
-                    f"got {line!r}"
-                )
-        subtotals = JobSubtotals(
-            job_lines=job_lines,
-            output_path=resolve(sec["output"]) if "output" in sec else None,
-            format=_choice(
-                sec.get("format", "csv"),
-                ("csv", "aligned-text"),
-                "[subtotals] format",
-                path,
-            ),
-        )
-
-    compare = None
-    if "compare" in sections:
-        if workbook is None:
-            raise ConfigError(f"{path}: [compare] requires a definition file")
-        sec = sections["compare"]
-        compare = CompareSpec(
-            left_path=resolve(_need(sec, "left", "compare", path)),
-            right_path=resolve(_need(sec, "right", "compare", path)),
-            output_path=resolve(sec["output"]) if "output" in sec else None,
-            left_range=require_name(sec.get("left-range", "LeftCells"), "left range"),
-            right_range=require_name(
-                sec.get("right-range", "RightCells"), "right range"
-            ),
-            status_cell=require_name(sec.get("status-cell", "Status"), "status cell"),
-            has_headings=_yes_no(
-                sec.get("headings", "n"), "[compare] headings", path
-            ),
-            csv_mode=_choice(
-                sec.get("csv", "rfc4180"),
-                ("rfc4180", "naive-split"),
-                "[compare] csv",
-                path,
-            ),
-        )
-
+    expected_headers = (build("expected-headers") or {}).get("expected_headers")
     return JobConfig(
         job_path=path,
         definition_path=definition_path,
         workbook=workbook,
-        pipeline=pipeline,
-        sort=sort,
-        subtotals=subtotals,
-        compare=compare,
+        pipeline=build("pipeline", expected_headers=expected_headers),
+        sort=build("sort"),
+        subtotals=build("subtotals"),
+        compare=build("compare"),
         expected_headers=expected_headers,
-        limits=limits,
     )
-
-
-def _positive_int(value: str, what: str, path, allow_zero: bool = False) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise ConfigError(f"{path}: {what} must be an integer, got {value!r}") from None
-    if number < 0 or (number == 0 and not allow_zero):
-        raise ConfigError(f"{path}: {what} must be positive, got {number}")
-    return number

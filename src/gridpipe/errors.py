@@ -20,3 +20,22 @@ class DataError(GridError):
 
 class UnknownColumn(ConfigError):
     """A configured column name missing from the header row."""
+
+
+class SettingError(ConfigError):
+    """A spec field set to a value it does not allow; ``setting`` names
+    the field, so a job file loader can name its key instead."""
+
+    def __init__(self, setting: str, problem: str):
+        self.setting = setting
+        self.problem = problem
+        super().__init__(f"{setting}: {problem}")
+
+
+def check_choices(spec, **allowed: tuple) -> None:
+    """Raise ``SettingError`` for the first named field of ``spec``
+    whose value is not among its allowed values."""
+    for setting, choices in allowed.items():
+        value = getattr(spec, setting)
+        if value not in choices:
+            raise SettingError(setting, f"must be one of {', '.join(choices)}; got {value!r}")

@@ -19,15 +19,18 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .csvio import atomic_output, encode_record, read_records
+from .csvio import CSV_MODES, atomic_output, encode_record, read_records
 from .engine import compile_plan, recalculate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SettingError, check_choices
 from .values import CellError, CellValue, render_value, values_equal
 from .workbook import CellRange, Workbook, format_a1
 
 __all__ = [
     "PipelineSpec",
     "CompareSpec",
+    "HEADER_POLICIES",
+    "FIELD_COUNT_POLICIES",
+    "RECORD_ERROR_POLICIES",
     "RunStats",
     "HeaderReport",
     "HeaderMismatch",
@@ -42,6 +45,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+HEADER_POLICIES = ("pass-through", "validate", "none")
+FIELD_COUNT_POLICIES = ("strict", "pad-truncate")
+RECORD_ERROR_POLICIES = ("fail-fast", "skip-and-log")
 
 
 class HeaderMismatch(ConfigError):
@@ -70,12 +77,22 @@ class PipelineSpec:
     skip_cell: str | None = None
     skip_sentinel: CellValue = "Skip"
     carry_forward_range: str | None = None
-    header_policy: str = "pass-through"  # pass-through | validate | none
+    header_policy: str = "pass-through"  # HEADER_POLICIES
     expected_headers: list[str] | None = None
-    csv_mode: str = "rfc4180"
-    field_count_policy: str = "pad-truncate"  # strict | pad-truncate
-    on_record_error: str = "fail-fast"  # fail-fast | skip-and-log
-    max_rows: int = 0  # 0 = unlimited
+    csv_mode: str = "rfc4180"  # CSV_MODES
+    field_count_policy: str = "pad-truncate"  # FIELD_COUNT_POLICIES
+    on_record_error: str = "fail-fast"  # RECORD_ERROR_POLICIES
+
+    def __post_init__(self):
+        check_choices(
+            self,
+            header_policy=HEADER_POLICIES,
+            csv_mode=CSV_MODES,
+            field_count_policy=FIELD_COUNT_POLICIES,
+            on_record_error=RECORD_ERROR_POLICIES,
+        )
+        if self.header_policy == "validate" and not self.expected_headers:
+            raise SettingError("header_policy", "'validate' requires expected headers")
 
 
 @dataclass
@@ -87,7 +104,10 @@ class CompareSpec:
     right_range: str = "RightCells"
     status_cell: str = "Status"
     has_headings: bool = False
-    csv_mode: str = "rfc4180"
+    csv_mode: str = "rfc4180"  # CSV_MODES
+
+    def __post_init__(self):
+        check_choices(self, csv_mode=CSV_MODES)
 
 
 @dataclass
@@ -262,15 +282,6 @@ def run_pipeline(
                 f"expected 1 or {len(payload_keys)} (the output payload width)"
             )
 
-    if spec.header_policy == "validate" and not spec.expected_headers:
-        raise ConfigError("header policy 'validate' requires expected headers")
-    if spec.header_policy not in ("pass-through", "validate", "none"):
-        raise ConfigError(f"unknown header policy: {spec.header_policy!r}")
-    if spec.field_count_policy not in ("strict", "pad-truncate"):
-        raise ConfigError(f"unknown field count policy: {spec.field_count_policy!r}")
-    if spec.on_record_error not in ("fail-fast", "skip-and-log"):
-        raise ConfigError(f"unknown record error policy: {spec.on_record_error!r}")
-
     values = wb.values
     observed = dict.fromkeys(payload_keys, "output cell")
     if skip_key is not None:
@@ -302,10 +313,6 @@ def run_pipeline(
 
         for raw, fields in records:
             stats.records_read += 1
-            if spec.max_rows and stats.records_read > spec.max_rows:
-                raise DataError(
-                    f"input exceeds the configured row limit ({spec.max_rows})"
-                )
             try:
                 result = step(stats.records_read, fields)
             except DataError as exc:

@@ -15,6 +15,7 @@ from .errors import ConfigError, DataError, UnknownColumn
 from .values import parse_number, render_number
 
 __all__ = [
+    "REPORT_FORMATS",
     "SubtotalJob",
     "ReportTable",
     "UnknownColumn",
@@ -25,6 +26,8 @@ __all__ = [
     "subtotal",
     "render_report",
 ]
+
+REPORT_FORMATS = ("csv", "aligned-text")
 
 
 class BadControlTable(ConfigError):

@@ -24,22 +24,25 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
-from .csvio import atomic_output, read_records
-from .errors import ConfigError, DataError, UnknownColumn
+from .csvio import CSV_MODES, atomic_output, read_records
+from .errors import ConfigError, DataError, SettingError, UnknownColumn, check_choices
 from .report import translation_table
 from .values import parse_number
 
 __all__ = [
     "SortKey",
     "SortSpec",
+    "COLLATIONS",
     "MissingColumn",
     "UnknownColumn",
+    "parse_sort_key",
     "sort_file",
 ]
 
 MERGE_FAN_IN = 64
 _BLOCK_PAIRS = 64  # pairs per pickled block of a spilled run
 _pair_key = itemgetter(0)
+COLLATIONS = ("numeric-aware", "text")
 
 
 class MissingColumn(DataError):
@@ -50,7 +53,10 @@ class MissingColumn(DataError):
 class SortKey:
     column: int | str  # 1-based index, or header name (needs headings)
     descending: bool = False
-    collation: str = "numeric-aware"  # numeric-aware | text
+    collation: str = "numeric-aware"  # COLLATIONS
+
+    def __post_init__(self):
+        check_choices(self, collation=COLLATIONS)
 
 
 @dataclass
@@ -60,8 +66,42 @@ class SortSpec:
     has_headings: bool = False
     keys: list[SortKey] = field(default_factory=lambda: [SortKey(1)])
     memory_budget_rows: int = 0  # 0 = sort in memory
-    csv_mode: str = "rfc4180"
+    csv_mode: str = "rfc4180"  # CSV_MODES
     scratch_dir: str | None = None
+
+    def __post_init__(self):
+        check_choices(self, csv_mode=CSV_MODES)
+        if not self.keys:
+            raise SettingError("keys", "none given")
+        for sort_key in self.keys:
+            column = sort_key.column
+            if isinstance(column, int) and column < 1:
+                raise SettingError("keys", f"column must be >= 1, got {column}")
+            if isinstance(column, str) and not self.has_headings:
+                raise SettingError("keys", f"{column!r} is a header name, which needs headings")
+
+
+# The words a written sort key may end with, and the SortKey setting of each.
+_KEY_WORDS = {
+    "asc": {"descending": False},
+    "desc": {"descending": True},
+    "numeric": {"collation": "numeric-aware"},
+    **{collation: {"collation": collation} for collation in COLLATIONS},
+}
+
+
+def parse_sort_key(text: str) -> SortKey:
+    """A key as a job file writes it: ``<column> [asc|desc] [numeric|text]``,
+    the column a 1-based index or a header name. Of two words of a kind,
+    the first wins."""
+    parts = text.split()
+    if not parts:
+        raise ConfigError("empty sort key")
+    settings = {}
+    while len(parts) > 1 and parts[-1].lower() in _KEY_WORDS:
+        settings.update(_KEY_WORDS[parts.pop().lower()])
+    column = " ".join(parts)
+    return SortKey(int(column) if column.isdigit() else column, **settings)
 
 
 class _Desc:
@@ -116,11 +156,9 @@ def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> lis
     for sort_key in spec.keys:
         column = sort_key.column
         if isinstance(column, int):
-            if column < 1:
-                raise ConfigError(f"sort key column must be >= 1, got {column}")
             indices.append(column - 1)
             continue
-        if translation is None:
+        if translation is None:  # headings, but the file is empty
             raise ConfigError(
                 f"sort key {column!r} is a header name but the file has no headings"
             )
@@ -139,8 +177,6 @@ def sort_file(spec: SortSpec) -> int:
     bounded number at a time, so the row budget is honoured and file
     handles stay bounded.
     """
-    if not spec.keys:
-        raise ConfigError("sort spec has no keys")
     records = read_records(spec.input_path, spec.csv_mode)
     header_raw = None
     header_fields = None

@@ -25,6 +25,13 @@ def _read(workdir, name):
     return (workdir / name).read_text(encoding="utf-8")
 
 
+def _job_with(workdir, job, setting):
+    """The path of a copy of ``job`` whose [pipeline] section also has ``setting``."""
+    text = _read(workdir, job).replace("[pipeline]\n", f"[pipeline]\n{setting}\n")
+    _write(workdir, "variant.job", text)
+    return str(workdir / "variant.job")
+
+
 # --- run -----------------------------------------------------------------------
 
 
@@ -110,7 +117,8 @@ def test_run_progress_counts_skipped_and_errored_records(workdir, capsys):
         "Id,Item,Colour,Number\n1,Toga,Purple,I\n1,Toga,Purple,I\n"
         "2,Belt,Tan,NOPE\n3,Crown,Gold,V\n",
     )
-    assert main(["run", str(workdir / "store.job"), "--lenient", "--progress", "1"]) == 0
+    job = _job_with(workdir, "store.job", "on-error = skip-and-log")
+    assert main(["run", job, "--progress", "1"]) == 0
     err = capsys.readouterr().err
     assert "read 4, wrote 2, skipped 1, errored 1" in err
     assert [line for line in err.splitlines() if "records processed:" in line] == [
@@ -130,7 +138,8 @@ def test_run_bad_record_exits_2_under_fail_fast(workdir, capsys):
         "caesar_in.csv",
         "Id,Item,Colour,Number\n1,Toga,Purple,NOPE\n",
     )
-    assert main(["--quiet", "run", str(workdir / "caesar.job"), "--fail-fast"]) == 2
+    job = _job_with(workdir, "caesar.job", "on-error = fail-fast")
+    assert main(["--quiet", "run", job]) == 2
     assert "#VALUE!" in capsys.readouterr().err
 
 
@@ -140,7 +149,8 @@ def test_run_lenient_flag_keeps_going(workdir):
         "caesar_in.csv",
         "Id,Item,Colour,Number\n1,Toga,Purple,NOPE\n2,Belt,Tan,V\n",
     )
-    assert main(["--quiet", "run", str(workdir / "caesar.job"), "--lenient"]) == 0
+    job = _job_with(workdir, "caesar.job", "on-error = skip-and-log")
+    assert main(["--quiet", "run", job]) == 0
     assert _read(workdir, "caesar_out.csv").splitlines()[1:] == ["2,Belt,Tan,5"]
 
 
@@ -157,14 +167,14 @@ def test_run_keeps_every_record_after_a_stray_quote(workdir, capsys):
     ]
 
 
-@pytest.mark.parametrize("mode", ["--fail-fast", "--lenient"])
+@pytest.mark.parametrize("mode", ["fail-fast", "skip-and-log"])
 @pytest.mark.parametrize(
     "bad, line, start",
     [('1,"ab"c,Purple,I\n2,Belt,Tan,V\n', 2, 2), ('1,"Toga\nPurple,I\n2,Belt,Tan,V\n', 4, 2)],
 )
 def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, bad, line, start):
     _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n" + bad)
-    assert main(["--quiet", "run", str(workdir / "caesar.job"), mode]) == 2
+    assert main(["--quiet", "run", _job_with(workdir, "caesar.job", f"on-error = {mode}")]) == 2
     err = capsys.readouterr().err
     assert f"caesar_in.csv line {line}:" in err
     assert f"(record from line {start})" in err
@@ -174,9 +184,9 @@ def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, 
 def test_run_naive_split_flag(workdir):
     # Under naive splitting the quoted field breaks apart; strict CSV keeps it.
     _write(workdir, "caesar_in.csv", 'Id,Item,Colour,Number\n1,"Toga",Purple,I\n')
-    assert main(["--quiet", "run", str(workdir / "caesar.job"), "--naive-split"]) == 0
+    assert main(["--quiet", "run", _job_with(workdir, "caesar.job", "csv = naive-split")]) == 0
     assert '"Toga"' in _read(workdir, "caesar_out.csv")
-    assert main(["--quiet", "run", str(workdir / "caesar.job"), "--strict-csv"]) == 0
+    assert main(["--quiet", "run", _job_with(workdir, "caesar.job", "csv = rfc4180")]) == 0
     assert '"Toga"' not in _read(workdir, "caesar_out.csv")
 
 
@@ -320,6 +330,23 @@ def test_check_validates_bad_definition(workdir, capsys):
         "[sheet Main]\ncell A1 = =1+\n", encoding="utf-8"
     )
     assert main(["check", str(workdir / "caesar.job")]) == 1
+
+
+@pytest.mark.parametrize(
+    "sort_lines, problem",
+    [
+        ("headings = y\nkey = 0\n", "column must be >= 1, got 0"),
+        ("headings = n\nkey = Item\n", "'Item' is a header name"),
+    ],
+    ids=["column-0", "name-without-headings"],
+)
+def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines, problem):
+    text = _read(workdir, "store.job").replace("headings = y\nkey = 1 asc\n", sort_lines)
+    _write(workdir, "store.job", text)
+    assert main(["check", str(workdir / "store.job")]) == 1
+    assert main(["sort", str(workdir / "store.job")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"[sort] key: {problem}") == 2
 
 
 # --- eval ----------------------------------------------------------------------------

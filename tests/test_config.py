@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import gridpipe.config as config_mod
@@ -19,7 +21,8 @@ from gridpipe.config import (
 from gridpipe.engine import CycleError, recalculate
 from gridpipe.errors import ConfigError
 from gridpipe.formula import render_formula
-from gridpipe.sortio import SortKey
+from gridpipe.pipeline import CompareSpec, PipelineSpec
+from gridpipe.sortio import SortKey, SortSpec
 from gridpipe.values import BLANK
 from gridpipe.workbook import parse_a1
 
@@ -264,10 +267,6 @@ def test_limit_on_control_entries(tmp_path):
     text = _minimal_job_text() + "[subtotals]\n" + jobs
     with pytest.raises(LimitExceeded):
         load_job(_job(tmp_path, text))
-    # raising the cap clears it
-    text += "[limits]\nmax-control-entries = 20000\n"
-    job = load_job(_job(tmp_path, text, "ok.job"))
-    assert len(job.subtotals.job_lines) == 10_001
 
 
 def test_sort_key_parsing(tmp_path):
@@ -335,6 +334,50 @@ def test_bad_choice_values(tmp_path):
                 "c.job",
             )
         )
+
+
+@pytest.mark.parametrize(
+    "spec_class, setting",
+    [
+        (PipelineSpec, "header_policy"),
+        (PipelineSpec, "field_count_policy"),
+        (PipelineSpec, "on_record_error"),
+        (PipelineSpec, "csv_mode"),
+        (SortSpec, "csv_mode"),
+        (CompareSpec, "csv_mode"),
+    ],
+)
+def test_a_bad_choice_fails_when_the_spec_is_built(spec_class, setting):
+    with pytest.raises(ConfigError, match=f"^{setting}: must be one of .*; got 'bogus'$"):
+        spec_class("in.csv", "out.csv", **{setting: "bogus"})
+
+
+def test_a_bad_choice_in_a_job_names_its_section_and_key(tmp_path):
+    _definition(tmp_path, _MINIMAL_SHEET)
+    job = _job(tmp_path, _minimal_job_text("on-error = bogus\n"))
+    with pytest.raises(ConfigError, match=r"job\.job: \[pipeline\] on-error: must be one of"):
+        load_job(job)
+
+
+def _readme_job_schema():
+    """Section -> keys of the job file block under README's "## The job file"."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## The job file\n", 1)[1].split("```\n", 2)[1]
+    schema: dict[str, set] = {"": set()}
+    section = ""
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+            schema[section] = set()
+        elif line:
+            schema[section].add(line.split("=", 1)[0].strip())
+    return schema
+
+
+def test_readme_job_file_block_matches_the_key_table():
+    table = {section: set(keys) for section, (_, keys) in config_mod._SCHEMA.items()}
+    assert _readme_job_schema() == {"": config_mod._TOP_KEYS, **table}
 
 
 def test_store_job_fixture_loads(workdir):
