@@ -115,13 +115,13 @@ def _cmd_run(args) -> int:
             handle.write("\n")
 
     if job.subtotals is not None:
-        _write_subtotals(job, spec.output_path, spec.csv_mode)
+        _write_subtotals(job, spec.output_path)
     return EXIT_OK
 
 
-def _write_subtotals(job, data_path: str, csv_mode: str) -> None:
+def _write_subtotals(job, data_path: str) -> None:
     sub = job.subtotals
-    records = read_records(data_path, csv_mode)
+    records = read_records(data_path)
     head = next(records, None)
     if head is None:
         raise DataError(f"{data_path}: no header row to aggregate against")
@@ -149,7 +149,7 @@ def _cmd_report(args) -> int:
     job = config_mod.load_job(args.job)
     if job.subtotals is None:
         raise ConfigError(f"{args.job}: [subtotals] section is required by 'report'")
-    _write_subtotals(job, args.data, "rfc4180")
+    _write_subtotals(job, args.data)
     return EXIT_OK
 
 
@@ -175,7 +175,7 @@ def _cmd_check(args) -> int:
 
     if job.pipeline is not None and job.expected_headers:
         try:
-            head = next(read_records(job.pipeline.input_path, job.pipeline.csv_mode), None)
+            head = next(read_records(job.pipeline.input_path), None)
         except OSError:
             head = None  # input absent is fine for a static check
         if head is not None:

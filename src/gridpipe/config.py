@@ -342,7 +342,6 @@ _SCHEMA = {
         "skip-sentinel": ("skip_sentinel", _text),
         "carry-forward": ("carry_forward_range", _range_name),
         "header": ("header_policy", _text),
-        "csv": ("csv_mode", _text),
         "fields": ("field_count_policy", _text),
         "on-error": ("on_record_error", _text),
     }),
@@ -351,7 +350,6 @@ _SCHEMA = {
         "output": ("output_path", _path),
         "headings": ("has_headings", _yes_no),
         "key": ("keys", _sort_keys),
-        "csv": ("csv_mode", _text),
     }),
     "subtotals": (JobSubtotals, {
         "output": ("output_path", _path),
@@ -366,7 +364,6 @@ _SCHEMA = {
         "right-range": ("right_range", _range_name),
         "status-cell": ("status_cell", _range_name),
         "headings": ("has_headings", _yes_no),
-        "csv": ("csv_mode", _text),
     }),
 }
 _REPEATABLE = {("sort", "key"), ("subtotals", "job")}

@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .csvio import CSV_MODES, atomic_output, encode_record, read_records
+from .csvio import atomic_output, encode_record, parse_line, read_records
 from .engine import compile_plan, recalculate
 from .errors import ConfigError, DataError, SettingError, check_choices
 from .values import CellError, CellValue, render_value, values_equal
@@ -79,7 +79,6 @@ class PipelineSpec:
     carry_forward_range: str | None = None
     header_policy: str = "pass-through"  # HEADER_POLICIES
     expected_headers: list[str] | None = None
-    csv_mode: str = "rfc4180"  # CSV_MODES
     field_count_policy: str = "pad-truncate"  # FIELD_COUNT_POLICIES
     on_record_error: str = "fail-fast"  # RECORD_ERROR_POLICIES
 
@@ -87,7 +86,6 @@ class PipelineSpec:
         check_choices(
             self,
             header_policy=HEADER_POLICIES,
-            csv_mode=CSV_MODES,
             field_count_policy=FIELD_COUNT_POLICIES,
             on_record_error=RECORD_ERROR_POLICIES,
         )
@@ -104,10 +102,6 @@ class CompareSpec:
     right_range: str = "RightCells"
     status_cell: str = "Status"
     has_headings: bool = False
-    csv_mode: str = "rfc4180"  # CSV_MODES
-
-    def __post_init__(self):
-        check_choices(self, csv_mode=CSV_MODES)
 
 
 @dataclass
@@ -196,6 +190,25 @@ def _fit_fields(fields: list[str], width: int, policy: str, record_no: int) -> l
     if len(fields) < width:
         return fields + [""] * (width - len(fields))
     return fields[:width]
+
+
+def _check_readback(line: str, width: int | None, where: str) -> None:
+    """Raise ``RecordError``, naming ``where``, unless ``line`` reads back as
+    one record of 1 or ``width`` fields (any number if ``width`` is None)."""
+    if '"' in line:
+        try:
+            records = parse_line(line)
+        except DataError as exc:
+            raise RecordError(f"{where} does not read back: {exc}") from None
+        if len(records) != 1:
+            raise RecordError(f"{where} reads back as {len(records)} records")
+        count = len(records[0])
+    elif "\n" in line or "\r" in line:
+        raise RecordError(f"{where} holds a line break outside quotes")
+    else:
+        count = line.count(",") + 1
+    if width is not None and count not in (1, width):
+        raise RecordError(f"{where} reads back as {count} fields, the header has {width}")
 
 
 def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_keys: list,
@@ -292,12 +305,14 @@ def run_pipeline(
     )
     first = 0 if skip_key is None else 1  # where the payload starts in a step's values
     width = len(payload_keys)
+    payload_name = f"output cell {_a1(wb, payload_keys[0])}"
     fail_fast = spec.on_record_error == "fail-fast"
     single_carry = len(carry_keys) == 1
     stats = RunStats(plan_cells=[_a1(wb, key) for key in plan.cells])
 
     with atomic_output(spec.output_path) as out:
-        records = read_records(spec.input_path, spec.csv_mode)
+        records = read_records(spec.input_path)
+        header_width = len(spec.expected_headers) if spec.expected_headers else None
 
         if spec.header_policy in ("pass-through", "validate"):
             head = next(records, None)
@@ -309,12 +324,21 @@ def run_pipeline(
                         log.warning(warning)
                     if not report.ok:
                         raise HeaderMismatch(report.message())
+                header_width = len(fields)
                 out.write(raw + "\n")
+        commas = () if header_width is None else (0, header_width - 1)
 
         for raw, fields in records:
             stats.records_read += 1
             try:
                 result = step(stats.records_read, fields)
+                if result is not None and width == 1:  # the line as the sheet built it
+                    line = render_value(result[first])
+                    # Without quotes or line breaks, its commas tell its width.
+                    if ('"' in line or "\n" in line or "\r" in line
+                            or commas and line.count(",") not in commas):
+                        _check_readback(line, header_width,
+                                        f"record {stats.records_read}: {payload_name}")
             except DataError as exc:
                 stats.records_errored += 1
                 if fail_fast:
@@ -324,9 +348,7 @@ def run_pipeline(
                 if result is None:
                     stats.records_skipped += 1
                 else:
-                    if width == 1:  # a single-cell payload is written verbatim
-                        line = render_value(result[first])
-                    else:
+                    if width > 1:
                         rendered = [render_value(value) for value in result[first:]]
                         line = ",".join(rendered)
                         if (line.count(",") != width - 1 or '"' in line
@@ -387,8 +409,8 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     step, write_back, _ = _record_step(wb, [left_range, right_range], {status_key: "status cell"},
                                        [], "pad-truncate", "record pair", StatusCellError)
 
-    left_records = read_records(spec.left_path, spec.csv_mode)
-    right_records = read_records(spec.right_path, spec.csv_mode)
+    left_records = read_records(spec.left_path)
+    right_records = read_records(spec.right_path)
     if spec.has_headings:
         next(left_records, None)
         next(right_records, None)

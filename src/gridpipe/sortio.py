@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
-from .csvio import CSV_MODES, atomic_output, read_records
+from .csvio import atomic_output, read_records
 from .errors import ConfigError, DataError, SettingError, UnknownColumn, check_choices
 from .report import translation_table
 from .values import parse_number
@@ -66,11 +66,9 @@ class SortSpec:
     has_headings: bool = False
     keys: list[SortKey] = field(default_factory=lambda: [SortKey(1)])
     memory_budget_rows: int = 0  # 0 = sort in memory
-    csv_mode: str = "rfc4180"  # CSV_MODES
     scratch_dir: str | None = None
 
     def __post_init__(self):
-        check_choices(self, csv_mode=CSV_MODES)
         if not self.keys:
             raise SettingError("keys", "none given")
         for sort_key in self.keys:
@@ -177,7 +175,7 @@ def sort_file(spec: SortSpec) -> int:
     bounded number at a time, so the row budget is honoured and file
     handles stay bounded.
     """
-    records = read_records(spec.input_path, spec.csv_mode)
+    records = read_records(spec.input_path)
     header_raw = None
     header_fields = None
     if spec.has_headings:

@@ -181,13 +181,38 @@ def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, 
     assert not list(workdir.glob("caesar_out*"))
 
 
-def test_run_naive_split_flag(workdir):
-    # Under naive splitting the quoted field breaks apart; strict CSV keeps it.
+def test_run_reads_a_quoted_field_without_its_quotes(workdir):
     _write(workdir, "caesar_in.csv", 'Id,Item,Colour,Number\n1,"Toga",Purple,I\n')
-    assert main(["--quiet", "run", _job_with(workdir, "caesar.job", "csv = naive-split")]) == 0
-    assert '"Toga"' in _read(workdir, "caesar_out.csv")
-    assert main(["--quiet", "run", _job_with(workdir, "caesar.job", "csv = rfc4180")]) == 0
-    assert '"Toga"' not in _read(workdir, "caesar_out.csv")
+    assert main(["--quiet", "run", str(workdir / "caesar.job")]) == 0
+    assert _read(workdir, "caesar_out.csv").splitlines()[1:] == ["1,Toga,Purple,1"]
+
+
+@pytest.mark.parametrize("mode", ["fail-fast", "skip-and-log"])
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        ('1,"To,ga",Purple,X\n', "reads back as 5 fields, the header has 4"),
+        ('1,"To\nga",Purple,X\n', "holds a line break outside quotes"),
+    ],
+    ids=["comma", "line-break"],
+)
+def test_run_refuses_a_single_cell_line_that_does_not_read_back(
+    workdir, capsys, caplog, mode, bad, problem
+):
+    # caesar's H2 joins the fields with ",", so a field holding a comma or
+    # a line break would make a line that reads back as another record.
+    _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n" + bad + "2,Belt,Tan,V\n")
+    job = _job_with(workdir, "caesar.job", f"on-error = {mode}")
+    code = main(["run", job, "--progress", "0"])
+    err = capsys.readouterr().err
+    assert f"record 1: output cell Main!H2 {problem}" in err + caplog.text
+    if mode == "fail-fast":
+        assert code == 2
+        assert not list(workdir.glob("caesar_out*"))
+    else:
+        assert code == 0
+        assert "errored 1" in err
+        assert _read(workdir, "caesar_out.csv").splitlines()[1:] == ["2,Belt,Tan,5"]
 
 
 def test_run_header_mismatch_exits_1(workdir, capsys):
@@ -204,16 +229,25 @@ def test_run_whole_chain_with_sort_and_report(workdir):
         "3,Belt,Tan,V\n"
         "1,Toga,Purple,MCDLIX\n"
         "3,Belt,Tan,V\n"
-        "2,Toga,Purple,XLI\n",
+        "2,Toga,Purple,XLI\n"
+        '4,"Belt, large","Red ""dark""",X\n',
     )
-    assert main(["--quiet", "run", str(workdir / "store.job")]) == 0
+    job = str(workdir / "store.job")
+    assert main(["--quiet", "run", job]) == 0
     assert _read(workdir, "store_sorted.csv").splitlines()[0] == "Id,Item,Colour,Number"
     out_lines = _read(workdir, "store_out.csv").splitlines()
-    assert out_lines[1:] == ["1,Toga,Purple,1459", "2,Toga,Purple,41", "3,Belt,Tan,5"]
-    report = _read(workdir, "store_report.csv")
+    assert out_lines[1:] == [
+        "1,Toga,Purple,1459", "2,Toga,Purple,41", "3,Belt,Tan,5",
+        '4,"Belt, large","Red ""dark""",10',
+    ]
+    report = (workdir / "store_report.csv").read_bytes()
     assert report == (
-        "Item,Colour,Sum of Number\nBelt,Tan,5\nToga,Purple,1500\n"
+        b'Item,Colour,Sum of Number\nBelt,Tan,5\n"Belt, large","Red ""dark""",10\n'
+        b"Toga,Purple,1500\n"
     )
+    # run's report reads its output back as `gridpipe report` reads any file.
+    assert main(["--quiet", "report", job, str(workdir / "store_out.csv")]) == 0
+    assert (workdir / "store_report.csv").read_bytes() == report
 
 
 # --- sort / report / compare ------------------------------------------------------
@@ -286,7 +320,7 @@ def test_report_memory_does_not_grow_with_the_data_file(workdir):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _write_subtotals(job, str(workdir / "big.csv"), "rfc4180")
+        _write_subtotals(job, str(workdir / "big.csv"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -305,10 +339,14 @@ def test_compare_command(workdir, capsys):
 # --- check --------------------------------------------------------------------------
 
 
-def test_check_pristine_job_prints_ok(workdir, capsys):
+def test_check_pristine_job_prints_ok(workdir, fixtures_dir, capsys):
+    # Every shipped job, in one test: each is checked by name on failure.
     _write(workdir, "caesar_in.csv", TOGA_FILE)
-    assert main(["check", str(workdir / "caesar.job")]) == 0
-    assert capsys.readouterr().out.strip() == "OK"
+    jobs = sorted(path.name for path in fixtures_dir.glob("*.job"))
+    assert "caesar.job" in jobs
+    for job in jobs:
+        assert main(["check", str(workdir / job)]) == 0, job
+        assert capsys.readouterr().out.strip() == "OK", job
 
 
 def test_check_reports_header_typo_position(workdir, capsys):

@@ -21,8 +21,8 @@ from gridpipe.config import (
 from gridpipe.engine import CycleError, recalculate
 from gridpipe.errors import ConfigError
 from gridpipe.formula import render_formula
-from gridpipe.pipeline import CompareSpec, PipelineSpec
-from gridpipe.sortio import SortKey, SortSpec
+from gridpipe.pipeline import PipelineSpec
+from gridpipe.sortio import SortKey
 from gridpipe.values import BLANK
 from gridpipe.workbook import parse_a1
 
@@ -227,7 +227,6 @@ def test_load_job_minimal(tmp_path):
     job = load_job(_job(tmp_path, _minimal_job_text()))
     assert job.pipeline is not None
     assert job.pipeline.input_path == str(tmp_path / "in.csv")
-    assert job.pipeline.csv_mode == "rfc4180"
     assert job.workbook.has_name("InputCells")
     assert job.sort is None and job.subtotals is None and job.compare is None
 
@@ -251,6 +250,23 @@ def test_unknown_key(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     with pytest.raises(UnknownKey):
         load_job(_job(tmp_path, _minimal_job_text("tempo = fast\n")))
+
+
+@pytest.mark.parametrize(
+    "section, lines",
+    [
+        ("pipeline", ""),
+        ("sort", "[sort]\ninput = a.csv\noutput = b.csv\n"),
+        ("compare", "[compare]\nleft = a.csv\nright = b.csv\n"),
+    ],
+    ids=["pipeline", "sort", "compare"],
+)
+def test_the_removed_csv_key_is_unknown(tmp_path, section, lines):
+    # RFC 4180 is the only dialect; a job that still picks one is rejected.
+    _definition(tmp_path, _MINIMAL_SHEET)
+    text = _minimal_job_text() + lines + "csv = rfc4180\n"
+    with pytest.raises(UnknownKey, match=f"unknown key 'csv' in \\[{section}\\]"):
+        load_job(_job(tmp_path, text))
 
 
 def test_unknown_range_name(tmp_path):
@@ -342,9 +358,6 @@ def test_bad_choice_values(tmp_path):
         (PipelineSpec, "header_policy"),
         (PipelineSpec, "field_count_policy"),
         (PipelineSpec, "on_record_error"),
-        (PipelineSpec, "csv_mode"),
-        (SortSpec, "csv_mode"),
-        (CompareSpec, "csv_mode"),
     ],
 )
 def test_a_bad_choice_fails_when_the_spec_is_built(spec_class, setting):

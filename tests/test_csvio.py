@@ -1,4 +1,4 @@
-"""Delimited-file reading in both modes, and field encoding."""
+"""Delimited-file reading (RFC 4180), and field encoding."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridpipe.csvio import encode_record, read_records
+from gridpipe.csvio import encode_record, parse_line, read_records
 from gridpipe.errors import DataError
 
 
@@ -56,13 +56,6 @@ def test_empty_file(tmp_path):
     assert list(read_records(path)) == []
 
 
-def test_naive_split_treats_quotes_as_characters(tmp_path):
-    path = _write(tmp_path, '"a,b",c\n')
-    [(raw, fields)] = list(read_records(path, "naive-split"))
-    assert fields == ['"a', 'b"', "c"]
-    assert raw == '"a,b",c'
-
-
 def test_encode_record_round_trips(tmp_path):
     fields = ["plain", "with,comma", 'with"quote', "with\nnewline", ""]
     path = _write(tmp_path, encode_record(fields) + "\n")
@@ -107,9 +100,9 @@ def _csv_module_records(text: str):
         return "error"
 
 
-def _read_fields(path, mode):
+def _read_fields(path):
     try:
-        return [fields for _, fields in read_records(path, mode)]
+        return [fields for _, fields in read_records(path)]
     except DataError:
         return "error"
 
@@ -133,14 +126,11 @@ def test_read_records_matches_the_csv_module(tmp_path_factory, lines, final_newl
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = _csv_module_records(text)
-    assert _read_fields(path, "rfc4180") == expected
+    assert _read_fields(path) == expected
     if expected != "error":
         for raw, fields in read_records(path):
             assert _csv_module_records(raw + "\n") == [fields]
-    physical = io.StringIO(text, newline="")
-    assert _read_fields(path, "naive-split") == [
-        line.rstrip("\r\n").split(",") for line in physical
-    ]
+            assert parse_line(raw) == [fields]
 
 
 def test_stray_quote_in_an_unquoted_field_is_a_character(tmp_path):

@@ -283,6 +283,78 @@ def test_multi_cell_payload_reads_back_as_written(tmp_path_factory, width, rows)
     assert [fields for _, fields in read_records(spec.output_path)] == rows
 
 
+def _joining_workbook(width, output=None):
+    """Output cell H2 builds the line on the sheet, caesar's way: the
+    input fields A2.. joined with ``&","&``, unless ``output`` is given."""
+    wb = Workbook()
+    joined = '&","&'.join(f"{'ABCD'[col]}2" for col in range(width))
+    wb.set_cell(_addr("H2"), parse_formula(output or f"={joined}"))
+    wb.define_name("InputCells", _rng("A2", f"{'ABCD'[width - 1]}2"))
+    wb.define_name("OutputCells", _rng("H2", "H2"))
+    return wb
+
+
+@given(
+    width=st.integers(min_value=2, max_value=4),
+    rows=st.lists(st.lists(_PAYLOAD_TEXT, min_size=4, max_size=4), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_single_cell_line_is_written_only_if_it_reads_back(tmp_path_factory, width, rows):
+    rows = [row[:width] for row in rows]
+    header = [f"h{col}" for col in range(width)]
+    tmp = tmp_path_factory.mktemp("single")
+    (tmp / "in.csv").write_text(
+        "".join(encode_record(row) + "\n" for row in [header, *rows]), encoding="utf-8"
+    )
+    spec = _spec(tmp, on_record_error="skip-and-log")
+    stats = run_pipeline(spec, _joining_workbook(width))
+    records = [fields for _, fields in read_records(spec.output_path)]
+    assert records[0] == header
+    assert len(records) - 1 == stats.records_written
+    assert all(len(fields) in (1, width) for fields in records[1:])
+    assert stats.records_read == stats.records_written + stats.records_errored
+
+
+def test_a_single_cell_line_the_sheet_quotes_is_written_verbatim(workdir):
+    _write(workdir, "h1,h2\na\n")
+    stats = run_pipeline(_spec(workdir), _joining_workbook(1, '=A2&",""x,y"""'))
+    assert stats.records_written == 1
+    assert _output(workdir) == 'h1,h2\na,"x,y"\n'
+    assert [fields for _, fields in read_records(workdir / "out.csv")][1] == ["a", "x,y"]
+
+
+@pytest.mark.parametrize(
+    "field, output, problem",
+    [
+        ("a", '=A2&",""x"', "does not read back: unexpected end of data"),
+        ("a", '=A2&",""x"",y"', "reads back as 3 fields, the header has 2"),
+        ("\n", '="""x"""&A2', "reads back as 2 records"),
+        ("a", '=A2&",b,c"', "reads back as 3 fields, the header has 2"),
+        ("\r", "=A2", "holds a line break outside quotes"),
+    ],
+    ids=["open-quote", "too-wide-quoted", "two-records", "too-wide", "bare-cr"],
+)
+def test_a_single_cell_line_that_does_not_read_back_is_a_record_error(
+    workdir, field, output, problem
+):
+    _write(workdir, "h1,h2\n" + encode_record([field]) + "\n")
+    with pytest.raises(RecordError) as err:
+        run_pipeline(_spec(workdir), _joining_workbook(1, output))
+    assert str(err.value) == f"record 1: output cell Main!H2 {problem}"
+
+
+@pytest.mark.parametrize("headers, written", [(None, 1), (["h1", "h2"], 0)])
+def test_without_a_header_line_the_expected_headers_set_the_width(workdir, headers, written):
+    # With header = none the line must be one record, as wide as
+    # [expected-headers] if there are any.
+    _write(workdir, "a\n")
+    spec = _spec(
+        workdir, header_policy="none", expected_headers=headers, on_record_error="skip-and-log"
+    )
+    stats = run_pipeline(spec, _joining_workbook(1, '=A2&",b,c"'))
+    assert (stats.records_written, stats.records_errored) == (written, 1 - written)
+
+
 # --- skip and carry-forward -----------------------------------------------------
 
 
