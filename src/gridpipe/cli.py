@@ -18,10 +18,8 @@ from .engine import recalculate
 from .errors import ConfigError, DataError
 from .pipeline import run_pipeline, compare_files, validate_headers
 from .report import parse_job_line, render_report, subtotal, translation_table
-from .sortio import sort_file
+from .sortio import _resolve_key_columns, sort_file
 from .values import CellError, render_value
-
-log = logging.getLogger("gridpipe")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -141,7 +139,8 @@ def _cmd_sort(args) -> int:
     if job.sort is None:
         raise ConfigError(f"{args.job}: [sort] section is required by 'sort'")
     rows = sort_file(job.sort)
-    print(f"sorted {rows} rows into {job.sort.output_path}", file=sys.stderr)
+    if not args.quiet:
+        print(f"sorted {rows} rows into {job.sort.output_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -158,11 +157,12 @@ def _cmd_compare(args) -> int:
     if job.compare is None:
         raise ConfigError(f"{args.job}: [compare] section is required by 'compare'")
     report = compare_files(job.compare, job.workbook)
-    print(
-        f"matched {report.matches}, left-only {len(report.left_only)}, "
-        f"right-only {len(report.right_only)}",
-        file=sys.stderr,
-    )
+    if not args.quiet:
+        print(
+            f"matched {report.matches}, left-only {len(report.left_only)}, "
+            f"right-only {len(report.right_only)}",
+            file=sys.stderr,
+        )
     if job.compare.output_path is None:
         for line in report.lines():
             print(line)
@@ -170,8 +170,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # Loading the job runs every configured command's preflight.
     job = config_mod.load_job(args.job)
-    problems: list[str] = []
 
     if job.pipeline is not None and job.expected_headers:
         try:
@@ -179,30 +179,16 @@ def _cmd_check(args) -> int:
         except OSError:
             head = None  # input absent is fine for a static check
         if head is not None:
-            report = validate_headers(head[1], job.expected_headers)
-            for warning in report.warnings:
-                log.warning(warning)
-            if not report.ok:
-                problems.append(report.message())
+            validate_headers(head[1], job.expected_headers)
 
     if job.subtotals is not None and job.expected_headers:
         translation = translation_table(job.expected_headers)
         for line in job.subtotals.job_lines:
-            try:
-                parse_job_line(line, translation)
-            except ConfigError as exc:
-                problems.append(str(exc))
+            parse_job_line(line, translation)
 
     if job.sort is not None and job.expected_headers:
-        translation = translation_table(job.expected_headers)
-        for key in job.sort.keys:
-            if isinstance(key.column, str) and key.column.strip().upper() not in translation:
-                problems.append(f"sort key column {key.column!r} not in expected headers")
+        _resolve_key_columns(job.sort, job.expected_headers)
 
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
     print("OK")
     return EXIT_OK
 

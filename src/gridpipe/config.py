@@ -35,8 +35,8 @@ from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, SettingError, check_choices
 from .formula import LexError, ParseError, parse_formula, render_formula
-from .pipeline import CompareSpec, PipelineSpec
-from .report import REPORT_FORMATS
+from .pipeline import CompareSpec, PipelineSpec, compare_cells, run_cells
+from .report import REPORT_FORMATS, BadControlTable, split_job_line
 from .sortio import SortKey, SortSpec, parse_sort_key
 from .values import Blank, parse_number, render_number
 from .workbook import CellAddress, Workbook, normalized_range, parse_a1
@@ -269,10 +269,10 @@ class JobSubtotals:
     def __post_init__(self):
         check_choices(self, format=REPORT_FORMATS)
         for line in self.job_lines:
-            if ":" not in line:
-                raise SettingError(
-                    "job_lines", f"needs '<measures> : <group columns>', got {line!r}"
-                )
+            try:
+                split_job_line(line)
+            except BadControlTable as exc:
+                raise SettingError("job_lines", str(exc)) from None
 
 
 @dataclass
@@ -366,6 +366,8 @@ _SCHEMA = {
         "headings": ("has_headings", _yes_no),
     }),
 }
+# The checks a command makes before it streams, run again at load.
+_PREFLIGHT = {"pipeline": run_cells, "compare": compare_cells}
 _REPEATABLE = {("sort", "key"), ("subtotals", "job")}
 _TOP_KEYS = {"format", "definition"}
 
@@ -445,6 +447,11 @@ def _build_section(path: str, section: str, raw: dict, workbook, **extra):
             raise UnknownRangeName(
                 f"{path}: [{section}] {key}: {value!r} is not defined in the definition file"
             )
+    if section in _PREFLIGHT:
+        try:
+            _PREFLIGHT[section](spec, workbook)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from None
     return spec
 
 

@@ -32,12 +32,13 @@ __all__ = [
     "FIELD_COUNT_POLICIES",
     "RECORD_ERROR_POLICIES",
     "RunStats",
-    "HeaderReport",
     "HeaderMismatch",
     "FieldCountError",
     "RecordError",
     "StatusCellError",
     "CompareReport",
+    "run_cells",
+    "compare_cells",
     "run_pipeline",
     "validate_headers",
     "compare_files",
@@ -117,41 +118,27 @@ class RunStats:
         return asdict(self)
 
 
-@dataclass
-class HeaderReport:
-    ok: bool
-    position: int = 0  # 1-based first differing position
-    found: str = ""
-    expected: str = ""
-    warnings: list[str] = field(default_factory=list)
+def validate_headers(found: list[str], expected: list[str]) -> None:
+    """Positional, case-insensitive header comparison; raises
+    ``HeaderMismatch`` naming the first position that differs.
 
-    def message(self) -> str:
-        if self.ok:
-            return "headers match"
-        return (
-            f"header mismatch at position {self.position}: "
-            f"found {self.found!r}, expected {self.expected!r}"
-        )
-
-
-def validate_headers(found: list[str], expected: list[str]) -> HeaderReport:
-    """Positional, case-insensitive header comparison.
-
-    Surrounding whitespace is ignored but reported as a warning, since
+    Surrounding whitespace is ignored but logged as a warning, since
     stray spaces in headers are a classic data smell.
     """
-    warnings = []
     for position, (got, want) in enumerate(zip(found, expected), start=1):
         if got != got.strip():
-            warnings.append(f"superfluous spaces in header {position}: {got!r}")
+            log.warning("superfluous spaces in header %d: %r", position, got)
         if got.strip().upper() != want.strip().upper():
-            return HeaderReport(False, position, got, want, warnings)
-    if len(found) != len(expected):
+            break
+    else:
+        if len(found) == len(expected):
+            return
         position = min(len(found), len(expected)) + 1
-        found_text = found[position - 1] if position <= len(found) else "<missing>"
-        expected_text = expected[position - 1] if position <= len(expected) else "<extra>"
-        return HeaderReport(False, position, found_text, expected_text, warnings)
-    return HeaderReport(True, warnings=warnings)
+        got = found[position - 1] if position <= len(found) else "<missing>"
+        want = expected[position - 1] if position <= len(expected) else "<extra>"
+    raise HeaderMismatch(
+        f"header mismatch at position {position}: found {got!r}, expected {want!r}"
+    )
 
 
 def report_progress(stats: RunStats, every_n: int, stream=None) -> None:
@@ -171,13 +158,24 @@ def _a1(wb: Workbook, key: tuple) -> str:
     return f"{wb.sheet_display_name(key[0])}!{format_a1(key[1], key[2])}"
 
 
-def _require_formula_free(wb: Workbook, rng: CellRange, what: str) -> None:
+def _record_range(wb: Workbook, name: str, what: str) -> CellRange:
+    """The named range records are written to; it must hold no formula."""
+    rng = _range_for(wb, name, what)
     for addr in rng.addresses():
         if wb.formula_at(addr) is not None:
             raise ConfigError(
                 f"{what} range {rng} overlaps formula cell {addr}; "
                 "writing records there would destroy the rule"
             )
+    return rng
+
+
+def _single_cell(wb: Workbook, name: str, what: str) -> tuple:
+    """The key of the named range, which must be one cell."""
+    rng = _range_for(wb, name, what)
+    if rng.size() != 1:
+        raise ConfigError(f"{what} cell {name!r} must be a single cell")
+    return next(rng.keys())
 
 
 def _fit_fields(fields: list[str], width: int, policy: str, record_no: int) -> list[str]:
@@ -254,6 +252,31 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
     return step, write_back, plan
 
 
+def run_cells(spec: PipelineSpec, wb: Workbook):
+    """The checks ``run_pipeline`` makes before it streams, which the job
+    loader makes too. Reads no data and compiles nothing; returns
+    ``(input_range, skip_key, payload_keys, carry_keys)``."""
+    input_range = _record_range(wb, spec.input_range, "input")
+    output_range = _range_for(wb, spec.output_range, "output")
+    skip_key = _single_cell(wb, spec.skip_cell, "skip") if spec.skip_cell else None
+
+    # The skip cell may sit inside the output range; it never joins the payload.
+    payload_keys = [k for k in output_range.keys() if k != skip_key]
+    if not payload_keys:
+        raise ConfigError(f"output range {spec.output_range!r} has no payload cells")
+
+    carry_keys: list = []
+    if spec.carry_forward_range:
+        carry_range = _record_range(wb, spec.carry_forward_range, "carry-forward")
+        carry_keys = list(carry_range.keys())
+        if len(carry_keys) not in (1, len(payload_keys)):
+            raise ConfigError(
+                f"carry-forward range holds {len(carry_keys)} cells; "
+                f"expected 1 or {len(payload_keys)} (the output payload width)"
+            )
+    return input_range, skip_key, payload_keys, carry_keys
+
+
 def run_pipeline(
     spec: PipelineSpec,
     wb: Workbook,
@@ -268,32 +291,7 @@ def run_pipeline(
     formula cells are stale; ``recalculate(wb)`` refreshes them.
     """
     started = time.perf_counter()
-    input_range = _range_for(wb, spec.input_range, "input")
-    output_range = _range_for(wb, spec.output_range, "output")
-    _require_formula_free(wb, input_range, "input")
-
-    skip_key = None
-    if spec.skip_cell:
-        skip_range = _range_for(wb, spec.skip_cell, "skip")
-        if skip_range.size() != 1:
-            raise ConfigError(f"skip cell {spec.skip_cell!r} must be a single cell")
-        skip_key = next(skip_range.keys())
-
-    # The skip cell may sit inside the output range; it never joins the payload.
-    payload_keys = [k for k in output_range.keys() if k != skip_key]
-    if not payload_keys:
-        raise ConfigError(f"output range {spec.output_range!r} has no payload cells")
-
-    carry_keys: list = []
-    if spec.carry_forward_range:
-        carry_range = _range_for(wb, spec.carry_forward_range, "carry-forward")
-        _require_formula_free(wb, carry_range, "carry-forward")
-        carry_keys = list(carry_range.keys())
-        if len(carry_keys) not in (1, len(payload_keys)):
-            raise ConfigError(
-                f"carry-forward range holds {len(carry_keys)} cells; "
-                f"expected 1 or {len(payload_keys)} (the output payload width)"
-            )
+    input_range, skip_key, payload_keys, carry_keys = run_cells(spec, wb)
 
     values = wb.values
     observed = dict.fromkeys(payload_keys, "output cell")
@@ -319,11 +317,7 @@ def run_pipeline(
             if head is not None:
                 raw, fields = head
                 if spec.header_policy == "validate":
-                    report = validate_headers(fields, spec.expected_headers)
-                    for warning in report.warnings:
-                        log.warning(warning)
-                    if not report.ok:
-                        raise HeaderMismatch(report.message())
+                    validate_headers(fields, spec.expected_headers)
                 header_width = len(fields)
                 out.write(raw + "\n")
         commas = () if header_width is None else (0, header_width - 1)
@@ -387,6 +381,17 @@ class CompareReport:
             yield "> " + raw
 
 
+def compare_cells(spec: CompareSpec, wb: Workbook):
+    """The checks ``compare_files`` makes before it streams, which the job
+    loader makes too. Reads no data and compiles nothing; returns
+    ``(left_range, right_range, status_key)``."""
+    return (
+        _record_range(wb, spec.left_range, "left"),
+        _record_range(wb, spec.right_range, "right"),
+        _single_cell(wb, spec.status_cell, "status"),
+    )
+
+
 def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     """Merge-compare two key-sorted files through a status-cell workbook.
 
@@ -398,14 +403,7 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     are evaluated; afterwards the others are stale until
     ``recalculate(wb)``.
     """
-    left_range = _range_for(wb, spec.left_range, "left")
-    right_range = _range_for(wb, spec.right_range, "right")
-    status_range = _range_for(wb, spec.status_cell, "status")
-    if status_range.size() != 1:
-        raise ConfigError(f"status cell {spec.status_cell!r} must be a single cell")
-    status_key = next(status_range.keys())
-    _require_formula_free(wb, left_range, "left")
-    _require_formula_free(wb, right_range, "right")
+    left_range, right_range, status_key = compare_cells(spec, wb)
     step, write_back, _ = _record_step(wb, [left_range, right_range], {status_key: "status cell"},
                                        [], "pad-truncate", "record pair", StatusCellError)
 

@@ -21,6 +21,7 @@ __all__ = [
     "UnknownColumn",
     "BadControlTable",
     "NonNumericMeasure",
+    "split_job_line",
     "parse_job_line",
     "aggregate",
     "subtotal",
@@ -115,9 +116,10 @@ def make_job(
     )
 
 
-def parse_job_line(text: str, translation: dict[str, int]) -> SubtotalJob:
-    """One job from ``[sum|count] <measures> : <group columns>``. Spaces
-    around ``:`` and ``,`` are syntax, trimmed without a warning."""
+def split_job_line(text: str) -> tuple[str, list[str], list[str]]:
+    """``(aggregate, measures, group columns)`` of a job line
+    ``[sum|count] <measures> : <group columns>``, read without headers.
+    Spaces around ``:`` and ``,`` are syntax, trimmed without a warning."""
     aggregate_kind = "sum"
     body = text.strip()
     head = body.split(None, 1)
@@ -131,6 +133,12 @@ def parse_job_line(text: str, translation: dict[str, int]) -> SubtotalJob:
     measures_text, groups_text = body.split(":", 1)
     measures = _split_names(measures_text, "measures")
     group_by = _split_names(groups_text, "group columns")
+    return aggregate_kind, measures, group_by
+
+
+def parse_job_line(text: str, translation: dict[str, int]) -> SubtotalJob:
+    """One job from a job line, its columns resolved through ``translation``."""
+    aggregate_kind, measures, group_by = split_job_line(text)
     return make_job(measures, group_by, translation, aggregate_kind)
 
 

@@ -387,6 +387,57 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
     assert err.count(f"[sort] key: {problem}") == 2
 
 
+# One edit to a shipped file per case: each makes a job that the command
+# rejects before it reads data, and check must reject it the same way.
+@pytest.mark.parametrize(
+    "edited, old, new, command, job, problem",
+    [
+        ("dedup.sheet", "Duplicate = Main!G2\n", "Duplicate = Main!G2:H2\n", "run", "store.job",
+         "[pipeline] skip cell 'Duplicate' must be a single cell"),
+        ("dedup.sheet", "CarryForward = Main!M2:P2", "CarryForward = Main!M2:N2", "run",
+         "dedup.job", "[pipeline] carry-forward range holds 2 cells; expected 1 or 4"),
+        ("caesar.sheet", "cell F2 = =ARABIC(D2)", "cell F2 = =ARABIC(D2)\ncell C2 = =UPPER(B2)",
+         "run", "caesar.job", "[pipeline] input range Main!A2:D2 overlaps formula cell Main!C2"),
+        ("dedup.sheet", "OutputCells = Main!G2:K2", "OutputCells = Main!G2", "run", "dedup.job",
+         "[pipeline] output range 'OutputCells' has no payload cells"),
+        ("compare.sheet", "Status = Main!K2", "Status = Main!K2:L2", "compare", "compare.job",
+         "[compare] status cell 'Status' must be a single cell"),
+        ("compare.sheet", "[names]", "cell B2 = =A2\n[names]", "compare", "compare.job",
+         "[compare] left range Main!A2:D2 overlaps formula cell Main!B2"),
+        ("store.job", "job = Number : Item, Colour", "job = sum : Item", "run", "store.job",
+         "[subtotals] job: subtotal measures is empty"),
+        ("store.job", "key = 1 asc\n",
+         "key = Nope\n[expected-headers]\nheaders = Id, Item, Colour, Number\n", "sort",
+         "store.job", "sort key column 'Nope' not in header"),
+    ],
+    ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
+         "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key"],
+)
+def test_check_and_the_command_reject_a_job_alike(
+    workdir, capsys, edited, old, new, command, job, problem
+):
+    text = _read(workdir, edited)
+    assert old in text
+    _write(workdir, edited, text.replace(old, new))
+    _write(workdir, "store_raw.csv", TOGA_FILE)
+    before = sorted(path.name for path in workdir.iterdir())
+    assert main(["check", str(workdir / job)]) == 1
+    check_err = capsys.readouterr().err
+    assert main(["--quiet", command, str(workdir / job)]) == 1
+    assert capsys.readouterr().err == check_err
+    assert problem in check_err
+    assert sorted(path.name for path in workdir.iterdir()) == before  # run sorted nothing
+
+
+def test_quiet_silences_every_command(workdir, capsys):
+    _write(workdir, "store_raw.csv", TOGA_FILE)
+    _write(workdir, "left.csv", "1,a,b,c\n")
+    _write(workdir, "right.csv", "2,d,e,f\n")
+    assert main(["--quiet", "sort", str(workdir / "store.job")]) == 0
+    assert main(["--quiet", "compare", str(workdir / "compare.job")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # --- eval ----------------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ the sorted-file comparison."""
 from __future__ import annotations
 
 import io
+import logging
 import random
 
 import pytest
@@ -489,36 +490,35 @@ def test_row_local_pipeline_commutes_with_permutation(workdir):
 # --- validate_headers -------------------------------------------------------------
 
 
-def test_validate_headers_ok():
-    report = validate_headers(
-        ["Id", "Item", "Colour", "Number"], ["Id", "Item", "Colour", "Number"]
-    )
-    assert report.ok and not report.warnings
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_validate_headers_ok(caplog):
+    caplog.set_level(logging.WARNING)
+    validate_headers(["Id", "Item", "Colour", "Number"], ["Id", "Item", "Colour", "Number"])
+    assert _warnings(caplog) == []
 
 
 def test_validate_headers_reports_first_difference():
-    report = validate_headers(
-        ["Id", "Item", "Color", "Number"], ["Id", "Item", "Colour", "Number"]
-    )
-    assert not report.ok
-    assert report.position == 3
-    assert (report.found, report.expected) == ("Color", "Colour")
+    with pytest.raises(HeaderMismatch) as err:
+        validate_headers(["Id", "Item", "Color", "Number"], ["Id", "Item", "Colour", "Number"])
+    assert str(err.value) == "header mismatch at position 3: found 'Color', expected 'Colour'"
 
 
-def test_validate_headers_trims_with_warning():
-    report = validate_headers([" Item "], ["Item"])
-    assert report.ok
-    assert any("superfluous spaces" in w for w in report.warnings)
+def test_validate_headers_trims_with_warning(caplog):
+    caplog.set_level(logging.WARNING)
+    validate_headers([" Item "], ["Item"])
+    assert any("superfluous spaces" in w for w in _warnings(caplog))
 
 
 def test_validate_headers_length_mismatch():
-    report = validate_headers(["Id"], ["Id", "Item"])
-    assert not report.ok
-    assert report.position == 2
+    with pytest.raises(HeaderMismatch, match="at position 2: found '<missing>', expected 'Item'"):
+        validate_headers(["Id"], ["Id", "Item"])
 
 
 def test_validate_headers_is_case_insensitive():
-    assert validate_headers(["ID"], ["id"]).ok
+    validate_headers(["ID"], ["id"])
 
 
 # --- progress ----------------------------------------------------------------------
