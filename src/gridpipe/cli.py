@@ -93,6 +93,7 @@ def _cmd_run(args) -> int:
     if job.pipeline is None:
         raise ConfigError(f"{args.job}: [pipeline] section is required by 'run'")
     spec = job.pipeline
+    _resolve_header_names(job)  # before the sort writes anything
     if job.sort is not None:
         rows = sort_file(job.sort)
         if not args.quiet:
@@ -174,23 +175,46 @@ def _cmd_check(args) -> int:
     job = config_mod.load_job(args.job)
 
     if job.pipeline is not None and job.expected_headers:
-        try:
-            head = next(read_records(job.pipeline.input_path), None)
-        except OSError:
-            head = None  # input absent is fine for a static check
+        head = _header_line(job.pipeline.input_path)
         if head is not None:
-            validate_headers(head[1], job.expected_headers)
+            validate_headers(head, job.expected_headers)
 
-    if job.subtotals is not None and job.expected_headers:
-        translation = translation_table(job.expected_headers)
-        for line in job.subtotals.job_lines:
-            parse_job_line(line, translation)
-
-    if job.sort is not None and job.expected_headers:
-        _resolve_key_columns(job.sort, job.expected_headers)
-
+    _resolve_header_names(job)
     print("OK")
     return EXIT_OK
+
+
+def _header_line(path) -> list[str] | None:
+    """The fields of the first record of ``path``; None if it has none."""
+    try:
+        head = next(read_records(path), None)
+    except OSError:
+        return None  # input absent is fine for a static check
+    return None if head is None else head[1]
+
+
+def _resolve_header_names(job) -> None:
+    """Resolve the sort keys and subtotal columns as ``sort`` and ``run``
+    will: against the expected headers, else the header line of
+    ``[sort] input``, or of ``[pipeline] input`` without a sort. So a
+    name missing from it fails before any data is written."""
+    if job.sort is None and job.subtotals is None:
+        return
+    if job.expected_headers:
+        header = job.expected_headers
+    elif job.sort is not None:
+        header = job.sort.has_headings and _header_line(job.sort.input_path)
+    else:
+        pipeline = job.pipeline
+        header = pipeline and pipeline.header_policy != "none" and _header_line(pipeline.input_path)
+    if not header:
+        return
+    if job.sort is not None:
+        _resolve_key_columns(job.sort, header)
+    if job.subtotals is not None:
+        translation = translation_table(header)
+        for line in job.subtotals.job_lines:
+            parse_job_line(line, translation)
 
 
 def _cmd_eval(args) -> int:

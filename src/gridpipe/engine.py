@@ -15,7 +15,9 @@ A plan is pruned by demand: cells downstream of the dirty cells and the
 fields and upstream of an observed cell. ``recalculate`` observes none
 (``observed=None``) and writes every affected cell, so it keeps
 full-downstream semantics; a streaming run observes its output cells
-only and leaves the rest stale until the next ``recalculate(wb)``.
+only. Before it streams, ``compile_constants`` evaluates once the cells
+its plan reads that no record changes; every other cell stays stale, or
+never evaluated, until the next ``recalculate(wb)``.
 Plans depend only on the structure and are cached, so nothing is
 rebuilt per record.
 """
@@ -50,6 +52,7 @@ __all__ = [
     "UnknownNameError",
     "build_graph",
     "compile_plan",
+    "compile_constants",
     "recalculate",
     "evaluate_source",
 ]
@@ -288,13 +291,26 @@ class DependencyGraph:
         affected = (
             set(self.order) if dirty is None else _closure(dirty.union(fields), self.dependents)
         )
+        if observed is not None:
+            affected &= self.upstream(observed)
+        plan = self.compile(wb, affected, observed, fields)
+        if len(self._plans) < 64:
+            self._plans[cache_key] = plan
+        return plan
+
+    def upstream(self, observed) -> set:
+        """The ``observed`` keys and every key they read, directly or not."""
+        wanted = set(observed)
+        return _closure(wanted, self.precedents) | wanted
+
+    def compile(self, wb: Workbook, cells: set, observed=None, fields=()) -> Plan:
+        """The formula ``cells`` as one plan, run in topological order.
+        With ``observed=None`` it writes every cell and returns ()."""
         if observed is None:
-            writes = affected
+            writes = set(cells)
         else:
-            wanted = frozenset(observed)
-            affected &= _closure(wanted, self.precedents) | wanted
-            writes = (wanted | self.block_reads) & affected
-        cells = sorted(affected, key=self.topo_index.__getitem__)
+            writes = (set(observed) | self.block_reads) & cells
+        cells = sorted(cells, key=self.topo_index.__getitem__)
         # One function per chunk of cells bounds the compiler's memory;
         # a cell a later chunk reads is handed over through ``values``.
         chunk_of = {key: i // _CHUNK for i, key in enumerate(cells)}
@@ -313,10 +329,7 @@ class DependencyGraph:
                 emitter.cell(key, wb._formulas[key], key in writes)
             returns = (observed or ()) if start // _CHUNK == last else ()
             runs.append(emitter.function(f"plan cells {start}+", top if start == 0 else (), returns))
-        plan = Plan(cells, runs[0] if len(runs) == 1 else _chain(runs))
-        if len(self._plans) < 64:
-            self._plans[cache_key] = plan
-        return plan
+        return Plan(cells, runs[0] if len(runs) == 1 else _chain(runs))
 
 
 def _chain(runs):
@@ -422,6 +435,16 @@ def compile_plan(wb: Workbook, dirty, observed, fields=()) -> Plan:
     generated function reads it.
     """
     return _current_graph(wb).plan(wb, frozenset(dirty), tuple(observed), tuple(fields))
+
+
+def compile_constants(wb: Workbook, streamed, observed) -> Plan:
+    """The formula cells upstream of (or among) the ``observed`` keys that
+    no ``streamed`` key feeds, as ``run(values)`` writing each to
+    ``values``: what a stream reads but never changes, evaluated once
+    before it starts."""
+    graph = _current_graph(wb)
+    cells = graph.upstream(observed) - _closure(streamed, graph.dependents)
+    return graph.compile(wb, cells & graph.precedents.keys())
 
 
 def _current_graph(wb: Workbook) -> DependencyGraph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 from .values import (
@@ -61,35 +62,41 @@ def lookup(name: str) -> FunctionSignature | None:
 
 # --- Roman numerals ---------------------------------------------------------
 
-_ROMAN_TABLE = (
-    (1000, "M"),
-    (900, "CM"),
-    (500, "D"),
-    (400, "CD"),
-    (100, "C"),
-    (90, "XC"),
-    (50, "L"),
-    (40, "XL"),
-    (10, "X"),
-    (9, "IX"),
-    (5, "V"),
-    (4, "IV"),
-    (1, "I"),
-)
-
 _SYMBOL_VALUES = {"M": 1000, "D": 500, "C": 100, "L": 50, "X": 10, "V": 5, "I": 1}
 _SUBTRACTIVE_PAIRS = {"CM": 900, "CD": 400, "XC": 90, "XL": 40, "IX": 9, "IV": 4}
+# Built on first use, not at import: the classic-form numeral of n at
+# index n, and the value of each of those numerals.
+_NUMERALS: list[str] = []
+_VALUES: dict[str, float] = {}
+
+
+def _place(one: str, five: str, ten: str) -> tuple:
+    return ("", one, one * 2, one * 3, one + five, five, five + one, five + one * 2,
+            five + one * 3, one + ten)
+
+
+def _numeral_values() -> dict[str, float]:
+    if not _VALUES:
+        places = (("", "M", "MM", "MMM"), _place("C", "D", "M"), _place("X", "L", "C"),
+                  _place("I", "V", "X"))
+        _NUMERALS[:] = map("".join, product(*places))
+        _VALUES.update((text, float(n)) for n, text in enumerate(_NUMERALS) if n)
+    return _VALUES
 
 
 def arabic_value(text: str) -> float | CellError:
     """Value of a roman numeral.
 
-    The six standard subtractive pairs are recognised in a single
-    left-to-right pass; everything else is summed additively, so dirty
+    A classic-form numeral is one table lookup. Any other text takes a
+    single left-to-right pass that recognises the six standard
+    subtractive pairs and sums everything else additively, so dirty
     forms like IIII are accepted. Empty or non-roman input is #VALUE!,
     a total outside [1, 3999] is #NUM!.
     """
     s = text.strip().upper()
+    value = (_VALUES or _numeral_values()).get(s)
+    if value is not None:
+        return value
     if not s:
         return VALUE_ERROR
     total = 0
@@ -113,12 +120,8 @@ def arabic_value(text: str) -> float | CellError:
 
 def roman_text(n: int) -> str:
     """Classic-form numeral for n in [1, 3999]."""
-    out = []
-    for value, symbol in _ROMAN_TABLE:
-        while n >= value:
-            out.append(symbol)
-            n -= value
-    return "".join(out)
+    _numeral_values()
+    return _NUMERALS[n] if n > 0 else ""  # a negative index would wrap
 
 
 @_register("ARABIC", 1, 1, (SCALAR,))

@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .csvio import atomic_output, encode_record, parse_line, read_records
-from .engine import compile_plan, recalculate
+from .engine import compile_constants, compile_plan
 from .errors import ConfigError, DataError, SettingError, check_choices
 from .values import CellError, CellValue, render_value, values_equal
 from .workbook import CellRange, Workbook, format_a1
@@ -221,8 +221,9 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
     returns None unchecked. ``write_back()`` stores the last record's
     fields and values.
     """
-    recalculate(wb)  # cells not fed by the stream are computed once
     field_keys = [key for rng in ranges for key in rng.keys()]
+    # cells the plan reads but no record changes are computed once
+    compile_constants(wb, field_keys + carry_keys, observed).run(wb.values)
     width, *more_widths = [rng.size() for rng in ranges]
     plan = compile_plan(wb, carry_keys, observed, field_keys)
     run, values = plan.run, wb.values
@@ -288,7 +289,8 @@ def run_pipeline(
     Each record evaluates only the formula cells the output and skip
     cells read (``plan_cells`` in the stats). Afterwards the input,
     output and skip cells hold the last record's values and the other
-    formula cells are stale; ``recalculate(wb)`` refreshes them.
+    formula cells are stale, or never evaluated if the run did not need
+    them; ``recalculate(wb)`` refreshes them.
     """
     started = time.perf_counter()
     input_range, skip_key, payload_keys, carry_keys = run_cells(spec, wb)
@@ -400,8 +402,8 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     record is unmatched (advance left), RIGHT the converse, MATCH
     advances both. The tail of the longer file is one-sided by
     construction. Only the status cell and the formula cells it reads
-    are evaluated; afterwards the others are stale until
-    ``recalculate(wb)``.
+    are evaluated; afterwards the others are stale, or never evaluated,
+    until ``recalculate(wb)``.
     """
     left_range, right_range, status_key = compare_cells(spec, wb)
     step, write_back, _ = _record_step(wb, [left_range, right_range], {status_key: "status cell"},

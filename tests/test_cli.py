@@ -409,9 +409,15 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
         ("store.job", "key = 1 asc\n",
          "key = Nope\n[expected-headers]\nheaders = Id, Item, Colour, Number\n", "sort",
          "store.job", "sort key column 'Nope' not in header"),
+        # Without [expected-headers], names resolve against the input's header line.
+        ("store.job", "key = 1 asc\n", "key = Nope\n", "sort", "store.job",
+         "sort key column 'Nope' not in header"),
+        ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "run", "store.job",
+         "column 'Weight' not found in headers"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
-         "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key"],
+         "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
+         "unknown-sort-key-in-input", "unknown-subtotal-column"],
 )
 def test_check_and_the_command_reject_a_job_alike(
     workdir, capsys, edited, old, new, command, job, problem

@@ -131,6 +131,74 @@ def test_longest_classic_numeral():
     assert roman_text(3888) == "MMMDCCCLXXXVIII"
 
 
+# The greedy encoder and the pair-loop decoder that preceded the numeral
+# table, kept as the oracle: the round trip above only shows that the
+# table agrees with itself.
+_ORACLE_TABLE = ((1000, "M"), (900, "CM"), (500, "D"), (400, "CD"), (100, "C"), (90, "XC"),
+                 (50, "L"), (40, "XL"), (10, "X"), (9, "IX"), (5, "V"), (4, "IV"), (1, "I"))
+_ORACLE_SYMBOLS = {"M": 1000, "D": 500, "C": 100, "L": 50, "X": 10, "V": 5, "I": 1}
+_ORACLE_PAIRS = {"CM": 900, "CD": 400, "XC": 90, "XL": 40, "IX": 9, "IV": 4}
+
+
+def _oracle_roman(n):
+    out = []
+    for value, symbol in _ORACLE_TABLE:
+        while n >= value:
+            out.append(symbol)
+            n -= value
+    return "".join(out)
+
+
+def _oracle_arabic(text):
+    s = text.strip().upper()
+    if not s:
+        return VALUE_ERROR
+    total = 0
+    i = 0
+    while i < len(s):
+        pair = _ORACLE_PAIRS.get(s[i : i + 2])
+        if pair is not None:
+            total += pair
+            i += 2
+            continue
+        value = _ORACLE_SYMBOLS.get(s[i])
+        if value is None:
+            return VALUE_ERROR
+        total += value
+        i += 1
+    if not 1 <= total <= 3999:
+        return NUM_ERROR
+    return float(total)
+
+
+def _same(a, b):
+    return (a.__class__, repr(a)) == (b.__class__, repr(b))
+
+
+def test_numerals_agree_with_the_greedy_oracle_in_every_spelling():
+    failures = []
+    for n in range(1, 4000):
+        text = _oracle_roman(n)
+        if roman_text(n) != text:
+            failures.append((n, roman_text(n)))
+        for spelling in (text, text.lower(), f" {text}  ", f"\t{text.lower()} "):
+            if not (_same(arabic_value(spelling), _oracle_arabic(spelling))
+                    and arabic_value(spelling) == float(n)):
+                failures.append((n, spelling))
+    assert failures == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="MDCLXVImdclxvi Q", max_size=12))
+def test_arabic_value_agrees_with_the_pair_loop_property(text):
+    assert _same(arabic_value(text), _oracle_arabic(text))
+
+
+@pytest.mark.parametrize("text", ["XCM", "IIII", "VL", "MMMM", "IM", "", "  ", "M M", "x2", "\u00dfi"])
+def test_lenient_and_bad_forms_keep_the_pair_loop_result(text):
+    assert _same(arabic_value(text), _oracle_arabic(text))
+
+
 # --- expansion steps on-sheet ---------------------------------------------------
 
 

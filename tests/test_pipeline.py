@@ -15,7 +15,7 @@ from gridpipe.csvio import encode_record, read_records
 from gridpipe.errors import ConfigError
 from gridpipe.formula import parse_formula
 from gridpipe.functions import roman_text
-from gridpipe.values import VALUE_ERROR
+from gridpipe.values import VALUE_ERROR, Blank
 from gridpipe.pipeline import (
     CompareSpec,
     FieldCountError,
@@ -195,6 +195,32 @@ def test_run_reads_formula_constants_outside_the_stream(workdir, output):
     stats = run_pipeline(_spec(workdir), _constant_workbook(output))
     assert stats.plan_cells == ["Main!C2"]
     assert _output(workdir) == "n,roman\n2\n0.5\n"
+
+
+def test_run_leaves_the_workings_it_does_not_need_unevaluated(workdir):
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n")
+    wb = _caesar(workdir)
+    run_pipeline(_spec(workdir), wb)
+    workings = [key for key in wb._formulas if key[1] >= 7]  # B7 to F10
+    assert len(workings) == 13
+    assert [key for key in workings if key in wb.values] == []
+    assert wb.get_value(_addr("F10")).__class__ is Blank
+
+
+def test_run_does_not_evaluate_thousands_of_unobserved_workings(workdir):
+    # Z1 is a constant the output reads; the 2,000 workings in D-E read
+    # the input and Z1 but no output reads them.
+    wb = _constant_workbook("=ARABIC(B2)/Z1")
+    for row in range(1, 1001):
+        wb.set_cell(_addr(f"D{row}"), parse_formula(f"=LEN(B2)+Z1+{row}"))
+        wb.set_cell(_addr(f"E{row}"), parse_formula(f"=Z1*{row}"))
+    _write(workdir, "n,roman\n1,MM\n2,D\n")
+    stats = run_pipeline(_spec(workdir), wb)
+    assert _output(workdir) == "n,roman\n2\n0.5\n"
+    assert stats.plan_cells == ["Main!C2"]
+    workings = [key for key in wb._formulas if key[2] in (4, 5)]
+    assert len(workings) == 2000
+    assert [key for key in workings if key in wb.values] == []
 
 
 def test_input_range_over_formula_cells_is_rejected(workdir):
