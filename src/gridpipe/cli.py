@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 
-from . import config as config_mod
+from . import config as config_mod, errors
 from .csvio import atomic_output, read_records
 from .engine import recalculate
 from .errors import ConfigError, DataError
@@ -70,11 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.ERROR if args.quiet else logging.WARNING,
-        format="gridpipe: %(message)s",
-    )
+    errors.printer = _ignore if args.quiet else _print_warning
     try:
         return args.handler(args)
     except ConfigError as exc:
@@ -86,6 +81,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        errors.printer = None
+
+
+def _print_warning(message: str) -> None:
+    print(f"gridpipe: {message}", file=sys.stderr)
+
+
+def _ignore(message: str) -> None:
+    pass
 
 
 def _cmd_run(args) -> int:
@@ -197,15 +202,19 @@ def _resolve_header_names(job) -> None:
     """Resolve the sort keys and subtotal columns as ``sort`` and ``run``
     will: against the expected headers, else the header line of
     ``[sort] input``, or of ``[pipeline] input`` without a sort. So a
-    name missing from it fails before any data is written."""
+    name missing from it fails before any data is written, and so does
+    a report on a ``run`` output that has no header line."""
     if job.sort is None and job.subtotals is None:
         return
+    pipeline = job.pipeline
+    if job.subtotals is not None and pipeline is not None and pipeline.header_policy == "none":
+        raise ConfigError(f"{job.job_path}: [subtotals] reads the header line of the output, "
+                          "which [pipeline] header = none does not write")
     if job.expected_headers:
         header = job.expected_headers
     elif job.sort is not None:
         header = job.sort.has_headings and _header_line(job.sort.input_path)
     else:
-        pipeline = job.pipeline
         header = pipeline and pipeline.header_policy != "none" and _header_line(pipeline.input_path)
     if not header:
         return
@@ -228,3 +237,7 @@ def _cmd_eval(args) -> int:
         return EXIT_DATA
     print(render_value(result))
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

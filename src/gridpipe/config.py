@@ -31,7 +31,6 @@ the same from anywhere.
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, SettingError, check_choices
 from .formula import LexError, ParseError, parse_formula, render_formula
@@ -260,31 +259,38 @@ def render_definition(wb: Workbook) -> str:
 MAX_LIST_ENTRIES = 10_000  # expected headers, sort keys or subtotal jobs in one job
 
 
-@dataclass
 class JobSubtotals:
-    job_lines: list[str]  # parsed by report.parse_job_line against the data's headers
-    output_path: str | None = None
-    format: str = "csv"  # REPORT_FORMATS
+    __slots__ = ("job_lines", "output_path", "format")
 
-    def __post_init__(self):
+    def __init__(self, job_lines: list[str], output_path: str | None = None,
+                 format: str = "csv"):
+        self.job_lines = job_lines  # parsed by report.parse_job_line against the data's headers
+        self.output_path = output_path
+        self.format = format  # REPORT_FORMATS
         check_choices(self, format=REPORT_FORMATS)
-        for line in self.job_lines:
+        for line in job_lines:
             try:
                 split_job_line(line)
             except BadControlTable as exc:
                 raise SettingError("job_lines", str(exc)) from None
 
 
-@dataclass
 class JobConfig:
-    job_path: str
-    definition_path: str | None
-    workbook: Workbook | None
-    pipeline: PipelineSpec | None
-    sort: SortSpec | None
-    subtotals: JobSubtotals | None
-    compare: CompareSpec | None
-    expected_headers: list[str] | None
+    __slots__ = ("job_path", "definition_path", "workbook", "pipeline", "sort", "subtotals",
+                 "compare", "expected_headers")
+
+    def __init__(self, job_path: str, definition_path: str | None, workbook: Workbook | None,
+                 pipeline: PipelineSpec | None, sort: SortSpec | None,
+                 subtotals: JobSubtotals | None, compare: CompareSpec | None,
+                 expected_headers: list[str] | None):
+        self.job_path = job_path
+        self.definition_path = definition_path
+        self.workbook = workbook
+        self.pipeline = pipeline
+        self.sort = sort
+        self.subtotals = subtotals
+        self.compare = compare
+        self.expected_headers = expected_headers
 
 
 # Converters from a key's text (a list of texts for a repeatable key) to
@@ -329,8 +335,8 @@ def _sort_keys(values: list[str], base: str) -> list[SortKey]:
 
 # Per section: the spec it builds and, per job key, the spec field the
 # key sets and its converter. A key the job leaves out is not passed, so
-# the spec's default applies; a field without a default makes its key
-# required. Each spec checks its own values when it is built.
+# the spec's default applies; a spec parameter without a default makes its
+# key required. Each spec checks its own values when it is built.
 _SCHEMA = {
     "expected-headers": (None, {"headers": ("expected_headers", _names)}),
     "pipeline": (PipelineSpec, {
@@ -426,9 +432,9 @@ def _build_section(path: str, section: str, raw: dict, workbook, **extra):
     key_of = {name: key for key, (name, _) in table.items()}
     if spec_class is None:
         required = list(key_of)
-    else:
-        required = [f.name for f in fields(spec_class)
-                    if f.default is MISSING and f.default_factory is MISSING]
+    else:  # the spec's parameters without a default
+        init = spec_class.__init__
+        required = init.__code__.co_varnames[1:init.__code__.co_argcount - len(init.__defaults__)]
     for name in required:
         if name not in settings:
             raise ConfigError(f"{path}: [{section}] is missing required key {key_of[name]!r}")

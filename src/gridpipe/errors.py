@@ -2,7 +2,8 @@
 
 Two broad families matter to callers: configuration problems (bad
 definitions, bad job files, bad names) and data problems (a record that
-cannot be processed). The CLI maps them to distinct exit codes.
+cannot be processed). The CLI maps them to distinct exit codes. A
+problem that stops nothing is reported through ``warn``.
 """
 
 
@@ -39,3 +40,17 @@ def check_choices(spec, **allowed: tuple) -> None:
         value = getattr(spec, setting)
         if value not in choices:
             raise SettingError(setting, f"must be one of {', '.join(choices)}; got {value!r}")
+
+
+printer = None  # what warn() calls instead of logging; the CLI sets it for a command
+
+
+def warn(message: str) -> None:
+    """Report a problem that does not stop the command: log it as a
+    warning to ``gridpipe.pipeline``, or hand it to ``printer``."""
+    if printer is not None:
+        printer(message)
+        return
+    import logging  # loaded by the first warning: most runs give none
+
+    logging.getLogger("gridpipe.pipeline").warning(message)

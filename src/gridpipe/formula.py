@@ -24,7 +24,6 @@ with ``""`` escaping a single quote.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -66,54 +65,91 @@ class ParseError(ConfigError):
         super().__init__(f"expected {expected} at offset {offset}, found {found}")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # number | string | boolean | cellref | name | operator | punctuation
-    lexeme: str
-    offset: int
+    __slots__ = ("kind", "lexeme", "offset")
+
+    def __init__(self, kind: str, lexeme: str, offset: int):
+        self.kind = kind  # number | string | boolean | cellref | name | operator | punctuation
+        self.lexeme = lexeme
+        self.offset = offset
 
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
-    value: object  # float | str | bool
+class _Node:
+    """Equal, and hashed alike, when of one class with equal fields: a
+    ``Literal`` never equals a ``NameRef`` of the same text."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}({', '.join(map(repr, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class CellRef:
-    row: int
-    col: int
+class Literal(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value  # float | str | bool
 
 
-@dataclass(frozen=True)
-class RangeRef:
-    start: CellRef
-    end: CellRef
+class CellRef(_Node):
+    __slots__ = ("row", "col")
+
+    def __init__(self, row: int, col: int):
+        self.row = row
+        self.col = col
 
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str  # uppercased
+class RangeRef(_Node):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: CellRef, end: CellRef):
+        self.start = start
+        self.end = end
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
+class NameRef(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name  # uppercased
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Unary(_Node):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str  # uppercased
-    args: tuple
+class Binary(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
+
+
+class Call(_Node):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name  # uppercased
+        self.args = args
 
 
 FormulaAst = object  # any of the node classes above

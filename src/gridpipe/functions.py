@@ -10,7 +10,6 @@ Functions never raise: every failure is an error value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
@@ -36,13 +35,16 @@ RANGE = "range"  # scalars also accepted and treated as 1x1 blocks
 RANGE_ONLY = "range-only"
 
 
-@dataclass(frozen=True)
 class FunctionSignature:
-    name: str
-    min_args: int
-    max_args: int | None  # None = unbounded
-    arg_kinds: tuple  # per-position; last kind repeats for variadics
-    impl: Callable
+    __slots__ = ("name", "min_args", "max_args", "arg_kinds", "impl")
+
+    def __init__(self, name: str, min_args: int, max_args: int | None, arg_kinds: tuple,
+                 impl: Callable):
+        self.name = name
+        self.min_args = min_args
+        self.max_args = max_args  # None = unbounded
+        self.arg_kinds = arg_kinds  # per-position; last kind repeats for variadics
+        self.impl = impl
 
 
 REGISTRY: dict[str, FunctionSignature] = {}

@@ -14,14 +14,12 @@ through the same step.
 
 from __future__ import annotations
 
-import logging
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 from .csvio import atomic_output, encode_record, parse_line, read_records
 from .engine import compile_constants, compile_plan
-from .errors import ConfigError, DataError, SettingError, check_choices
+from .errors import ConfigError, DataError, SettingError, check_choices, warn
 from .values import CellError, CellValue, render_value, values_equal
 from .workbook import CellRange, Workbook, format_a1
 
@@ -45,8 +43,6 @@ __all__ = [
     "report_progress",
 ]
 
-log = logging.getLogger(__name__)
-
 HEADER_POLICIES = ("pass-through", "validate", "none")
 FIELD_COUNT_POLICIES = ("strict", "pad-truncate")
 RECORD_ERROR_POLICIES = ("fail-fast", "skip-and-log")
@@ -69,53 +65,76 @@ class StatusCellError(DataError):
     LEFT, RIGHT, or MATCH."""
 
 
-@dataclass
 class PipelineSpec:
-    input_path: str
-    output_path: str
-    input_range: str = "InputCells"
-    output_range: str = "OutputCells"
-    skip_cell: str | None = None
-    skip_sentinel: CellValue = "Skip"
-    carry_forward_range: str | None = None
-    header_policy: str = "pass-through"  # HEADER_POLICIES
-    expected_headers: list[str] | None = None
-    field_count_policy: str = "pad-truncate"  # FIELD_COUNT_POLICIES
-    on_record_error: str = "fail-fast"  # RECORD_ERROR_POLICIES
+    __slots__ = ("input_path", "output_path", "input_range", "output_range", "skip_cell",
+                 "skip_sentinel", "carry_forward_range", "header_policy", "expected_headers",
+                 "field_count_policy", "on_record_error")
 
-    def __post_init__(self):
+    def __init__(self, input_path: str, output_path: str, input_range: str = "InputCells",
+                 output_range: str = "OutputCells", skip_cell: str | None = None,
+                 skip_sentinel: CellValue = "Skip", carry_forward_range: str | None = None,
+                 header_policy: str = "pass-through", expected_headers: list[str] | None = None,
+                 field_count_policy: str = "pad-truncate", on_record_error: str = "fail-fast"):
+        self.input_path = input_path
+        self.output_path = output_path
+        self.input_range = input_range
+        self.output_range = output_range
+        self.skip_cell = skip_cell
+        self.skip_sentinel = skip_sentinel
+        self.carry_forward_range = carry_forward_range
+        self.header_policy = header_policy  # HEADER_POLICIES
+        self.expected_headers = expected_headers
+        self.field_count_policy = field_count_policy  # FIELD_COUNT_POLICIES
+        self.on_record_error = on_record_error  # RECORD_ERROR_POLICIES
         check_choices(
             self,
             header_policy=HEADER_POLICIES,
             field_count_policy=FIELD_COUNT_POLICIES,
             on_record_error=RECORD_ERROR_POLICIES,
         )
-        if self.header_policy == "validate" and not self.expected_headers:
+        if header_policy == "validate" and not expected_headers:
             raise SettingError("header_policy", "'validate' requires expected headers")
 
 
-@dataclass
 class CompareSpec:
-    left_path: str
-    right_path: str
-    output_path: str | None = None
-    left_range: str = "LeftCells"
-    right_range: str = "RightCells"
-    status_cell: str = "Status"
-    has_headings: bool = False
+    __slots__ = ("left_path", "right_path", "output_path", "left_range", "right_range",
+                 "status_cell", "has_headings")
+
+    def __init__(self, left_path: str, right_path: str, output_path: str | None = None,
+                 left_range: str = "LeftCells", right_range: str = "RightCells",
+                 status_cell: str = "Status", has_headings: bool = False):
+        self.left_path = left_path
+        self.right_path = right_path
+        self.output_path = output_path
+        self.left_range = left_range
+        self.right_range = right_range
+        self.status_cell = status_cell
+        self.has_headings = has_headings
 
 
-@dataclass
 class RunStats:
-    records_read: int = 0
-    records_written: int = 0
-    records_skipped: int = 0
-    records_errored: int = 0
-    elapsed: float = 0.0
-    plan_cells: list[str] = field(default_factory=list, compare=False)  # A1, topo order
+    __slots__ = ("records_read", "records_written", "records_skipped", "records_errored",
+                 "elapsed", "plan_cells")
+
+    def __init__(self, records_read: int = 0, records_written: int = 0,
+                 records_skipped: int = 0, records_errored: int = 0, elapsed: float = 0.0,
+                 plan_cells: list[str] | None = None):
+        self.records_read = records_read
+        self.records_written = records_written
+        self.records_skipped = records_skipped
+        self.records_errored = records_errored
+        self.elapsed = elapsed
+        self.plan_cells = [] if plan_cells is None else plan_cells  # A1, topo order
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The statistics by name, in the order ``__slots__`` lists them."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not RunStats:
+            return NotImplemented
+        counts = self.__slots__[:-1]  # plan_cells is not compared
+        return [getattr(self, n) for n in counts] == [getattr(other, n) for n in counts]
 
 
 def validate_headers(found: list[str], expected: list[str]) -> None:
@@ -127,7 +146,7 @@ def validate_headers(found: list[str], expected: list[str]) -> None:
     """
     for position, (got, want) in enumerate(zip(found, expected), start=1):
         if got != got.strip():
-            log.warning("superfluous spaces in header %d: %r", position, got)
+            warn(f"superfluous spaces in header {position}: {got!r}")
         if got.strip().upper() != want.strip().upper():
             break
     else:
@@ -339,7 +358,7 @@ def run_pipeline(
                 stats.records_errored += 1
                 if fail_fast:
                     raise
-                log.warning("%s (record skipped)", exc)
+                warn(f"{exc} (record skipped)")
             else:
                 if result is None:
                     stats.records_skipped += 1
@@ -367,11 +386,13 @@ def run_pipeline(
     return stats
 
 
-@dataclass
 class CompareReport:
-    left_only: list[str] = field(default_factory=list)
-    right_only: list[str] = field(default_factory=list)
-    matches: int = 0
+    __slots__ = ("left_only", "right_only", "matches")
+
+    def __init__(self):
+        self.left_only: list[str] = []
+        self.right_only: list[str] = []
+        self.matches = 0
 
     def is_empty(self) -> bool:
         return not self.left_only and not self.right_only

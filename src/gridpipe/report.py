@@ -7,7 +7,6 @@ lexicographically so output diffs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .csvio import encode_record
@@ -46,23 +45,36 @@ class NonNumericMeasure(DataError):
         )
 
 
-@dataclass(frozen=True)
 class SubtotalJob:
-    measures: tuple[str, ...]
-    group_by: tuple[str, ...]
-    aggregate: str = "sum"  # sum | count
-    measure_indices: tuple[int, ...] = ()
-    group_indices: tuple[int, ...] = ()
+    __slots__ = ("measures", "group_by", "aggregate", "measure_indices", "group_indices")
+
+    def __init__(self, measures: tuple[str, ...], group_by: tuple[str, ...],
+                 aggregate: str = "sum", measure_indices: tuple[int, ...] = (),
+                 group_indices: tuple[int, ...] = ()):
+        self.measures = measures
+        self.group_by = group_by
+        self.aggregate = aggregate  # sum | count
+        self.measure_indices = measure_indices
+        self.group_indices = group_indices
 
 
-@dataclass
 class ReportTable:
-    group_names: list[str]
-    measure_labels: list[str]
-    rows: list[tuple[tuple[str, ...], list[float]]]  # (group key, aggregates)
+    __slots__ = ("group_names", "measure_labels", "rows")
+
+    def __init__(self, group_names: list[str], measure_labels: list[str],
+                 rows: list[tuple[tuple[str, ...], list[float]]]):
+        self.group_names = group_names
+        self.measure_labels = measure_labels
+        self.rows = rows  # (group key, aggregates)
 
     def header(self) -> list[str]:
         return list(self.group_names) + list(self.measure_labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not ReportTable:
+            return NotImplemented
+        return ((self.group_names, self.measure_labels, self.rows)
+                == (other.group_names, other.measure_labels, other.rows))
 
 
 def translation_table(headers: list[str]) -> dict[str, int]:

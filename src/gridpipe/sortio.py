@@ -20,7 +20,6 @@ import heapq
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
@@ -49,33 +48,43 @@ class MissingColumn(DataError):
     """A data row too short for one of the key columns."""
 
 
-@dataclass(frozen=True)
 class SortKey:
-    column: int | str  # 1-based index, or header name (needs headings)
-    descending: bool = False
-    collation: str = "numeric-aware"  # COLLATIONS
+    __slots__ = ("column", "descending", "collation")
 
-    def __post_init__(self):
+    def __init__(self, column: int | str, descending: bool = False,
+                 collation: str = "numeric-aware"):
+        self.column = column  # 1-based index, or header name (needs headings)
+        self.descending = descending
+        self.collation = collation  # COLLATIONS
         check_choices(self, collation=COLLATIONS)
 
+    def __eq__(self, other):
+        if other.__class__ is not SortKey:
+            return NotImplemented
+        return ((self.column, self.descending, self.collation)
+                == (other.column, other.descending, other.collation))
 
-@dataclass
+
 class SortSpec:
-    input_path: str
-    output_path: str
-    has_headings: bool = False
-    keys: list[SortKey] = field(default_factory=lambda: [SortKey(1)])
-    memory_budget_rows: int = 0  # 0 = sort in memory
-    scratch_dir: str | None = None
+    __slots__ = ("input_path", "output_path", "has_headings", "keys", "memory_budget_rows",
+                 "scratch_dir")
 
-    def __post_init__(self):
+    def __init__(self, input_path: str, output_path: str, has_headings: bool = False,
+                 keys: list[SortKey] | None = None, memory_budget_rows: int = 0,
+                 scratch_dir: str | None = None):
+        self.input_path = input_path
+        self.output_path = output_path
+        self.has_headings = has_headings
+        self.keys = [SortKey(1)] if keys is None else keys
+        self.memory_budget_rows = memory_budget_rows  # 0 = sort in memory
+        self.scratch_dir = scratch_dir
         if not self.keys:
             raise SettingError("keys", "none given")
         for sort_key in self.keys:
             column = sort_key.column
             if isinstance(column, int) and column < 1:
                 raise SettingError("keys", f"column must be >= 1, got {column}")
-            if isinstance(column, str) and not self.has_headings:
+            if isinstance(column, str) and not has_headings:
                 raise SettingError("keys", f"{column!r} is a header name, which needs headings")
 
 

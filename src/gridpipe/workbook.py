@@ -7,7 +7,6 @@ single owner at a time; independent instances can be used in parallel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ConfigError
 from .formula import FormulaAst, column_index, column_letters
@@ -68,11 +67,18 @@ _NAME_GRAMMAR = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _CELLREF_SHAPE = re.compile(r"[A-Za-z]{1,3}[1-9][0-9]{0,6}")
 
 
-@dataclass(frozen=True)
 class CellAddress:
-    sheet: str
-    row: int
-    col: int
+    __slots__ = ("sheet", "row", "col")
+
+    def __init__(self, sheet: str, row: int, col: int):
+        self.sheet = sheet
+        self.row = row
+        self.col = col
+
+    def __eq__(self, other):
+        if other.__class__ is not CellAddress:
+            return NotImplemented
+        return (self.sheet, self.row, self.col) == (other.sheet, other.row, other.col)
 
     def key(self) -> tuple[str, int, int]:
         return (self.sheet.upper(), self.row, self.col)
@@ -84,16 +90,21 @@ class CellAddress:
         return f"{self.sheet}!{self.a1()}"
 
 
-@dataclass(frozen=True)
 class CellRange:
-    start: CellAddress
-    end: CellAddress
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start.sheet.upper() != self.end.sheet.upper():
-            raise BadAddress(f"range spans sheets: {self.start} .. {self.end}")
-        if self.start.row > self.end.row or self.start.col > self.end.col:
-            raise BadAddress(f"inverted range corners: {self.start} .. {self.end}")
+    def __init__(self, start: CellAddress, end: CellAddress):
+        if start.sheet.upper() != end.sheet.upper():
+            raise BadAddress(f"range spans sheets: {start} .. {end}")
+        if start.row > end.row or start.col > end.col:
+            raise BadAddress(f"inverted range corners: {start} .. {end}")
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other):
+        if other.__class__ is not CellRange:
+            return NotImplemented
+        return self.start == other.start and self.end == other.end
 
     @property
     def rows(self) -> int:
@@ -123,10 +134,12 @@ class CellRange:
         return f"{self.start.sheet}!{self.start.a1()}:{self.end.a1()}"
 
 
-@dataclass(frozen=True)
 class NamedRange:
-    name: str
-    range: CellRange
+    __slots__ = ("name", "range")
+
+    def __init__(self, name: str, range: CellRange):
+        self.name = name
+        self.range = range
 
 
 def normalized_range(a: CellAddress, b: CellAddress) -> CellRange:

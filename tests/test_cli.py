@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from gridpipe.csvio import read_records
 from gridpipe.report import aggregate, parse_job_line, render_report, translation_table
 
 TOGA_FILE = "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(workdir, name, text):
@@ -63,6 +68,10 @@ def test_run_stats_json(workdir):
         ["--quiet", "run", str(workdir / "caesar.job"), "--stats-json", str(stats_path)]
     ) == 0
     stats = json.loads(stats_path.read_text())
+    assert list(stats) == [  # the order README and perfbench/child.py show
+        "records_read", "records_written", "records_skipped", "records_errored", "elapsed",
+        "plan_cells",
+    ]
     assert stats["records_read"] == 1
     assert stats["records_written"] == 1
     assert stats["records_read"] == (
@@ -414,10 +423,14 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
          "sort key column 'Nope' not in header"),
         ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "run", "store.job",
          "column 'Weight' not found in headers"),
+        # The report would take the first output record for the header line.
+        ("caesar.job", "header = validate\n\n[expected-headers]\n"
+         "headers = Id, Item, Colour, Number", "header = none\n\n[subtotals]\njob = Number : Item",
+         "run", "caesar.job", "[subtotals] reads the header line of the output"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
          "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
-         "unknown-sort-key-in-input", "unknown-subtotal-column"],
+         "unknown-sort-key-in-input", "unknown-subtotal-column", "subtotals-without-header"],
 )
 def test_check_and_the_command_reject_a_job_alike(
     workdir, capsys, edited, old, new, command, job, problem
@@ -442,6 +455,15 @@ def test_quiet_silences_every_command(workdir, capsys):
     assert main(["--quiet", "sort", str(workdir / "store.job")]) == 0
     assert main(["--quiet", "compare", str(workdir / "compare.job")]) == 0
     assert capsys.readouterr().err == ""
+    # A skipped record's warning is printed, unless quiet.
+    _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n1,Toga,Purple,\n2,Belt,Tan,V\n")
+    job = _job_with(workdir, "caesar.job", "on-error = skip-and-log")
+    assert main(["run", job]) == 0
+    assert "gridpipe: record 1: output cell Main!H2 is #VALUE! (record skipped)\n" in (
+        capsys.readouterr().err
+    )
+    assert main(["--quiet", "run", job]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- eval ----------------------------------------------------------------------------
@@ -464,3 +486,37 @@ def test_eval_error_value_exits_2(workdir, capsys):
 
 def test_eval_parse_error_exits_1(workdir, capsys):
     assert main(["eval", str(workdir / "caesar.sheet"), "=1+"]) == 1
+
+
+# --- start-up ------------------------------------------------------------------------
+
+
+def _python(*args, cwd=REPO_ROOT):
+    """Run a fresh interpreter on gridpipe's source; its CompletedProcess."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_a_run_loads_neither_dataclasses_nor_logging(workdir):
+    # Each job runs as its own short process, so every module it imports
+    # is paid for at start-up. -S keeps the environment's site imports out.
+    _write(workdir, "caesar_in.csv", TOGA_FILE)
+    script = (
+        "import sys\n"
+        "from gridpipe import cli, config, csvio, engine, pipeline, report, sortio\n"
+        "code = cli.main(['run', sys.argv[1]])\n"
+        "print(code, sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))\n"
+    )
+    done = _python("-S", "-c", script, str(workdir / "caesar.job"))
+    assert (done.stdout, done.returncode) == ("0 []\n", 0), done.stderr
+    assert _read(workdir, "caesar_out.csv").endswith("1,Toga,Purple,1459\n")
+
+
+def test_python_dash_m_runs_the_cli(workdir):
+    done = _python("-m", "gridpipe", "check", "fixtures/caesar.job")
+    assert (done.stdout, done.returncode) == ("OK\n", 0), done.stderr
+    bad_job = _job_with(workdir, "caesar.job", "on-error = bogus")
+    done = _python("-m", "gridpipe.cli", "check", bad_job)
+    assert done.returncode == 1
+    assert "[pipeline] on-error: must be one of" in done.stderr

@@ -181,6 +181,16 @@ def test_extract_references_collapses_duplicates():
     assert refs == {CellRef(1, 1)}
 
 
+def test_nodes_of_different_classes_are_never_equal():
+    # extract_references collects nodes in a set: a name must not
+    # collapse into a literal, or a cell into a range, of the same fields.
+    assert Literal("A") != NameRef("A")
+    assert len({Literal("A"), NameRef("A")}) == 2
+    assert hash(Literal("A")) != hash(NameRef("A"))
+    assert len({CellRef(1, 1), RangeRef(CellRef(1, 1), CellRef(1, 1))}) == 2
+    assert Call("A", ()) == Call("A", ()) and hash(Call("A", ())) == hash(Call("A", ()))
+
+
 # --- precedence against an independent evaluator ----------------------------
 
 # Reference table, written out separately from the implementation: each
