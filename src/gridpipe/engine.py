@@ -6,10 +6,12 @@ order, compiled into one generated function ``run(values, row=())``
 over the workbook's value dict. In it each plan cell and each field of
 ``row`` is a local, a precedent outside the plan is one ``values.get``,
 and operator and function implementations are constants called
-directly. Every value read or computed that can be an error is checked,
-and an error breaks out of its cell where the formula first meets it,
-left to right. It returns the observed values as a tuple and writes
-only the cells a range or a later generated function reads.
+directly, or direct code where an operand's kind (text, bool, number)
+is known. ``IF`` is an ``if``/``else``: its condition, then only the
+branch taken. Every value read or computed that can be an error is
+checked, and an error breaks out of its cell where the formula first
+meets it, left to right. It returns the observed values as a tuple and
+writes only the cells a range or a later generated function reads.
 
 A plan is pruned by demand: cells downstream of the dirty cells and the
 fields and upstream of an observed cell. ``recalculate`` observes none
@@ -30,10 +32,11 @@ from collections import namedtuple
 from .errors import ConfigError
 from .formula import Binary, Call, CellRef, Literal, NameRef, RangeRef, Unary
 from .formula import extract_references, parse_formula
-from .functions import RANGE_ONLY, SCALAR, lookup
+from .functions import BOOL, NUMBER, RANGE_ONLY, SCALAR, TEXT, arabic_value, lookup
 from .values import (
     BLANK,
     BINARY_OPS,
+    Blank,
     CellError,
     CellValue,
     NAME_ERROR,
@@ -42,6 +45,9 @@ from .values import (
     REF_ERROR,
     UNARY_OPS,
     VALUE_ERROR,
+    render_number,
+    render_value,
+    to_boolean,
 )
 from .workbook import CellAddress, Workbook, format_a1
 
@@ -72,20 +78,28 @@ class UnknownNameError(ConfigError):
 
 # --- Code generation -----------------------------------------------------------
 
-# Operand kinds known at compile time. A SCALAR operand is a value that
-# is not an error (it was checked where it was produced); TEXT (a str)
-# and BOOL never are. A RANGE operand is a constant tuple of key rows,
-# read only where a function takes a range.
-_SCALAR, _TEXT, _BOOL, _RANGE = "scalar", "text", "bool", "range"
+# Operand kinds known at compile time. An operand is a value that is
+# not an error (it was checked where it was produced): TEXT (a str), BOOL,
+# NUMBER (a float) or _ANY of these or blank. A _RANGE operand is a
+# constant tuple of key rows, read only where a function takes a range.
+# Whether a cell can hold an error is tracked apart from its kind.
+_ANY, _RANGE = "any", "range"
 _TEXT_COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 _CHUNK = 8  # plan cells per generated function; compile() memory grows with it
+_IF_DEPTH = 64  # IFs nested in IFs, as in a spreadsheet; Python stops at 100 indents
 
 
 def _block(get, key_rows):
     """A range's values, or the first error among them in row-major order."""
     block = RangeValue([[get(k, BLANK) for k in row] for row in key_rows])
     return next((v for v in block if v.__class__ is CellError), block)
+
+
+# The names generated code and the direct forms of functions use.
+_GLOBALS = {"BLANK": BLANK, "Blank": Blank, "CellError": CellError, "_block": _block,
+            "render_number": render_number, "render_value": render_value,
+            "to_boolean": to_boolean, "arabic_value": arabic_value}
 
 
 class _Emitter:
@@ -103,54 +117,96 @@ class _Emitter:
         self.consts: dict[str, object] = {}  # globals of the generated function
         # plan cell or field key -> local name, and the kind of its value
         self.locals = {key: f"p{i}" for i, key in enumerate(fields)}
-        self.kinds = dict.fromkeys(self.locals, _TEXT)
+        self.kinds = dict.fromkeys(self.locals, TEXT)
+        self.fails: set[tuple] = set()  # plan cells whose value can be an error
         self.temps = 0
+        self.indent = "    "
 
     def const(self, value) -> str:
         name = f"k{len(self.consts)}"
         self.consts[name] = value
         return name
 
+    def emit(self, text: str) -> None:
+        self.lines.append(self.indent + text)
+
     def check(self, operand: str) -> None:
         """Leave the cell with ``operand`` as its value if it is an error."""
-        self.lines.append(f"    if {operand}.__class__ is CellError: {self.target} = {operand}; break")
+        self.emit(f"if {operand}.__class__ is CellError: {self.target} = {operand}; break")
+        self.breaks = True
 
     def temp(self, expr: str) -> str:
         """A new local holding ``expr``, checked for an error."""
         name = f"t{self.temps}"
         self.temps += 1
-        self.lines.append(f"    {name} = {expr}")
+        self.emit(f"{name} = {expr}")
         self.check(name)
         return name
 
     def fail(self, error: CellValue):
         """The cell's value is ``error`` once evaluation gets here."""
         name = self.const(error)
-        self.lines.append(f"    {self.target} = {name}")
-        self.lines.append("    break")
-        return name, _SCALAR
+        self.emit(f"{self.target} = {name}")
+        self.emit("break")
+        self.breaks = True
+        return name, _ANY
+
+    def text(self, operand: str, kind) -> str:
+        """Code for the text an operand renders as."""
+        if kind is TEXT:
+            return operand
+        if kind is BOOL:
+            return f'("TRUE" if {operand} else "FALSE")'
+        return f"{'render_number' if kind is NUMBER else 'render_value'}({operand})"
 
     def cell(self, key: tuple, ast, write: bool) -> None:
         target = self.target = f"c{len(self.locals)}"
+        self.breaks = False
         self.lines.append("while True:")
         operand, kind = self.expr(ast, key[0])
         if kind is _RANGE:  # a bare range is no cell value
-            self.fail(VALUE_ERROR)
+            _, kind = self.fail(VALUE_ERROR)
         else:
-            self.lines.append(f"    {target} = {operand}")
-            self.lines.append("    break")
+            self.emit(f"{target} = {operand}")
+            self.emit("break")
         self.locals[key] = target
-        self.kinds[key] = _SCALAR if kind is _RANGE else kind  # only SCALAR exits on errors
+        self.kinds[key] = kind
+        if self.breaks:
+            self.fails.add(key)
         if write:
             self.lines.append(f"values[{key!r}] = {target}")
 
     def read(self, key: tuple):
         local = self.locals.get(key)
         if local is None:
-            return self.temp(f"get({key!r}, BLANK)"), _SCALAR
-        if self.kinds[key] is _SCALAR:
+            return self.temp(f"get({key!r}, BLANK)"), _ANY
+        if key in self.fails:
             self.check(local)
         return local, self.kinds[key]
+
+    def if_else(self, args, sheet: str):
+        """IF's condition, then each branch under an ``if``/``else``
+        into one local; the branch not taken is never evaluated."""
+        condition, kind = self.expr(args[0], sheet)
+        if kind is _RANGE or len(self.indent) > 4 * _IF_DEPTH:
+            return self.fail(VALUE_ERROR)
+        if kind is not BOOL and kind is not NUMBER:  # a number is true unless zero
+            condition = self.temp(f"to_boolean({condition})")
+        result = f"t{self.temps}"
+        self.temps += 1
+        otherwise = args[2] if len(args) > 2 else None  # a missing branch gives FALSE
+        kinds = []
+        for head, arg in (f"if {condition}:", args[1]), ("else:", otherwise):
+            self.emit(head)
+            self.indent += "    "
+            operand, kind = ("False", BOOL) if arg is None else self.expr(arg, sheet)
+            if kind is _RANGE:
+                _, kind = self.fail(VALUE_ERROR)
+            else:
+                self.emit(f"{result} = {operand}")
+            self.indent = self.indent[:-4]
+            kinds.append(kind)
+        return result, kinds[0] if kinds[0] is kinds[1] else _ANY
 
     def expr(self, node, sheet: str):
         cls = node.__class__
@@ -164,8 +220,8 @@ class _Emitter:
                 v = NUM_ERROR  # numbers are finite end-to-end
             if v.__class__ is CellError:
                 return self.fail(v)
-            kind = _TEXT if v.__class__ is str else _BOOL if v.__class__ is bool else _SCALAR
-            return (repr(v) if v.__class__ in (str, float, bool) else self.const(v)), kind
+            kind = {str: TEXT, bool: BOOL, float: NUMBER}.get(v.__class__, _ANY)
+            return (self.const(v) if kind is _ANY else repr(v)), kind
 
         if cls is CellRef:
             if not (1 <= node.row <= wb.max_rows and 1 <= node.col <= wb.max_cols):
@@ -189,19 +245,20 @@ class _Emitter:
             operand, kind = self.expr(node.operand, sheet)
             if kind is _RANGE:
                 return self.fail(VALUE_ERROR)
-            return self.temp(f"{self.const(UNARY_OPS[node.op])}({operand})"), _SCALAR
+            return self.temp(f"{self.const(UNARY_OPS[node.op])}({operand})"), NUMBER
 
         if cls is Binary:
             left, left_kind = self.expr(node.left, sheet)
             right, right_kind = self.expr(node.right, sheet)
             if left_kind is _RANGE or right_kind is _RANGE:
                 return self.fail(VALUE_ERROR)  # every operator rejects a range
-            if left_kind is _TEXT and right_kind is _TEXT:
-                if node.op == "&":
-                    return f"({left} + {right})", _TEXT
-                if node.op in _TEXT_COMPARE:
-                    return f"({left}.upper() {_TEXT_COMPARE[node.op]} {right}.upper())", _BOOL
-            return self.temp(f"{self.const(BINARY_OPS[node.op])}({left}, {right})"), _SCALAR
+            if node.op == "&":
+                return f"({self.text(left, left_kind)} + {self.text(right, right_kind)})", TEXT
+            compare = _TEXT_COMPARE.get(node.op)
+            if compare and left_kind is TEXT and right_kind is TEXT:
+                return f"({left}.upper() {compare} {right}.upper())", BOOL
+            operation = f"{self.const(BINARY_OPS[node.op])}({left}, {right})"
+            return self.temp(operation), NUMBER if compare is None else BOOL
 
         if cls is Call:
             sig = lookup(node.name)
@@ -211,7 +268,9 @@ class _Emitter:
                 sig.max_args is not None and len(node.args) > sig.max_args
             ):
                 return self.fail(VALUE_ERROR)
-            args = []
+            if sig.name == "IF":
+                return self.if_else(node.args, sheet)
+            args, texts = [], []
             for i, arg in enumerate(node.args):
                 arg_kind = sig.arg_kinds[min(i, len(sig.arg_kinds) - 1)]
                 operand, kind = self.expr(arg, sheet)
@@ -222,7 +281,11 @@ class _Emitter:
                 elif arg_kind is RANGE_ONLY:
                     return self.fail(VALUE_ERROR)
                 args.append(operand)
-            return self.temp(f"{self.const(sig.impl)}([{', '.join(args)}])"), _SCALAR
+                texts.append(self.text(operand, kind))
+            if sig.direct is not None:
+                code, kind = sig.direct
+                return self.temp(code.format(*args, t=texts)), kind
+            return self.temp(f"{self.const(sig.impl)}([{', '.join(args)}])"), _ANY
 
         raise TypeError(f"not an AST node: {node!r}")
 
@@ -238,8 +301,7 @@ class _Emitter:
         body = [*head, *self.lines, "return (" + "".join(f"{op}, " for op in operands) + ")"]
         source = "def run(values, row=()):\n"
         source += "".join(f"    {text}\n" for text in body)
-        namespace = {"BLANK": BLANK, "CellError": CellError, "_block": _block}
-        namespace.update(self.consts)
+        namespace = {**_GLOBALS, **self.consts}
         exec(compile(source, f"<{name}>", "exec"), namespace)
         return namespace["run"]
 

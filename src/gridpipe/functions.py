@@ -5,6 +5,10 @@ filtered out by the engine (an error argument propagates before the
 function runs), and a range only where its signature accepts one, so a
 scalar argument always renders as text. It returns a CellValue.
 Functions never raise: every failure is an error value.
+
+A few functions also have a *direct form*, code the engine writes in
+place of the call when it compiles a plan. ``IF`` has none: the engine
+compiles it as control flow and evaluates only the branch taken.
 """
 
 from __future__ import annotations
@@ -33,26 +37,34 @@ __all__ = ["FunctionSignature", "REGISTRY", "lookup", "arabic", "roman"]
 SCALAR = "scalar"
 RANGE = "range"  # scalars also accepted and treated as 1x1 blocks
 RANGE_ONLY = "range-only"
+# What a value that is not an error is known to be when a plan compiles.
+TEXT, BOOL, NUMBER = "text", "bool", "number"
 
 
 class FunctionSignature:
-    __slots__ = ("name", "min_args", "max_args", "arg_kinds", "impl")
+    __slots__ = ("name", "min_args", "max_args", "arg_kinds", "impl", "direct")
 
     def __init__(self, name: str, min_args: int, max_args: int | None, arg_kinds: tuple,
-                 impl: Callable):
+                 impl: Callable, direct: tuple | None = None):
         self.name = name
         self.min_args = min_args
         self.max_args = max_args  # None = unbounded
         self.arg_kinds = arg_kinds  # per-position; last kind repeats for variadics
         self.impl = impl
+        # None, or (code, kind): a Python expression of the value ``impl``
+        # gives, formatted with the arguments' expressions as positional
+        # fields and their texts as ``t``, and the kind of that value
+        # when it is not an error. Each name it uses is a global of
+        # every plan (``engine._GLOBALS``).
+        self.direct = direct
 
 
 REGISTRY: dict[str, FunctionSignature] = {}
 
 
-def _register(name, min_args, max_args, arg_kinds):
+def _register(name, min_args, max_args, arg_kinds, direct=None):
     def wrap(fn):
-        REGISTRY[name] = FunctionSignature(name, min_args, max_args, arg_kinds, fn)
+        REGISTRY[name] = FunctionSignature(name, min_args, max_args, arg_kinds, fn, direct)
         return fn
 
     return wrap
@@ -126,7 +138,7 @@ def roman_text(n: int) -> str:
     return _NUMERALS[n] if n > 0 else ""  # a negative index would wrap
 
 
-@_register("ARABIC", 1, 1, (SCALAR,))
+@_register("ARABIC", 1, 1, (SCALAR,), ("arabic_value({t[0]})", NUMBER))
 def arabic(args):
     return arabic_value(render_value(args[0]))
 
@@ -184,12 +196,12 @@ def not_(args):
     return not b
 
 
-@_register("ISBLANK", 1, 1, (SCALAR,))
+@_register("ISBLANK", 1, 1, (SCALAR,), ("({0}).__class__ is Blank", BOOL))
 def isblank(args):
     return args[0].__class__ is Blank
 
 
-@_register("EXACT", 2, 2, (SCALAR, SCALAR))
+@_register("EXACT", 2, 2, (SCALAR, SCALAR), ("{t[0]} == {t[1]}", BOOL))
 def exact(args):
     return render_value(args[0]) == render_value(args[1])
 

@@ -247,6 +247,7 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
     plan = compile_plan(wb, carry_keys, observed, field_keys)
     run, values = plan.run, wb.values
     names = [f"{role} {_a1(wb, key)}" for key, role in observed.items()]
+    skip_false = skip is not None and values_equal(False, skip)
     last_row = last_out = ()
 
     def step(number, fields, *more):
@@ -257,8 +258,10 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
                 row = row + _fit_fields(fields, size, policy, number)
         last_row = row
         last_out = out = run(values, row)
-        if skip is not None and (out[0] is True or values_equal(out[0], skip)):
-            return None
+        if skip is not None:
+            flag = out[0]
+            if flag is True or (skip_false if flag is False else values_equal(flag, skip)):
+                return None
         for value in out:
             if value.__class__ is CellError:
                 name = next(n for n, v in zip(names, out) if v is value)
@@ -328,6 +331,7 @@ def run_pipeline(
     fail_fast = spec.on_record_error == "fail-fast"
     single_carry = len(carry_keys) == 1
     stats = RunStats(plan_cells=[_a1(wb, key) for key in plan.cells])
+    read = written = skipped = errored = 0
 
     with atomic_output(spec.output_path) as out:
         records = read_records(spec.input_path)
@@ -344,41 +348,46 @@ def run_pipeline(
         commas = () if header_width is None else (0, header_width - 1)
 
         for raw, fields in records:
-            stats.records_read += 1
+            read += 1
             try:
-                result = step(stats.records_read, fields)
+                result = step(read, fields)
                 if result is not None and width == 1:  # the line as the sheet built it
-                    line = render_value(result[first])
+                    line = result[first]
+                    if line.__class__ is not str:
+                        line = render_value(line)
                     # Without quotes or line breaks, its commas tell its width.
                     if ('"' in line or "\n" in line or "\r" in line
                             or commas and line.count(",") not in commas):
-                        _check_readback(line, header_width,
-                                        f"record {stats.records_read}: {payload_name}")
+                        _check_readback(line, header_width, f"record {read}: {payload_name}")
             except DataError as exc:
-                stats.records_errored += 1
+                errored += 1
                 if fail_fast:
                     raise
                 warn(f"{exc} (record skipped)")
             else:
                 if result is None:
-                    stats.records_skipped += 1
+                    skipped += 1
                 else:
                     if width > 1:
-                        rendered = [render_value(value) for value in result[first:]]
+                        rendered = [value if value.__class__ is str else render_value(value)
+                                    for value in result[first:]]
                         line = ",".join(rendered)
                         if (line.count(",") != width - 1 or '"' in line
                                 or "\n" in line or "\r" in line):
                             line = encode_record(rendered)
                     out.write(line + "\n")
-                    stats.records_written += 1
+                    written += 1
                     if single_carry:
                         values[carry_keys[0]] = line
                     elif carry_keys:
                         values.update(zip(carry_keys, rendered))
-            if progress_every:
+            if progress_every and not read % progress_every:
+                stats.records_read = read
                 report_progress(stats, progress_every, progress_stream)
     write_back()
 
+    stats.records_read, stats.records_written = read, written
+    stats.records_skipped, stats.records_errored = skipped, errored
     stats.elapsed = time.perf_counter() - started
     assert stats.records_read == (
         stats.records_written + stats.records_skipped + stats.records_errored

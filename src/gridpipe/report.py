@@ -7,6 +7,7 @@ lexicographically so output diffs are deterministic.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .csvio import encode_record
@@ -163,33 +164,45 @@ def subtotal(records: Iterable[list[str]], jobs: list[SubtotalJob]) -> list[Repo
     at the first record that holds one (within it, the first job, then
     the first measure).
     """
-    accumulators: list[dict[tuple[str, ...], list[float]]] = [{} for _ in jobs]
+    accumulators: list[dict] = [{} for _ in jobs]
+    # Per job: its group key getter, (slot, column) per measure, whether
+    # it counts rather than sums, its groups and its measure names.
+    plans = [
+        (itemgetter(*job.group_indices), list(enumerate(job.measure_indices)),
+         job.aggregate == "count", groups, job.measures)
+        for job, groups in zip(jobs, accumulators)
+    ]
+    # A short record reads as blank past its end, so pad it to the
+    # furthest column any job reads.
+    reach = 1 + max((i for job in jobs for i in job.group_indices + job.measure_indices),
+                    default=-1)
     for record_index, fields in enumerate(records, start=1):
-        width = len(fields)
-        for job, groups in zip(jobs, accumulators):
-            key = tuple(fields[i] if i < width else "" for i in job.group_indices)
+        if len(fields) < reach:
+            fields = fields + [""] * (reach - len(fields))
+        for key_of, measures, counting, groups, names in plans:
+            key = key_of(fields)
             totals = groups.get(key)
             if totals is None:
-                totals = groups[key] = [0.0] * len(job.measure_indices)
-            for slot, column_index in enumerate(job.measure_indices):
-                text = fields[column_index] if column_index < width else ""
+                totals = groups[key] = [0.0] * len(measures)
+            for slot, column_index in measures:
+                text = fields[column_index]
                 if not text.strip():
                     continue  # blank fields are neither counted nor summed
-                if job.aggregate == "count":
+                if counting:
                     totals[slot] += 1.0
                     continue
                 number = parse_number(text)
                 if number is None:
-                    raise NonNumericMeasure(record_index, job.measures[slot], text)
+                    raise NonNumericMeasure(record_index, names[slot], text)
                 totals[slot] += number
-    return [
-        ReportTable(
-            group_names=list(job.group_by),
-            measure_labels=[f"{job.aggregate.capitalize()} of {m}" for m in job.measures],
-            rows=sorted(groups.items()),
-        )
-        for job, groups in zip(jobs, accumulators)
-    ]
+    tables = []
+    for job, groups in zip(jobs, accumulators):
+        rows = sorted(groups.items())
+        if len(job.group_indices) == 1:  # itemgetter gave the bare field
+            rows = [((key,), totals) for key, totals in rows]
+        labels = [f"{job.aggregate.capitalize()} of {m}" for m in job.measures]
+        tables.append(ReportTable(list(job.group_by), labels, rows))
+    return tables
 
 
 def aggregate(records: list[list[str]], job: SubtotalJob) -> ReportTable:

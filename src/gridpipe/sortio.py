@@ -5,9 +5,10 @@ row is read, and travels with the raw text as a ``(key, raw)`` pair.
 Rows collect in a chunk; with a memory budget, a full chunk is sorted
 and spilled as a run of pickled blocks when the next row arrives. The
 last chunk is never written: it joins the final ``heapq.merge`` of the
-runs from memory, as its last input. ``heapq.merge`` keeps its inputs'
-order on ties and the runs are merged in input order, so the external
-path is byte-identical to the in-memory one (no budget: no runs).
+runs from memory, as its last input, or is the output itself when
+nothing spilled. ``heapq.merge`` keeps its inputs' order on ties and
+the runs are merged in input order, so the external path is
+byte-identical to the in-memory one (no budget: no runs).
 Memory is O(budget + MERGE_FAN_IN x block). Because every sort is
 stable, sorting by the last key, then the next, up to the first, gives
 exactly the composite multi-key order -- which is also how more keys
@@ -126,34 +127,36 @@ class _Desc:
         return other.inner == self.inner
 
 
-def _key_element(field_text: str, collation: str):
-    # Numeric-aware collation is a total order: all numbers sort before
-    # all non-numeric text, numbers numerically, text case-insensitively.
-    # The tag decides first, so a number is never compared with a text.
-    if collation == "numeric-aware":
-        number = parse_number(field_text)
-        if number is not None:
-            return (0, number)
-        return (1, field_text.upper())
-    return field_text.upper()
+def _element_function(sort_key: SortKey, index: int):
+    """``element(fields, row_no)``: one sort key's element of a row.
+
+    Numeric-aware collation is a total order: all numbers sort before
+    all non-numeric text, numbers numerically, text case-insensitively.
+    The tag decides first, so a number is never compared with a text.
+    """
+    numeric = sort_key.collation == "numeric-aware"
+    descending = sort_key.descending
+
+    def element(fields: list[str], row_no: int):
+        if index >= len(fields):
+            raise MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
+        text = fields[index]
+        if numeric:
+            number = parse_number(text)
+            value = (1, text.upper()) if number is None else (0, number)
+        else:
+            value = text.upper()
+        return _Desc(value) if descending else value
+
+    return element
 
 
 def _key_function(keys: list[SortKey], indices: list[int]):
     """Sort key of a row: the bare element for one key, else a tuple."""
-    pairs = list(zip(keys, indices))
-
-    def element(fields: list[str], row_no: int, sort_key: SortKey, index: int):
-        if index >= len(fields):
-            raise MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
-        value = _key_element(fields[index], sort_key.collation)
-        return _Desc(value) if sort_key.descending else value
-
-    if len(pairs) == 1:
-        [(sort_key, index)] = pairs
-        return lambda fields, row_no: element(fields, row_no, sort_key, index)
-    return lambda fields, row_no: tuple(
-        element(fields, row_no, sort_key, index) for sort_key, index in pairs
-    )
+    elements = [_element_function(k, i) for k, i in zip(keys, indices)]
+    if len(elements) == 1:
+        return elements[0]
+    return lambda fields, row_no: tuple(element(fields, row_no) for element in elements)
 
 
 def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> list[int]:
@@ -226,7 +229,7 @@ def sort_file(spec: SortSpec) -> int:
                     os.remove(done)
 
         # The chunk merges last, so equal keys keep their input order.
-        pairs = heapq.merge(*map(_read_run, runs), chunk, key=_pair_key)
+        pairs = heapq.merge(*map(_read_run, runs), chunk, key=_pair_key) if runs else chunk
         count = 0
         with atomic_output(spec.output_path) as out:
             if header_raw is not None:

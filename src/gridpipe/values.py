@@ -232,7 +232,8 @@ def power(a: CellValue, b: CellValue) -> CellValue:
 
 
 def concat(a: CellValue, b: CellValue) -> CellValue:
-    # The engine passes no error and no range to an operator.
+    # What `&` gives for operands that are not errors. A plan renders
+    # each side by its kind instead of calling this.
     return render_value(a) + render_value(b)
 
 

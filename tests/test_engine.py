@@ -348,7 +348,30 @@ def test_error_propagates_first_in_argument_order():
     assert evaluate_source(wb, "=A1+B1") == DIV0
     assert evaluate_source(wb, "=B1+A1") == VALUE_ERROR
     assert evaluate_source(wb, "=SUM(A1:B1)") == DIV0
-    assert evaluate_source(wb, "=IF(TRUE,1,B1)") == VALUE_ERROR  # eager arguments
+    assert evaluate_source(wb, "=IF(TRUE,1,B1)") == 1.0  # the branch not taken
+
+
+def test_if_evaluates_its_condition_then_only_the_branch_taken():
+    wb = _sheet({"A1": 0.0, "B1": 1.0, "B2": 2.0})
+    assert evaluate_source(wb, "=IF(A1=0,0,1/A1)") == 0.0
+    assert evaluate_source(wb, "=IF(TRUE,1,1/0)") == 1.0
+    assert evaluate_source(wb, '=IF(FALSE,1/0,"ok")') == "ok"
+    assert evaluate_source(wb, "=IF(1/0,1,2)") == DIV0  # an error in the condition wins
+    assert evaluate_source(wb, '=IF("maybe",1,2)') == VALUE_ERROR
+    assert evaluate_source(wb, "=IF(TRUE,1,B1:B2)") == 1.0  # a range not taken is no error
+    assert evaluate_source(wb, "=IF(FALSE,1,B1:B2)") == VALUE_ERROR
+    nested = "IF(FALSE,0," * 64 + "7" + ")" * 64
+    assert evaluate_source(wb, "=" + nested) == 7.0
+    assert evaluate_source(wb, "=IF(FALSE,0," + nested + ")") == VALUE_ERROR  # 65 deep
+
+
+def test_compare_status_cell_compiles_if_as_control_flow():
+    from gridpipe.functions import if_
+
+    wb = load_definition(f"{FIXTURES}/compare.sheet")
+    plan = compile_plan(wb, [], _keys(wb, "Status"), _keys(wb, "LeftCells", "RightCells"))
+    assert [name for name, value in plan.run.__globals__.items() if value is if_] == []
+    assert plan.run(wb.values, ["9", "", "", "", "10", "", "", ""]) == ("RIGHT",)
 
 
 def test_range_in_scalar_position_is_value_error():
@@ -470,6 +493,8 @@ def _step_values(cells: dict, fields: dict, observed: list):
         ("=A2&C1", {"A2": "x"}, "x5"),  # C1 holds the number 5
         ("=A2=C1", {"A2": "5"}, False),  # text is never equal to a number
         ("=SUM(A1:B3)+LEN(A1)", {"A1": "12"}, 4.0),  # the range skips the text
+        ('=IF(A2="0",0,1/A2)', {"A2": "0"}, 0.0),
+        ('=IF(A2="0",0,1/A2)', {"A2": "4"}, 0.25),
     ],
 )
 def test_record_step_examples(formula, fields, expected):
@@ -497,3 +522,74 @@ def test_text_operators_keep_their_text_kind_in_generated_code(monkeypatch):
     [source] = [text for text in sources if "= row" in text]
     assert "((p0 + ',') + p1)" in source
     assert "CellError" not in source  # no value here can be an error
+
+
+def test_text_of_a_cell_that_can_be_an_error_is_checked_where_it_is_read():
+    cells = {"A1": "=1/0", "C1": "=A1&B1", "D1": '=C1&"x"'}
+    assert _step_values(cells, {"B1": "y"}, ["D1", "C1"]) == (DIV0, DIV0)
+    wb = _sheet(cells)
+    recalculate(wb)
+    assert wb.values[_addr("D1").key()] == DIV0
+
+
+# Operands of every kind: the formula text of each, and its value.
+OPERANDS = [
+    ("Z9", BLANK), ("TRUE", True), ("FALSE", False), ("0.1", 0.1), ("1E21", 1e21),
+    ("-0", -0.0), ('""', ""), ('"TRUE"', "TRUE"), ('"iv"', "iv"), ("1/0", DIV0),
+]
+# Where an operand comes from: written in the formula, a formula cell
+# in the same plan, a cell holding the value, or a field of the record.
+FORMS = ["inline", "formula", "value", "field"]
+
+
+def _eager(name, args):
+    """What the eager implementations give; an error operand, first in
+    argument order, wins (IF's: the condition, then the branch taken)."""
+    from gridpipe.functions import REGISTRY
+    from gridpipe.values import CellError, concat, to_boolean
+
+    if name == "IF":
+        if args[0].__class__ is CellError:
+            return args[0]
+        taken = to_boolean(args[0])
+        if taken.__class__ is CellError:
+            return taken
+        index = 1 if taken else 2
+        if index < len(args) and args[index].__class__ is CellError:
+            return args[index]
+        args = [BLANK if a.__class__ is CellError else a for a in args]
+    for arg in args:
+        if arg.__class__ is CellError:
+            return arg
+    return concat(*args) if name == "&" else REGISTRY[name].impl(args)
+
+
+def test_typed_code_agrees_with_the_eager_implementations():
+    rng = random.Random(15)
+    shapes = {"&": 2, "EXACT": 2, "ISBLANK": 1, "ARABIC": 1, "IF": 3}
+    for case in range(600):
+        name = rng.choice(list(shapes))
+        arity = shapes[name] - (name == "IF" and rng.random() < 0.25)
+        wb = Workbook()
+        texts, values, fields, row = [], [], [], []
+        for i in range(arity):
+            text, value = rng.choice(OPERANDS)
+            form = rng.choice(FORMS)
+            key = ("MAIN", 1, i + 1)
+            if form == "field" and value.__class__ is str:
+                fields.append(key)
+                row.append(value)
+            elif form == "formula":
+                wb.set_cell(_addr(format_a1(1, i + 1)), parse_formula("=" + text))
+            elif form == "value" and value is not BLANK:
+                wb.set_cell(_addr(format_a1(1, i + 1)), value)
+            elif form != "value":
+                key = None
+            texts.append(text if key is None else format_a1(1, i + 1))
+            values.append(value)
+        source = f"={texts[0]}&{texts[1]}" if name == "&" else f"={name}({','.join(texts)})"
+        wb.set_cell(_addr("A3"), parse_formula(source))
+        plan = build_graph(wb).plan(wb, None, (("MAIN", 3, 1),), tuple(fields))
+        (got,) = plan.run(wb.values, row)
+        want = _eager(name, values)
+        assert (got.__class__, repr(got)) == (want.__class__, repr(want)), (case, source, values)

@@ -429,6 +429,22 @@ def test_skip_cell_boolean_true(workdir):
     assert stats.records_skipped == 1
 
 
+@pytest.mark.parametrize(
+    "sentinel, written", [(False, "h\ny\nFALSE\nSkip\n"), ("Skip", "h\nx\ny\nFALSE\n")]
+)
+def test_skip_sentinel_false_skips_false_records_only(workdir, sentinel, written):
+    wb = Workbook()
+    wb.set_cell(_addr("C2"), parse_formula('=IF(A2="x",FALSE,A2)'))
+    wb.set_cell(_addr("D2"), parse_formula("=A2"))
+    wb.define_name("InputCells", _rng("A2", "A2"))
+    wb.define_name("OutputCells", _rng("C2", "D2"))
+    wb.define_name("Flag", _rng("C2", "C2"))
+    _write(workdir, "h\nx\ny\nFALSE\nSkip\n")
+    stats = run_pipeline(_spec(workdir, skip_cell="Flag", skip_sentinel=sentinel), wb)
+    assert _output(workdir) == written
+    assert stats.records_skipped == 1
+
+
 def test_dedup_against_first_occurrence_oracle(workdir):
     rng = random.Random(11)
     rows = []

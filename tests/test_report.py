@@ -138,6 +138,16 @@ def test_blank_measures_contribute_nothing():
     assert table.rows == [(("Toga", "Red"), [5.0])]
 
 
+def test_a_short_record_reads_its_missing_fields_as_blank():
+    # Id, Item, Colour, Number, Amount: each short record lacks the
+    # Colour, Number or Amount that the jobs read.
+    records = [["1", "Toga", "", "5", "7"], ["2", "Toga"], ["3", "Toga", "", "2"], ["4"]]
+    jobs = [_job(("Number", "Amount")), _job(("Number", "Amount"), aggregate_kind="count")]
+    sums, counts = subtotal(iter(records), jobs)
+    assert sums.rows == [(("", ""), [0.0, 0.0]), (("Toga", ""), [7.0, 7.0])]
+    assert counts.rows == [(("", ""), [0.0, 0.0]), (("Toga", ""), [2.0, 1.0])]
+
+
 def test_aggregation_is_permutation_invariant_for_integers():
     rng = random.Random(31)
     records = [
