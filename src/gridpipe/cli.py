@@ -14,7 +14,7 @@ import sys
 from . import config as config_mod, errors
 from .csvio import atomic_output, read_records
 from .engine import recalculate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, warn
 from .pipeline import run_pipeline, compare_files, validate_headers
 from .report import parse_job_line, render_report, subtotal, translation_table
 from .sortio import _resolve_key_columns, sort_file
@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
     if job.pipeline is None:
         raise ConfigError(f"{args.job}: [pipeline] section is required by 'run'")
     spec = job.pipeline
-    _resolve_header_names(job)  # before the sort writes anything
+    _check_header_line(job)  # before the sort writes anything
     if job.sort is not None:
         rows = sort_file(job.sort)
         if not args.quiet:
@@ -144,6 +144,7 @@ def _cmd_sort(args) -> int:
     job = config_mod.load_job(args.job)
     if job.sort is None:
         raise ConfigError(f"{args.job}: [sort] section is required by 'sort'")
+    _check_header_line(job)
     rows = sort_file(job.sort)
     if not args.quiet:
         print(f"sorted {rows} rows into {job.sort.output_path}", file=sys.stderr)
@@ -177,45 +178,37 @@ def _cmd_compare(args) -> int:
 
 def _cmd_check(args) -> int:
     # Loading the job runs every configured command's preflight.
-    job = config_mod.load_job(args.job)
-
-    if job.pipeline is not None and job.expected_headers:
-        head = _header_line(job.pipeline.input_path)
-        if head is not None:
-            validate_headers(head, job.expected_headers)
-
-    _resolve_header_names(job)
+    _check_header_line(config_mod.load_job(args.job))
     print("OK")
     return EXIT_OK
 
 
-def _header_line(path) -> list[str] | None:
-    """The fields of the first record of ``path``; None if it has none."""
-    try:
-        head = next(read_records(path), None)
-    except OSError:
-        return None  # input absent is fine for a static check
-    return None if head is None else head[1]
-
-
-def _resolve_header_names(job) -> None:
-    """Resolve the sort keys and subtotal columns as ``sort`` and ``run``
-    will: against the expected headers, else the header line of
-    ``[sort] input``, or of ``[pipeline] input`` without a sort. So a
-    name missing from it fails before any data is written, and so does
-    a report on a ``run`` output that has no header line."""
-    if job.sort is None and job.subtotals is None:
+def _check_header_line(job) -> None:
+    """Check the job's header line before ``check``, ``sort`` or ``run``
+    writes: the first line of ``[sort] input``, or of ``[pipeline] input``
+    without a sort, if that section has headings and the file exists. It
+    must match ``[expected-headers]``, if any, warning once per name with
+    surrounding spaces. Then the sort keys and subtotal columns resolve
+    against the expected headers, else that line."""
+    if not (job.expected_headers or job.sort or job.subtotals):
         return
     pipeline = job.pipeline
-    if job.subtotals is not None and pipeline is not None and pipeline.header_policy == "none":
+    if job.subtotals is not None and pipeline is not None and not pipeline.has_headings:
         raise ConfigError(f"{job.job_path}: [subtotals] reads the header line of the output, "
-                          "which [pipeline] header = none does not write")
-    if job.expected_headers:
-        header = job.expected_headers
-    elif job.sort is not None:
-        header = job.sort.has_headings and _header_line(job.sort.input_path)
-    else:
-        header = pipeline and pipeline.header_policy != "none" and _header_line(pipeline.input_path)
+                          "which [pipeline] headings = n does not write")
+    source = job.sort or pipeline
+    header = None
+    if source is not None and source.has_headings:
+        try:
+            header = next(read_records(source.input_path), (None, None))[1]
+        except OSError:
+            pass  # an absent input has no header line; the command that reads it fails
+    if header and job.expected_headers:
+        for position, name in enumerate(header, start=1):
+            if name != name.strip():
+                warn(f"superfluous spaces in header {position}: {name!r}")
+        validate_headers(header, job.expected_headers)
+    header = job.expected_headers or header
     if not header:
         return
     if job.sort is not None:

@@ -347,7 +347,7 @@ _SCHEMA = {
         "skip-cell": ("skip_cell", _range_name),
         "skip-sentinel": ("skip_sentinel", _text),
         "carry-forward": ("carry_forward_range", _range_name),
-        "header": ("header_policy", _text),
+        "headings": ("has_headings", _yes_no),
         "fields": ("field_count_policy", _text),
         "on-error": ("on_record_error", _text),
     }),

@@ -87,7 +87,6 @@ _ANY, _RANGE = "any", "range"
 _TEXT_COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 _CHUNK = 8  # plan cells per generated function; compile() memory grows with it
-_IF_DEPTH = 64  # IFs nested in IFs, as in a spreadsheet; Python stops at 100 indents
 
 
 def _block(get, key_rows):
@@ -135,12 +134,13 @@ class _Emitter:
         self.emit(f"if {operand}.__class__ is CellError: {self.target} = {operand}; break")
         self.breaks = True
 
-    def temp(self, expr: str) -> str:
-        """A new local holding ``expr``, checked for an error."""
+    def temp(self, expr: str, checked: bool = True) -> str:
+        """A new local holding ``expr``, checked for an error if ``checked``."""
         name = f"t{self.temps}"
         self.temps += 1
         self.emit(f"{name} = {expr}")
-        self.check(name)
+        if checked:
+            self.check(name)
         return name
 
     def fail(self, error: CellValue):
@@ -188,7 +188,7 @@ class _Emitter:
         """IF's condition, then each branch under an ``if``/``else``
         into one local; the branch not taken is never evaluated."""
         condition, kind = self.expr(args[0], sheet)
-        if kind is _RANGE or len(self.indent) > 4 * _IF_DEPTH:
+        if kind is _RANGE:
             return self.fail(VALUE_ERROR)
         if kind is not BOOL and kind is not NUMBER:  # a number is true unless zero
             condition = self.temp(f"to_boolean({condition})")
@@ -252,8 +252,9 @@ class _Emitter:
             right, right_kind = self.expr(node.right, sheet)
             if left_kind is _RANGE or right_kind is _RANGE:
                 return self.fail(VALUE_ERROR)  # every operator rejects a range
-            if node.op == "&":
-                return f"({self.text(left, left_kind)} + {self.text(right, right_kind)})", TEXT
+            if node.op == "&":  # a local, not nested parentheses: Python stops at 200
+                text = f"{self.text(left, left_kind)} + {self.text(right, right_kind)}"
+                return self.temp(text, checked=False), TEXT
             compare = _TEXT_COMPARE.get(node.op)
             if compare and left_kind is TEXT and right_kind is TEXT:
                 return f"({left}.upper() {compare} {right}.upper())", BOOL

@@ -18,7 +18,9 @@ Grammar (highest binding last):
 Unary minus binds tighter than "^", so ``=-2^2`` is 4 -- spreadsheet
 semantics, the opposite of most programming languages. ``$`` absolute
 markers are accepted and ignored. String literals are double quoted
-with ``""`` escaping a single quote.
+with ``""`` escaping a single quote. Each parenthesised group, function
+argument list and unary sign is one level of nesting; a formula nested
+more than ``MAX_NESTING`` levels deep is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -281,6 +283,7 @@ def _cellref_node(token: Token) -> CellRef:
 # --- Parser ---------------------------------------------------------------
 
 _CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
+MAX_NESTING = 64  # as in a spreadsheet; it bounds the parser's recursion and IF's indentation
 
 
 class _Parser:
@@ -288,6 +291,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.depth = 0
 
     def peek(self) -> Token | None:
         if self.pos < len(self.tokens):
@@ -305,11 +309,16 @@ class _Parser:
             raise ParseError(self.length, expected, "end of formula")
         raise ParseError(token.offset, expected, repr(token.lexeme))
 
-    def expect(self, kind: str, lexeme: str) -> Token:
+    def take(self, lexeme: str) -> Token | None:
+        """The next token, consumed, if it is the punctuation ``lexeme``."""
         token = self.peek()
-        if token is None or token.kind != kind or token.lexeme != lexeme:
+        if token is not None and token.kind == "punctuation" and token.lexeme == lexeme:
+            return self.advance()
+        return None
+
+    def expect(self, lexeme: str) -> None:
+        if not self.take(lexeme):
             self.fail(repr(lexeme))
-        return self.advance()
 
     def at_operator(self, ops) -> str | None:
         token = self.peek()
@@ -319,6 +328,16 @@ class _Parser:
 
     def parse_expr(self):
         return self.parse_binary(0)
+
+    def nested(self, token: Token, parse):
+        """``parse()``, one level of nesting inside ``token``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(token.offset, f"at most {MAX_NESTING} levels of nesting",
+                             repr(token.lexeme))
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # Precedence levels, loosest first: comparisons, &, +/-, * and /, ^.
     _LEVELS = (_CMP_OPS, ("&",), ("+", "-"), ("*", "/"), ("^",))
@@ -336,7 +355,7 @@ class _Parser:
         token = self.peek()
         if token is not None and token.kind == "operator" and token.lexeme in ("-", "+"):
             self.advance()
-            return Unary(token.lexeme, self.parse_unary())
+            return Unary(token.lexeme, self.nested(token, self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self):
@@ -355,9 +374,7 @@ class _Parser:
         if token.kind == "cellref":
             self.advance()
             start_ref = _cellref_node(token)
-            colon = self.peek()
-            if colon is not None and colon.kind == "punctuation" and colon.lexeme == ":":
-                self.advance()
+            if self.take(":"):
                 other = self.peek()
                 if other is None or other.kind != "cellref":
                     self.fail("a cell reference after ':'")
@@ -373,30 +390,24 @@ class _Parser:
             return start_ref
         if token.kind == "name":
             self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "punctuation" and nxt.lexeme == "(":
-                self.advance()
-                args = []
-                closer = self.peek()
-                if closer is not None and closer.kind == "punctuation" and closer.lexeme == ")":
-                    self.advance()
-                else:
-                    while True:
-                        args.append(self.parse_expr())
-                        sep = self.peek()
-                        if sep is not None and sep.kind == "punctuation" and sep.lexeme == ",":
-                            self.advance()
-                            continue
-                        break
-                    self.expect("punctuation", ")")
-                return Call(token.lexeme.upper(), tuple(args))
+            if opener := self.take("("):
+                return Call(token.lexeme.upper(), self.nested(opener, self.parse_args))
             return NameRef(token.lexeme.upper())
-        if token.kind == "punctuation" and token.lexeme == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect("punctuation", ")")
+        if self.take("("):
+            inner = self.nested(token, self.parse_expr)
+            self.expect(")")
             return inner
         self.fail("a value, reference, or '('")
+
+    def parse_args(self) -> tuple:
+        """A function's arguments, up to and including its ``)``."""
+        if self.take(")"):
+            return ()
+        args = [self.parse_expr()]
+        while self.take(","):
+            args.append(self.parse_expr())
+        self.expect(")")
+        return tuple(args)
 
 
 def parse_formula(source: str) -> FormulaAst:

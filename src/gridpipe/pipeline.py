@@ -19,14 +19,13 @@ import time
 
 from .csvio import atomic_output, encode_record, parse_line, read_records
 from .engine import compile_constants, compile_plan
-from .errors import ConfigError, DataError, SettingError, check_choices, warn
+from .errors import ConfigError, DataError, check_choices, warn
 from .values import CellError, CellValue, render_value, values_equal
 from .workbook import CellRange, Workbook, format_a1
 
 __all__ = [
     "PipelineSpec",
     "CompareSpec",
-    "HEADER_POLICIES",
     "FIELD_COUNT_POLICIES",
     "RECORD_ERROR_POLICIES",
     "RunStats",
@@ -43,7 +42,6 @@ __all__ = [
     "report_progress",
 ]
 
-HEADER_POLICIES = ("pass-through", "validate", "none")
 FIELD_COUNT_POLICIES = ("strict", "pad-truncate")
 RECORD_ERROR_POLICIES = ("fail-fast", "skip-and-log")
 
@@ -67,13 +65,13 @@ class StatusCellError(DataError):
 
 class PipelineSpec:
     __slots__ = ("input_path", "output_path", "input_range", "output_range", "skip_cell",
-                 "skip_sentinel", "carry_forward_range", "header_policy", "expected_headers",
+                 "skip_sentinel", "carry_forward_range", "has_headings", "expected_headers",
                  "field_count_policy", "on_record_error")
 
     def __init__(self, input_path: str, output_path: str, input_range: str = "InputCells",
                  output_range: str = "OutputCells", skip_cell: str | None = None,
                  skip_sentinel: CellValue = "Skip", carry_forward_range: str | None = None,
-                 header_policy: str = "pass-through", expected_headers: list[str] | None = None,
+                 has_headings: bool = True, expected_headers: list[str] | None = None,
                  field_count_policy: str = "pad-truncate", on_record_error: str = "fail-fast"):
         self.input_path = input_path
         self.output_path = output_path
@@ -82,18 +80,15 @@ class PipelineSpec:
         self.skip_cell = skip_cell
         self.skip_sentinel = skip_sentinel
         self.carry_forward_range = carry_forward_range
-        self.header_policy = header_policy  # HEADER_POLICIES
-        self.expected_headers = expected_headers
+        self.has_headings = has_headings
+        self.expected_headers = expected_headers  # the header line must match, if given
         self.field_count_policy = field_count_policy  # FIELD_COUNT_POLICIES
         self.on_record_error = on_record_error  # RECORD_ERROR_POLICIES
         check_choices(
             self,
-            header_policy=HEADER_POLICIES,
             field_count_policy=FIELD_COUNT_POLICIES,
             on_record_error=RECORD_ERROR_POLICIES,
         )
-        if header_policy == "validate" and not expected_headers:
-            raise SettingError("header_policy", "'validate' requires expected headers")
 
 
 class CompareSpec:
@@ -138,15 +133,10 @@ class RunStats:
 
 
 def validate_headers(found: list[str], expected: list[str]) -> None:
-    """Positional, case-insensitive header comparison; raises
-    ``HeaderMismatch`` naming the first position that differs.
-
-    Surrounding whitespace is ignored but logged as a warning, since
-    stray spaces in headers are a classic data smell.
-    """
+    """Positional, case-insensitive header comparison that ignores
+    surrounding whitespace; raises ``HeaderMismatch`` naming the first
+    position that differs."""
     for position, (got, want) in enumerate(zip(found, expected), start=1):
-        if got != got.strip():
-            warn(f"superfluous spaces in header {position}: {got!r}")
         if got.strip().upper() != want.strip().upper():
             break
     else:
@@ -337,11 +327,11 @@ def run_pipeline(
         records = read_records(spec.input_path)
         header_width = len(spec.expected_headers) if spec.expected_headers else None
 
-        if spec.header_policy in ("pass-through", "validate"):
+        if spec.has_headings:
             head = next(records, None)
             if head is not None:
                 raw, fields = head
-                if spec.header_policy == "validate":
+                if spec.expected_headers:
                     validate_headers(fields, spec.expected_headers)
                 header_width = len(fields)
                 out.write(raw + "\n")

@@ -224,6 +224,18 @@ def test_run_refuses_a_single_cell_line_that_does_not_read_back(
         assert _read(workdir, "caesar_out.csv").splitlines()[1:] == ["2,Belt,Tan,5"]
 
 
+def test_run_writes_a_line_of_500_concatenated_pieces(workdir):
+    # caesar's H2 with 500 pieces; 202 once failed to compile.
+    pieces = ["A2", '"-"', "B2", "F2"] * 125
+    sheet = _read(workdir, "caesar.sheet").replace(
+        'cell H2 = =A2&","&B2&","&C2&","&F2', "cell H2 = =" + "&".join(pieces)
+    )
+    _write(workdir, "caesar.sheet", sheet)
+    _write(workdir, "caesar_in.csv", TOGA_FILE)
+    assert main(["--quiet", "run", str(workdir / "caesar.job")]) == 0
+    assert _read(workdir, "caesar_out.csv").splitlines()[1] == "1-Toga1459" * 125
+
+
 def test_run_header_mismatch_exits_1(workdir, capsys):
     _write(workdir, "caesar_in.csv", "Id,Item,Color,Number\n1,Toga,Purple,I\n")
     assert main(["--quiet", "run", str(workdir / "caesar.job")]) == 1
@@ -364,6 +376,30 @@ def test_check_reports_header_typo_position(workdir, capsys):
     assert "position 3" in capsys.readouterr().err
 
 
+def test_a_headerless_input_with_expected_headers_passes_check_and_run(workdir, capsys):
+    # headings = n: no header line to check; the expected headers give
+    # the width a single-cell line must read back as.
+    _write(workdir, "caesar_in.csv", "1,Toga,Purple,MCDLIX\n")
+    job = _job_with(workdir, "caesar.job", "headings = n")
+    assert main(["check", job]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    assert main(["--quiet", "run", job]) == 0
+    assert _read(workdir, "caesar_out.csv") == "1,Toga,Purple,1459\n"
+
+
+def test_a_spaced_header_warns_once_from_check_and_once_from_run(workdir, capsys):
+    _write(workdir, "caesar_in.csv", "Id,Item , Colour,Number\n1,Toga,Purple,MCDLIX\n")
+    warnings = [
+        "gridpipe: superfluous spaces in header 2: 'Item '",
+        "gridpipe: superfluous spaces in header 3: ' Colour'",
+    ]
+    assert main(["check", str(workdir / "caesar.job")]) == 0
+    assert capsys.readouterr().err.splitlines() == warnings
+    assert main(["run", str(workdir / "caesar.job")]) == 0
+    assert capsys.readouterr().err.splitlines()[:-1] == warnings  # then the summary
+    assert _read(workdir, "caesar_out.csv").startswith("Id,Item , Colour,Number\n")
+
+
 def test_check_touches_no_files(workdir):
     _write(workdir, "caesar_in.csv", TOGA_FILE)
     before = {p.name: p.read_bytes() for p in workdir.iterdir()}
@@ -424,13 +460,26 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
         ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "run", "store.job",
          "column 'Weight' not found in headers"),
         # The report would take the first output record for the header line.
-        ("caesar.job", "header = validate\n\n[expected-headers]\n"
-         "headers = Id, Item, Colour, Number", "header = none\n\n[subtotals]\njob = Number : Item",
-         "run", "caesar.job", "[subtotals] reads the header line of the output"),
+        ("caesar.job", "OutputCells\n\n[expected-headers]\nheaders = Id, Item, Colour, Number",
+         "OutputCells\nheadings = n\n\n[subtotals]\njob = Number : Item", "run", "caesar.job",
+         "[subtotals] reads the header line of the output"),
+        # [expected-headers] alone turns validation on, for check and run alike.
+        ("caesar_in.csv", "Number", "Nummer", "run", "caesar.job",
+         "header mismatch at position 4: found 'Nummer', expected 'Number'"),
+        ("caesar.job", "[pipeline]\n", "[pipeline]\nheader = validate\n", "run", "caesar.job",
+         "unknown key 'header' in [pipeline]"),
+        # The header line of a job with a sort is the sort input's, checked
+        # before the sort writes.
+        ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour, Nummer\n[sort]",
+         "run", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
+        ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour, Nummer\n[sort]",
+         "sort", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
          "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
-         "unknown-sort-key-in-input", "unknown-subtotal-column", "subtotals-without-header"],
+         "unknown-sort-key-in-input", "unknown-subtotal-column", "subtotals-without-header",
+         "header-mismatch", "removed-header-key", "header-mismatch-before-run-sorts",
+         "header-mismatch-before-sort"],
 )
 def test_check_and_the_command_reject_a_job_alike(
     workdir, capsys, edited, old, new, command, job, problem
@@ -486,6 +535,14 @@ def test_eval_error_value_exits_2(workdir, capsys):
 
 def test_eval_parse_error_exits_1(workdir, capsys):
     assert main(["eval", str(workdir / "caesar.sheet"), "=1+"]) == 1
+
+
+def test_eval_of_a_formula_nested_too_deep_exits_1(workdir, capsys):
+    deep = "=" + "(" * 120 + "1" + ")" * 120
+    assert main(["eval", str(workdir / "caesar.sheet"), deep]) == 1
+    assert capsys.readouterr().err == (
+        "error: expected at most 64 levels of nesting at offset 65, found '('\n"
+    )
 
 
 # --- start-up ------------------------------------------------------------------------

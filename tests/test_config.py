@@ -128,6 +128,16 @@ def test_formula_parse_error_carries_line_number(tmp_path):
     assert ":3:" in str(err.value)
 
 
+def test_a_formula_nested_too_deep_fails_at_load_naming_its_line(tmp_path):
+    deep = "=" + "(" * 120 + "1" + ")" * 120
+    path = _definition(tmp_path, f"[sheet Main]\ncell A1 = 1\ncell A2 = {deep}\n")
+    with pytest.raises(DefinitionError) as err:
+        load_definition(path)
+    assert str(err.value) == (
+        f"{path}:3: expected at most 64 levels of nesting at offset 65, found '('"
+    )
+
+
 def test_cycle_detected_at_load(tmp_path):
     with pytest.raises(CycleError):
         load_definition(
@@ -300,21 +310,6 @@ def test_sort_key_parsing(tmp_path):
     assert job.sort.has_headings is True
 
 
-def test_validate_header_policy_requires_expected_headers(tmp_path):
-    _definition(tmp_path, _MINIMAL_SHEET)
-    with pytest.raises(ConfigError):
-        load_job(_job(tmp_path, _minimal_job_text("header = validate\n")))
-    ok = load_job(
-        _job(
-            tmp_path,
-            _minimal_job_text("header = validate\n")
-            + "[expected-headers]\nheaders = Id\n",
-            "ok.job",
-        )
-    )
-    assert ok.pipeline.expected_headers == ["Id"]
-
-
 def test_repeated_key_rejected(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     with pytest.raises(DefinitionError):
@@ -340,7 +335,7 @@ def test_bad_choice_values(tmp_path):
     with pytest.raises(ConfigError):
         load_job(_job(tmp_path, _minimal_job_text("csv = tabs\n")))
     with pytest.raises(ConfigError):
-        load_job(_job(tmp_path, _minimal_job_text("header = maybe\n"), "b.job"))
+        load_job(_job(tmp_path, _minimal_job_text("headings = maybe\n"), "b.job"))
     with pytest.raises(ConfigError):
         load_job(
             _job(
@@ -355,7 +350,6 @@ def test_bad_choice_values(tmp_path):
 @pytest.mark.parametrize(
     "spec_class, setting",
     [
-        (PipelineSpec, "header_policy"),
         (PipelineSpec, "field_count_policy"),
         (PipelineSpec, "on_record_error"),
     ],

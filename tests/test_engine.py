@@ -17,7 +17,7 @@ from gridpipe.engine import (
     evaluate_source,
     recalculate,
 )
-from gridpipe.formula import parse_formula
+from gridpipe.formula import ParseError, parse_formula
 from gridpipe.values import BLANK, DIV0, NA_ERROR, NAME_ERROR, NUM_ERROR, VALUE_ERROR
 from gridpipe.workbook import CellAddress, CellRange, Workbook, format_a1, parse_a1
 
@@ -362,7 +362,8 @@ def test_if_evaluates_its_condition_then_only_the_branch_taken():
     assert evaluate_source(wb, "=IF(FALSE,1,B1:B2)") == VALUE_ERROR
     nested = "IF(FALSE,0," * 64 + "7" + ")" * 64
     assert evaluate_source(wb, "=" + nested) == 7.0
-    assert evaluate_source(wb, "=IF(FALSE,0," + nested + ")") == VALUE_ERROR  # 65 deep
+    with pytest.raises(ParseError, match="at most 64 levels of nesting at offset 707"):
+        evaluate_source(wb, "=IF(FALSE,0," + nested + ")")  # 65 deep
 
 
 def test_compare_status_cell_compiles_if_as_control_flow():
@@ -520,8 +521,18 @@ def test_text_operators_keep_their_text_kind_in_generated_code(monkeypatch):
     )
     _step_values({"C1": '=A1&","&B1', "D1": "=C1=B1"}, {"A1": "a", "B1": "b"}, ["D1"])
     [source] = [text for text in sources if "= row" in text]
-    assert "((p0 + ',') + p1)" in source
+    assert "t0 = p0 + ','\n" in source and "t1 = t0 + p1\n" in source  # one local per &
     assert "CellError" not in source  # no value here can be an error
+
+
+def test_a_long_concatenation_compiles():
+    # Each & is a local of its own: as one nested expression, 202 pieces
+    # passed Python's limit of 200 nested parentheses.
+    wb = _sheet({"A1": "a", "B1": 2.0, "C1": "=A1&B1"})
+    recalculate(wb)
+    assert evaluate_source(wb, "=" + "&".join(["A1", "B1", "C1", "TRUE"] * 125)) == (
+        "a2a2TRUE" * 125
+    )
 
 
 def test_text_of_a_cell_that_can_be_an_error_is_checked_where_it_is_read():

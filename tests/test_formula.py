@@ -164,6 +164,22 @@ def test_parse_errors_carry_offset_and_expectation():
         parse_formula("1+1")  # missing leading =
 
 
+@pytest.mark.parametrize(
+    "opener, closer",
+    [("(", ")"), ("SUM(", ")"), ("-", ""), ("IF(TRUE,", ")")],
+    ids=["group", "argument-list", "unary-sign", "if"],
+)
+def test_a_formula_nests_at_most_64_levels(opener, closer):
+    assert parse_formula("=" + opener * 64 + "1" + closer * 64)
+    with pytest.raises(ParseError) as err:
+        parse_formula("=" + opener * 120 + "1" + closer * 120)
+    token = "(" if "(" in opener else "-"  # the 65th level's
+    assert err.value.expected == "at most 64 levels of nesting"
+    assert (err.value.offset, err.value.found) == (
+        1 + 64 * len(opener) + opener.index(token), repr(token)
+    )
+
+
 # --- extract_references -----------------------------------------------------
 
 

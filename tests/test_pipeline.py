@@ -10,7 +10,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridpipe.config import load_definition
+from gridpipe.cli import _check_header_line
+from gridpipe.config import load_definition, load_job
 from gridpipe.csvio import encode_record, read_records
 from gridpipe.errors import ConfigError
 from gridpipe.formula import parse_formula
@@ -87,7 +88,7 @@ def test_empty_input_file(workdir):
 
 def test_header_policy_none_streams_first_line(workdir):
     _write(workdir, "7,Crown,Gold,XIX\n")
-    run_pipeline(_spec(workdir, header_policy="none"), _caesar(workdir))
+    run_pipeline(_spec(workdir, has_headings=False), _caesar(workdir))
     assert _output(workdir) == "7,Crown,Gold,19\n"
 
 
@@ -96,7 +97,7 @@ def test_header_validation_passes_and_mismatch_fails(workdir):
     _write(workdir, "Id,Item,Color,Number\n1,Toga,Purple,I\n")
     spec = _spec(
         workdir,
-        header_policy="validate",
+        has_headings=True,
         expected_headers=["Id", "Item", "Colour", "Number"],
     )
     with pytest.raises(HeaderMismatch) as err:
@@ -305,7 +306,7 @@ def test_multi_cell_payload_reads_back_as_written(tmp_path_factory, width, rows)
     rows = [row[:width] for row in rows]
     tmp = tmp_path_factory.mktemp("payload")
     (tmp / "in.csv").write_text("".join(encode_record(row) + "\n" for row in rows), encoding="utf-8")
-    spec = _spec(tmp, header_policy="none")
+    spec = _spec(tmp, has_headings=False)
     run_pipeline(spec, _echo_workbook(width))
     assert [fields for _, fields in read_records(spec.output_path)] == rows
 
@@ -372,11 +373,11 @@ def test_a_single_cell_line_that_does_not_read_back_is_a_record_error(
 
 @pytest.mark.parametrize("headers, written", [(None, 1), (["h1", "h2"], 0)])
 def test_without_a_header_line_the_expected_headers_set_the_width(workdir, headers, written):
-    # With header = none the line must be one record, as wide as
+    # Without a header line the line must be one record, as wide as
     # [expected-headers] if there are any.
     _write(workdir, "a\n")
     spec = _spec(
-        workdir, header_policy="none", expected_headers=headers, on_record_error="skip-and-log"
+        workdir, has_headings=False, expected_headers=headers, on_record_error="skip-and-log"
     )
     stats = run_pipeline(spec, _joining_workbook(1, '=A2&",b,c"'))
     assert (stats.records_written, stats.records_errored) == (written, 1 - written)
@@ -548,10 +549,15 @@ def test_validate_headers_reports_first_difference():
     assert str(err.value) == "header mismatch at position 3: found 'Color', expected 'Colour'"
 
 
-def test_validate_headers_trims_with_warning(caplog):
+def test_validate_headers_trims_with_warning(workdir, caplog):
+    # validate_headers trims silently: the warning comes once, from the
+    # header check that check, sort and run make before they write.
     caplog.set_level(logging.WARNING)
     validate_headers([" Item "], ["Item"])
-    assert any("superfluous spaces" in w for w in _warnings(caplog))
+    assert _warnings(caplog) == []
+    _write(workdir, "Id, Item ,Colour,Number\n", "caesar_in.csv")
+    _check_header_line(load_job(workdir / "caesar.job"))
+    assert _warnings(caplog) == ["superfluous spaces in header 2: ' Item '"]
 
 
 def test_validate_headers_length_mismatch():
