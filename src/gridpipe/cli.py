@@ -93,10 +93,15 @@ def _ignore(message: str) -> None:
     pass
 
 
-def _cmd_run(args) -> int:
+def _load_job(args, section: str):
     job = config_mod.load_job(args.job)
-    if job.pipeline is None:
-        raise ConfigError(f"{args.job}: [pipeline] section is required by 'run'")
+    if getattr(job, section) is None:
+        raise ConfigError(f"{args.job}: [{section}] section is required by '{args.command}'")
+    return job
+
+
+def _cmd_run(args) -> int:
+    job = _load_job(args, "pipeline")
     spec = job.pipeline
     _check_header_line(job)  # before the sort writes anything
     if job.sort is not None:
@@ -141,9 +146,7 @@ def _write_subtotals(job, data_path: str) -> None:
 
 
 def _cmd_sort(args) -> int:
-    job = config_mod.load_job(args.job)
-    if job.sort is None:
-        raise ConfigError(f"{args.job}: [sort] section is required by 'sort'")
+    job = _load_job(args, "sort")
     _check_header_line(job)
     rows = sort_file(job.sort)
     if not args.quiet:
@@ -152,17 +155,13 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    job = config_mod.load_job(args.job)
-    if job.subtotals is None:
-        raise ConfigError(f"{args.job}: [subtotals] section is required by 'report'")
+    job = _load_job(args, "subtotals")
     _write_subtotals(job, args.data)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    job = config_mod.load_job(args.job)
-    if job.compare is None:
-        raise ConfigError(f"{args.job}: [compare] section is required by 'compare'")
+    job = _load_job(args, "compare")
     report = compare_files(job.compare, job.workbook)
     if not args.quiet:
         print(

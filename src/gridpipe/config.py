@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 
 from .errors import ConfigError, SettingError, check_choices
-from .formula import LexError, ParseError, parse_formula, render_formula
+from .formula import LexError, ParseError, decode_string, parse_formula, render_formula, token_kind
 from .pipeline import CompareSpec, PipelineSpec, compare_cells, run_cells
 from .report import REPORT_FORMATS, BadControlTable, split_job_line
 from .sortio import SortKey, SortSpec, parse_sort_key
@@ -103,16 +103,6 @@ def _logical_lines(text: str):
         if not line or line.startswith("#"):
             continue
         yield line_no, line
-
-
-def _decode_quoted(text: str, path, line_no: int) -> str:
-    if len(text) < 2 or not text.endswith('"'):
-        raise DefinitionError(path, line_no, f"unterminated quoted text: {text}")
-    body = text[1:-1]
-    # doubled quotes escape one quote; a lone interior quote is malformed
-    if body.replace('""', "").count('"'):
-        raise DefinitionError(path, line_no, f"stray quote in quoted text: {text}")
-    return body.replace('""', '"')
 
 
 def load_definition(path) -> Workbook:
@@ -190,7 +180,9 @@ def _decode_cell_value(value: str, path, line_no: int):
     if value.startswith("="):
         return parse_formula(value)
     if value.startswith('"'):
-        return _decode_quoted(value, path, line_no)
+        if token_kind(value) != "string":
+            raise DefinitionError(path, line_no, f"malformed quoted text: {value}")
+        return decode_string(value)
     number = parse_number(value)
     if number is not None:
         return number

@@ -49,7 +49,7 @@ from .values import (
     render_value,
     to_boolean,
 )
-from .workbook import CellAddress, Workbook, format_a1
+from .workbook import CellAddress, Workbook
 
 __all__ = [
     "DependencyGraph",
@@ -208,6 +208,19 @@ class _Emitter:
             kinds.append(kind)
         return result, kinds[0] if kinds[0] is kinds[1] else _ANY
 
+    def binary(self, op: str, left, left_kind, right, right_kind):
+        """``left op right`` from its checked operands and their kinds."""
+        if left_kind is _RANGE or right_kind is _RANGE:
+            return self.fail(VALUE_ERROR)  # every operator rejects a range
+        if op == "&":  # a local, not nested parentheses: Python stops at 200
+            text = f"{self.text(left, left_kind)} + {self.text(right, right_kind)}"
+            return self.temp(text, checked=False), TEXT
+        compare = _TEXT_COMPARE.get(op)
+        if compare and left_kind is TEXT and right_kind is TEXT:
+            return f"({left}.upper() {compare} {right}.upper())", BOOL
+        operation = f"{self.const(BINARY_OPS[op])}({left}, {right})"
+        return self.temp(operation), NUMBER if compare is None else BOOL
+
     def expr(self, node, sheet: str):
         cls = node.__class__
         wb = self.wb
@@ -248,18 +261,16 @@ class _Emitter:
             return self.temp(f"{self.const(UNARY_OPS[node.op])}({operand})"), NUMBER
 
         if cls is Binary:
-            left, left_kind = self.expr(node.left, sheet)
-            right, right_kind = self.expr(node.right, sheet)
-            if left_kind is _RANGE or right_kind is _RANGE:
-                return self.fail(VALUE_ERROR)  # every operator rejects a range
-            if node.op == "&":  # a local, not nested parentheses: Python stops at 200
-                text = f"{self.text(left, left_kind)} + {self.text(right, right_kind)}"
-                return self.temp(text, checked=False), TEXT
-            compare = _TEXT_COMPARE.get(node.op)
-            if compare and left_kind is TEXT and right_kind is TEXT:
-                return f"({left}.upper() {compare} {right}.upper())", BOOL
-            operation = f"{self.const(BINARY_OPS[node.op])}({left}, {right})"
-            return self.temp(operation), NUMBER if compare is None else BOOL
+            # A chain like 1+1+...+1 is a left-deep tree: walk its left
+            # side in a loop, so its length costs no recursion.
+            chain = []
+            while node.__class__ is Binary:
+                chain.append(node)
+                node = node.left
+            left, kind = self.expr(node, sheet)
+            for node in reversed(chain):
+                left, kind = self.binary(node.op, left, kind, *self.expr(node.right, sheet))
+            return left, kind
 
         if cls is Call:
             sig = lookup(node.name)
@@ -435,7 +446,7 @@ def _formula_dependencies(wb: Workbook, key: tuple, ast, block_reads: set) -> se
         else:  # NameRef; one cell is read as a cell, more as a range
             if not wb.has_name(ref.name):
                 raise UnknownNameError(
-                    f"formula in {sheet}!{format_a1(key[1], key[2])} "
+                    f"formula in {wb.cell_name(key)} "
                     f"references unknown name {ref.name!r}"
                 )
             rng = wb.resolve_name(ref.name)
@@ -480,7 +491,7 @@ def build_graph(wb: Workbook) -> DependencyGraph:
             path[key] = len(path)
             key = min(d for d in formula_deps[key] if d in remaining)
         cycle = list(path)[path[key] :] + [key]
-        raise CycleError([f"{k[0]}!{format_a1(k[1], k[2])}" for k in cycle])
+        raise CycleError([wb.cell_name(k) for k in cycle])
 
     graph.topo_index = {key: i for i, key in enumerate(order)}
     graph.version = wb.structure_version

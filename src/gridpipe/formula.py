@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
+from .values import UNSIGNED_NUMBER, render_number
 
 __all__ = [
     "Token",
@@ -159,21 +160,22 @@ FormulaAst = object  # any of the node classes above
 
 # --- Lexer ----------------------------------------------------------------
 
-_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _CELLREF = re.compile(r"\$?([A-Za-z]{1,3})\$?([1-9][0-9]{0,6})")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_PURE_CELLREF = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]{0,6})")
+_WORD_END = r"(?![A-Za-z0-9_.])"  # no name character follows
 
-_OPERATORS = ("<=", ">=", "<>", "=", "<", ">", "+", "-", "*", "/", "^", "&")
-_PUNCTUATION = "(),:"
-
-
-def _is_ascii_digit(c: str) -> bool:
-    return "0" <= c <= "9"
-
-
-def _is_name_start(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+# One alternative per token kind, tried in this order. A cell reference
+# with a ``$`` ends where its row does (``A$1B`` is ``A$1`` then ``B``);
+# one without is a whole word (``A1B`` is a name), as is a boolean.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t]+)"
+    r'|(?P<string>"[^"]*(?:""[^"]*)*"(?!"))'
+    rf"|(?P<number>(?=\.?[0-9]){UNSIGNED_NUMBER})"
+    rf"|(?P<cellref>(?=[A-Za-z]{{0,3}}\$){_CELLREF.pattern}|{_CELLREF.pattern}{_WORD_END})"
+    rf"|(?P<boolean>(?i:TRUE|FALSE){_WORD_END})"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)"
+    r"|(?P<operator>[<>]=|<>|[=<>+\-*/^&])"
+    r"|(?P<punctuation>[(),:])"
+)
 
 
 def tokenize(source: str, base: int = 0) -> list[Token]:
@@ -184,71 +186,28 @@ def tokenize(source: str, base: int = 0) -> list[Token]:
     """
     tokens: list[Token] = []
     i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise LexError(base + i, source[i:], "unterminated string")
-                if source[j] == '"':
-                    if j + 1 < n and source[j + 1] == '"':
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                j += 1
-            tokens.append(Token("string", source[i:j], base + i))
-            i = j
-            continue
-        if _is_ascii_digit(c) or (c == "." and i + 1 < n and _is_ascii_digit(source[i + 1])):
-            m = _NUMBER.match(source, i)
-            tokens.append(Token("number", m.group(), base + i))
-            i = m.end()
-            continue
-        if c == "$":
-            m = _CELLREF.match(source, i)
-            if not m:
-                raise LexError(base + i, c, "illegal character")
-            tokens.append(Token("cellref", m.group(), base + i))
-            i = m.end()
-            continue
-        if _is_name_start(c):
-            m = _CELLREF.match(source, i)
-            if m and "$" in m.group():
-                tokens.append(Token("cellref", m.group(), base + i))
-                i = m.end()
-                continue
-            m = _NAME.match(source, i)
-            lexeme = m.group()
-            upper = lexeme.upper()
-            if _PURE_CELLREF.fullmatch(lexeme):
-                tokens.append(Token("cellref", lexeme, base + i))
-            elif upper in ("TRUE", "FALSE"):
-                tokens.append(Token("boolean", lexeme, base + i))
-            else:
-                tokens.append(Token("name", lexeme, base + i))
-            i = m.end()
-            continue
-        two = source[i : i + 2]
-        if two in ("<=", ">=", "<>"):
-            tokens.append(Token("operator", two, base + i))
-            i += 2
-            continue
-        if c in "=<>+-*/^&":
-            tokens.append(Token("operator", c, base + i))
-            i += 1
-            continue
-        if c in _PUNCTUATION:
-            tokens.append(Token("punctuation", c, base + i))
-            i += 1
-            continue
-        raise LexError(base + i, c, "illegal character")
+    while i < len(source):
+        match = _TOKEN.match(source, i)
+        if match is None:
+            if source[i] == '"':
+                raise LexError(base + i, source[i:], "unterminated string")
+            raise LexError(base + i, source[i], "illegal character")
+        if match.lastgroup != "space":
+            tokens.append(Token(match.lastgroup, match.group(), base + i))
+        i = match.end()
     return tokens
+
+
+def token_kind(text: str) -> str | None:
+    """The kind of token ``text`` is, if it is exactly one token; else None."""
+    match = _TOKEN.match(text)
+    return match.lastgroup if match and match.end() == len(text) else None
+
+
+def cell_position(text: str) -> tuple[int, int] | None:
+    """(row, column) of a cell reference's text, or None if it is not one."""
+    match = _CELLREF.fullmatch(text)
+    return match and (int(match.group(2)), column_index(match.group(1)))
 
 
 def decode_string(lexeme: str) -> str:
@@ -274,10 +233,7 @@ def column_letters(index: int) -> str:
 
 
 def _cellref_node(token: Token) -> CellRef:
-    m = _CELLREF.fullmatch(token.lexeme)
-    row = int(m.group(2))
-    col = column_index(m.group(1))
-    return CellRef(row, col)
+    return CellRef(*cell_position(token.lexeme))
 
 
 # --- Parser ---------------------------------------------------------------
@@ -455,8 +411,6 @@ def _render_literal(value) -> str:
     if value.__class__ is bool:
         return "TRUE" if value else "FALSE"
     if value.__class__ is float:
-        from .values import render_number
-
         return render_number(value)
     return '"%s"' % str(value).replace('"', '""')
 
@@ -488,15 +442,22 @@ def render_ast(node) -> str:
         if _node_precedence(node.operand) < _UNARY_PRECEDENCE:
             inner = f"({inner})"
         return f"{node.op}{inner}"
-    if cls is Binary:
-        prec = _PRECEDENCE[node.op]
-        left = render_ast(node.left)
-        if _node_precedence(node.left) < prec:
-            left = f"({left})"
-        right = render_ast(node.right)
-        if _node_precedence(node.right) <= prec:
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
+    if cls is Binary:  # a left-deep chain in a loop: its length costs no recursion
+        chain = []
+        while node.__class__ is Binary:
+            chain.append(node)
+            node = node.left
+        text = render_ast(node)
+        for parent in reversed(chain):
+            prec = _PRECEDENCE[parent.op]
+            if _node_precedence(node) < prec:
+                text = f"({text})"
+            right = render_ast(parent.right)
+            if _node_precedence(parent.right) <= prec:
+                right = f"({right})"
+            text = f"{text}{parent.op}{right}"
+            node = parent
+        return text
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -21,7 +21,7 @@ from .csvio import atomic_output, encode_record, parse_line, read_records
 from .engine import compile_constants, compile_plan
 from .errors import ConfigError, DataError, check_choices, warn
 from .values import CellError, CellValue, render_value, values_equal
-from .workbook import CellRange, Workbook, format_a1
+from .workbook import CellRange, Workbook
 
 __all__ = [
     "PipelineSpec",
@@ -163,10 +163,6 @@ def _range_for(wb: Workbook, name: str, what: str) -> CellRange:
         raise ConfigError(f"{what} range {name!r}: {exc}") from exc
 
 
-def _a1(wb: Workbook, key: tuple) -> str:
-    return f"{wb.sheet_display_name(key[0])}!{format_a1(key[1], key[2])}"
-
-
 def _record_range(wb: Workbook, name: str, what: str) -> CellRange:
     """The named range records are written to; it must hold no formula."""
     rng = _range_for(wb, name, what)
@@ -236,7 +232,7 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
     width, *more_widths = [rng.size() for rng in ranges]
     plan = compile_plan(wb, carry_keys, observed, field_keys)
     run, values = plan.run, wb.values
-    names = [f"{role} {_a1(wb, key)}" for key, role in observed.items()]
+    names = [f"{role} {wb.cell_name(key)}" for key, role in observed.items()]
     skip_false = skip is not None and values_equal(False, skip)
     last_row = last_out = ()
 
@@ -317,10 +313,10 @@ def run_pipeline(
     )
     first = 0 if skip_key is None else 1  # where the payload starts in a step's values
     width = len(payload_keys)
-    payload_name = f"output cell {_a1(wb, payload_keys[0])}"
+    payload_name = f"output cell {wb.cell_name(payload_keys[0])}"
     fail_fast = spec.on_record_error == "fail-fast"
     single_carry = len(carry_keys) == 1
-    stats = RunStats(plan_cells=[_a1(wb, key) for key in plan.cells])
+    stats = RunStats(plan_cells=[wb.cell_name(key) for key in plan.cells])
     read = written = skipped = errored = 0
 
     with atomic_output(spec.output_path) as out:

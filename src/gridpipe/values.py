@@ -85,7 +85,9 @@ class RangeValue:
         return f"RangeValue({self.rows!r})"
 
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# A number as a formula writes it; data may add a sign.
+UNSIGNED_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(r"[+-]?" + UNSIGNED_NUMBER)
 
 
 def parse_number(text: str) -> float | None:

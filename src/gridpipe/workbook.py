@@ -6,10 +6,8 @@ single owner at a time; independent instances can be used in parallel.
 
 from __future__ import annotations
 
-import re
-
 from .errors import ConfigError
-from .formula import FormulaAst, column_index, column_letters
+from .formula import FormulaAst, cell_position, column_letters, token_kind
 from .values import BLANK, Blank, CellError, CellValue, NUM_ERROR
 
 __all__ = [
@@ -60,11 +58,6 @@ class ShapeMismatch(ConfigError):
 
 class FormulaOverwrite(ConfigError):
     """A literal write would silently destroy a formula cell."""
-
-
-_A1 = re.compile(r"\$?([A-Za-z]{1,7})\$?([0-9]{1,9})")
-_NAME_GRAMMAR = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_CELLREF_SHAPE = re.compile(r"[A-Za-z]{1,3}[1-9][0-9]{0,6}")
 
 
 class CellAddress:
@@ -152,14 +145,11 @@ def normalized_range(a: CellAddress, b: CellAddress) -> CellRange:
 
 
 def parse_a1(text: str, sheet: str = "") -> CellAddress:
-    """Parse A1 notation (``$`` markers accepted and ignored)."""
-    m = _A1.fullmatch(text.strip())
-    if not m:
+    """Parse A1 notation as a formula reads a cell reference (``$`` ignored)."""
+    position = cell_position(text.strip())
+    if position is None:
         raise BadAddress(f"not a cell address: {text!r}")
-    row = int(m.group(2))
-    if row < 1:
-        raise BadAddress(f"row must be at least 1: {text!r}")
-    return CellAddress(sheet, row, column_index(m.group(1)))
+    return CellAddress(sheet, *position)
 
 
 def format_a1(row: int, col: int) -> str:
@@ -202,6 +192,10 @@ class Workbook:
         return next(iter(self._sheet_names.values()))
 
     # -- cells ---------------------------------------------------------------
+
+    def cell_name(self, key: tuple) -> str:
+        """A cell key as messages name it: ``Main!A1``."""
+        return f"{self.sheet_display_name(key[0])}!{format_a1(key[1], key[2])}"
 
     def _check_bounds(self, addr: CellAddress) -> None:
         if not (1 <= addr.row <= self.max_rows and 1 <= addr.col <= self.max_cols):
@@ -251,10 +245,11 @@ class Workbook:
     # -- named ranges --------------------------------------------------------
 
     def define_name(self, name: str, cells: CellRange) -> None:
-        if not _NAME_GRAMMAR.fullmatch(name) or name.upper() in ("TRUE", "FALSE"):
-            raise BadName(f"invalid name: {name!r}")
-        if _CELLREF_SHAPE.fullmatch(name):
+        kind = token_kind(name)  # a formula must read the name as one
+        if kind == "cellref":
             raise BadName(f"name would shadow a cell reference: {name!r}")
+        if kind != "name":
+            raise BadName(f"invalid name: {name!r}")
         key = name.upper()
         if key in self._names:
             raise DuplicateName(f"name already defined: {name!r}")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from gridpipe.cli import _write_subtotals, main
-from gridpipe.config import load_job
+from gridpipe.config import load_definition, load_job, render_definition
 from gridpipe.csvio import read_records
 from gridpipe.report import aggregate, parse_job_line, render_report, translation_table
 
@@ -236,6 +236,20 @@ def test_run_writes_a_line_of_500_concatenated_pieces(workdir):
     assert _read(workdir, "caesar_out.csv").splitlines()[1] == "1-Toga1459" * 125
 
 
+def test_run_writes_a_line_of_2000_concatenated_pieces_and_renders_it(workdir):
+    # 2,000 once overflowed the plan compiler's recursion, one frame per &.
+    sheet = _read(workdir, "caesar.sheet").replace(
+        'cell H2 = =A2&","&B2&","&C2&","&F2', "cell H2 = =A2&" + "&".join(['"x"'] * 2000)
+    )
+    _write(workdir, "caesar.sheet", sheet)
+    _write(workdir, "caesar_in.csv", TOGA_FILE)
+    assert main(["--quiet", "run", str(workdir / "caesar.job")]) == 0
+    assert _read(workdir, "caesar_out.csv").splitlines()[1] == "1" + "x" * 2000
+    text = render_definition(load_definition(workdir / "caesar.sheet"))
+    _write(workdir, "rendered.sheet", text)
+    assert render_definition(load_definition(workdir / "rendered.sheet")) == text
+
+
 def test_run_header_mismatch_exits_1(workdir, capsys):
     _write(workdir, "caesar_in.csv", "Id,Item,Color,Number\n1,Toga,Purple,I\n")
     assert main(["--quiet", "run", str(workdir / "caesar.job")]) == 1
@@ -274,14 +288,51 @@ def test_run_whole_chain_with_sort_and_report(workdir):
 # --- sort / report / compare ------------------------------------------------------
 
 
-def test_sort_command(workdir):
+def test_sort_command(workdir, capsys):
     _write(
         workdir,
         "store_raw.csv",
         "Id,Item,Colour,Number\n2,b,c,II\n1,a,c,I\n",
     )
-    assert main(["--quiet", "sort", str(workdir / "store.job")]) == 0
+    assert main(["sort", str(workdir / "store.job")]) == 0
     assert _read(workdir, "store_sorted.csv").splitlines()[1] == "1,a,c,I"
+    assert capsys.readouterr().err == f"sorted 2 rows into {workdir / 'store_sorted.csv'}\n"
+
+
+@pytest.mark.parametrize(
+    "command,job,section",
+    [("run", "compare.job", "pipeline"), ("sort", "caesar.job", "sort"),
+     ("report", "caesar.job", "subtotals"), ("compare", "caesar.job", "compare")],
+)
+def test_a_command_needs_its_section(workdir, capsys, command, job, section):
+    data = ["data.csv"] if command == "report" else []
+    assert main([command, str(workdir / job), *data]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / job}: [{section}] section is required by '{command}'\n"
+    )
+
+
+def test_report_and_compare_print_to_stdout_without_an_output(workdir, capsys):
+    _write(workdir, "data.csv", "Id,Item,Colour,Number\n1,Toga,Purple,10\n2,Toga,Purple,5\n")
+    store_job = _read(workdir, "store.job").replace("output = store_report.csv\n", "")
+    _write(workdir, "store.job", store_job)
+    assert main(["report", str(workdir / "store.job"), str(workdir / "data.csv")]) == 0
+    assert capsys.readouterr().out == "Item,Colour,Sum of Number\nToga,Purple,15\n"
+    _write(workdir, "left.csv", "1,a,b,c\n2,d,e,f\n")
+    _write(workdir, "right.csv", "2,d,e,f\n")
+    _write(workdir, "compare.job", _read(workdir, "compare.job").replace("output = diff.txt\n", ""))
+    assert main(["--quiet", "compare", str(workdir / "compare.job")]) == 0
+    assert capsys.readouterr().out == "< 1,a,b,c\n"
+    assert not (workdir / "diff.txt").exists()
+
+
+def test_report_of_an_empty_data_file_exits_2(workdir, capsys):
+    _write(workdir, "empty.csv", "")
+    assert main(["report", str(workdir / "store.job"), str(workdir / "empty.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'empty.csv'}: no header row to aggregate against\n"
+    )
+    assert not (workdir / "store_report.csv").exists()
 
 
 def test_report_command_over_data_file(workdir, capsys):

@@ -138,6 +138,21 @@ def test_a_formula_nested_too_deep_fails_at_load_naming_its_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "line,problem",
+    [
+        ("cell A01 = 1", "not a cell address: 'A01'"),  # a formula reads A01 as a name
+        ('cell A1 = "a"b"', 'malformed quoted text: "a"b"'),
+        ('cell A1 = "abc', 'malformed quoted text: "abc'),
+    ],
+)
+def test_a_bad_address_or_quoted_text_fails_at_load_naming_its_line(tmp_path, line, problem):
+    path = _definition(tmp_path, f"[sheet Main]\ncell B1 = 1\n{line}\n")
+    with pytest.raises(DefinitionError) as err:
+        load_definition(path)
+    assert str(err.value) == f"{path}:3: {problem}"
+
+
 def test_cycle_detected_at_load(tmp_path):
     with pytest.raises(CycleError):
         load_definition(

@@ -45,7 +45,7 @@ def test_smallest_cycle_is_rejected():
     wb = _sheet({"A1": "=B1", "B1": "=A1"})
     with pytest.raises(CycleError) as err:
         build_graph(wb)
-    assert {"MAIN!A1", "MAIN!B1"} <= set(err.value.cycle)
+    assert {"Main!A1", "Main!B1"} <= set(err.value.cycle)
 
 
 def test_self_reference_is_a_cycle():

@@ -23,6 +23,7 @@ from gridpipe.formula import (
     extract_references,
     parse_formula,
     render_formula,
+    token_kind,
     tokenize,
 )
 from gridpipe.values import CellError
@@ -91,6 +92,9 @@ def test_tokenize_illegal_character():
         tokenize("1 + @2")
     assert err.value.offset == 4
     assert err.value.found == "@"
+    with pytest.raises(LexError) as err:
+        tokenize("AB1$")  # a $ that starts no reference
+    assert (err.value.offset, err.value.found) == (3, "$")
 
 
 @pytest.mark.parametrize(
@@ -105,11 +109,25 @@ def test_tokenize_illegal_character():
         ("false", "boolean"),
         ("Tax.Rate", "name"),
         ("_x", "name"),
+        ("A$1", "cellref"),
+        ("$A1", "cellref"),
+        ("A$1B", None),  # A$1 then the name B: a reference with a $ ends at its row
+        ("AB1$", None),  # the cell reference AB1, then an illegal $
     ],
 )
 def test_token_classification(lexeme, kind):
-    (token,) = tokenize(lexeme)
-    assert token.kind == kind
+    assert token_kind(lexeme) == kind
+    if kind is not None:
+        (token,) = tokenize(lexeme)
+        assert token.kind == kind
+
+
+def test_a_reference_with_a_dollar_ends_at_its_row():
+    tokens = tokenize("A$1B")
+    assert [(t.kind, t.lexeme, t.offset) for t in tokens] == [
+        ("cellref", "A$1", 0),
+        ("name", "B", 3),
+    ]
 
 
 # --- parse ------------------------------------------------------------------
@@ -178,6 +196,14 @@ def test_a_formula_nests_at_most_64_levels(opener, closer):
     assert (err.value.offset, err.value.found) == (
         1 + 64 * len(opener) + opener.index(token), repr(token)
     )
+
+
+def test_a_chain_of_2000_operators_evaluates():
+    # The chain is a left-deep tree as long as the formula: it compiles
+    # and renders without a frame per operator.
+    source = "=" + "+".join(["1"] * 2000)
+    assert evaluate_source(Workbook(), source) == 2000.0
+    assert render_formula(parse_formula(source)) == source
 
 
 # --- extract_references -----------------------------------------------------

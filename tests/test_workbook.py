@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import string
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from gridpipe.formula import parse_formula
+from gridpipe.formula import LexError, parse_formula, tokenize
 from gridpipe.values import BLANK
 from gridpipe.workbook import (
     BadAddress,
@@ -137,6 +139,33 @@ def test_bad_names_rejected(bad):
     wb = Workbook()
     with pytest.raises(BadName):
         wb.define_name(bad, _rng("A1", "A1"))
+
+
+@given(st.text(alphabet=string.ascii_letters + string.digits + "_.$", max_size=10))
+@example("TRUE")
+@example("A01")
+@example("$A$1")
+@example("XFD1048576")
+@example("A12345678")
+def test_names_and_addresses_are_read_as_a_formula_reads_them(word):
+    try:
+        kinds = [token.kind for token in tokenize(word)]
+    except LexError:
+        kinds = []
+    kind = kinds[0] if len(kinds) == 1 else None
+    try:
+        Workbook().define_name(word, _rng("A1", "A1"))
+        refusal = None
+    except BadName as exc:
+        refusal = str(exc)
+    assert (refusal is None) == (kind == "name")
+    assert (refusal or "").startswith("name would shadow a cell reference") == (kind == "cellref")
+    try:
+        parse_a1(word, "Main")
+        address = True
+    except BadAddress:
+        address = False
+    assert address == (kind == "cellref")
 
 
 def test_name_out_of_bounds():
