@@ -4,13 +4,17 @@ Two plain-text formats, both read exactly once per run:
 
 Definition file (the business rules, diffable and auditable)::
 
-    # comment
+    # a comment is a whole line: a "#" after a value is part of it
     format = 1
     [sheet Main]
-    cell A1 = Id            # bare text
-    cell B1 = 42            # bare number
-    cell C1 = "  padded "   # quoted text keeps spaces
-    cell D1 = =A1&B1        # leading = means formula
+    # bare text
+    cell A1 = Id
+    # bare number
+    cell B1 = 42
+    # quoted text keeps spaces
+    cell C1 = "  padded "
+    # leading = means formula
+    cell D1 = =A1&B1
     [names]
     InputCells = Main!A2:D2
 
@@ -21,9 +25,8 @@ Job file (everything an operator would have kept in control tables)::
     [pipeline]
     input = in.csv
     output = out.csv
-    input-range = InputCells
-    output-range = OutputCells
 
+A cell's role is the name the definition gives it (see ``pipeline``).
 Relative paths resolve against the job file's directory, so a job runs
 the same from anywhere.
 """
@@ -45,7 +48,6 @@ __all__ = [
     "DuplicateCell",
     "UnknownSection",
     "UnknownKey",
-    "UnknownRangeName",
     "LimitExceeded",
     "MAX_LIST_ENTRIES",
     "JobSubtotals",
@@ -75,10 +77,6 @@ class UnknownSection(ConfigError):
 
 class UnknownKey(ConfigError):
     """A job file key outside its section's documented schema."""
-
-
-class UnknownRangeName(ConfigError):
-    """A job file referencing a range name the definition lacks."""
 
 
 class LimitExceeded(ConfigError):
@@ -122,9 +120,7 @@ def load_definition(path) -> Workbook:
                 in_names = True
                 sheet = None
             elif section.lower().startswith("sheet "):
-                sheet = section[6:].strip()
-                if not sheet:
-                    raise DefinitionError(path, line_no, "sheet section needs a name")
+                sheet = section[6:].strip()  # not empty: ``section`` is stripped
                 wb.add_sheet(sheet)
                 in_names = False
             else:
@@ -140,12 +136,9 @@ def load_definition(path) -> Workbook:
         value = value.strip()
 
         if in_names:
-            try:
-                rng = _parse_range_text(value)
-                wb.define_name(key, rng)
+            try:  # raises errors without a location, never a DefinitionError
+                wb.define_name(key, _parse_range_text(value))
             except ConfigError as exc:
-                if isinstance(exc, DefinitionError):
-                    raise
                 raise type(exc)(f"{path}:{line_no}: {exc}") from None
             continue
 
@@ -293,10 +286,6 @@ def _text(value: str, base: str) -> str:
     return value
 
 
-def _range_name(value: str, base: str) -> str:
-    return value  # checked against the definition once the spec is built
-
-
 def _path(value: str, base: str) -> str:
     return value if os.path.isabs(value) else os.path.normpath(os.path.join(base, value))
 
@@ -334,11 +323,6 @@ _SCHEMA = {
     "pipeline": (PipelineSpec, {
         "input": ("input_path", _path),
         "output": ("output_path", _path),
-        "input-range": ("input_range", _range_name),
-        "output-range": ("output_range", _range_name),
-        "skip-cell": ("skip_cell", _range_name),
-        "skip-sentinel": ("skip_sentinel", _text),
-        "carry-forward": ("carry_forward_range", _range_name),
         "headings": ("has_headings", _yes_no),
         "fields": ("field_count_policy", _text),
         "on-error": ("on_record_error", _text),
@@ -358,13 +342,11 @@ _SCHEMA = {
         "left": ("left_path", _path),
         "right": ("right_path", _path),
         "output": ("output_path", _path),
-        "left-range": ("left_range", _range_name),
-        "right-range": ("right_range", _range_name),
-        "status-cell": ("status_cell", _range_name),
         "headings": ("has_headings", _yes_no),
     }),
 }
-# The checks a command makes before it streams, run again at load.
+# The checks a command makes before it streams, run again at load on the
+# definition, which such a section requires.
 _PREFLIGHT = {"pipeline": run_cells, "compare": compare_cells}
 _REPEATABLE = {("sort", "key"), ("subtotals", "job")}
 _TOP_KEYS = {"format", "definition"}
@@ -396,6 +378,8 @@ def _parse_job_text(text: str, path) -> dict:
                 )
             if key in sections[""]:
                 raise DefinitionError(path, line_no, f"key {key!r} repeated")
+            if key == "format" and value != "1":
+                raise DefinitionError(path, line_no, f"unsupported format: {value}")
             sections[""][key] = value
             continue
         if key not in _SCHEMA[current][1]:
@@ -432,22 +416,15 @@ def _build_section(path: str, section: str, raw: dict, workbook, **extra):
             raise ConfigError(f"{path}: [{section}] is missing required key {key_of[name]!r}")
     if spec_class is None:
         return settings
-    ranges = [(key, name) for key, (name, convert) in table.items() if convert is _range_name]
-    if ranges and workbook is None:
-        raise ConfigError(f"{path}: [{section}] requires a definition file")
     try:
         spec = spec_class(**settings)
     except SettingError as exc:
         raise ConfigError(f"{path}: [{section}] {key_of[exc.setting]}: {exc.problem}") from None
-    for key, name in ranges:
-        value = getattr(spec, name)
-        if value is not None and not workbook.has_name(value):
-            raise UnknownRangeName(
-                f"{path}: [{section}] {key}: {value!r} is not defined in the definition file"
-            )
     if section in _PREFLIGHT:
+        if workbook is None:
+            raise ConfigError(f"{path}: [{section}] requires a definition file")
         try:
-            _PREFLIGHT[section](spec, workbook)
+            _PREFLIGHT[section](workbook)
         except ConfigError as exc:
             raise ConfigError(f"{path}: [{section}] {exc}") from None
     return spec
@@ -458,9 +435,6 @@ def load_job(path) -> JobConfig:
     path = os.path.abspath(path)
     sections = _parse_job_text(_read_text(path), path)
     top = sections.pop("")
-    if top.get("format", "1") != "1":
-        raise ConfigError(f"{path}: unsupported format: {top['format']!r}")
-
     definition_path = None
     workbook = None
     if "definition" in top:

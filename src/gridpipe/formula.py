@@ -88,13 +88,28 @@ class _Node:
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def _flat(self) -> tuple:
+        """Each node as ``(class, fields)``, flattened in preorder with
+        tuple lengths, in a loop: a 2,000-term chain costs no recursion."""
+        flat, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _Node):
+                item = (item.__class__, item._fields())
+            if item.__class__ is tuple:
+                flat += (tuple, len(item))
+                stack += reversed(item)
+            else:
+                flat.append(item)
+        return tuple(flat)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._flat() == other._flat()
 
     def __hash__(self):
-        return hash((self.__class__, self._fields()))
+        return hash(self._flat())
 
     def __repr__(self):
         return f"{self.__class__.__name__}({', '.join(map(repr, self._fields()))})"

@@ -1,6 +1,11 @@
 """The streaming loop: drop each record into the input cells,
 recalculate, collect the output cells, and write the result.
 
+A cell's role is the name the definition gives it, known only here:
+``InputCells``, ``OutputCells`` and, if defined, ``Skip`` and
+``CarryForward`` for a run; ``LeftCells``, ``RightCells`` and ``Status``
+for a comparison.
+
 Per record the engine (1) parses the fields, (2) fits them to the input
 range, (3) runs the compiled record step, which takes the fields as
 text and returns the output and skip cells' values, computing only the
@@ -20,7 +25,7 @@ import time
 from .csvio import atomic_output, encode_record, parse_line, read_records
 from .engine import compile_constants, compile_plan
 from .errors import ConfigError, DataError, check_choices, warn
-from .values import CellError, CellValue, render_value, values_equal
+from .values import CellError, render_value
 from .workbook import CellRange, Workbook
 
 __all__ = [
@@ -64,22 +69,14 @@ class StatusCellError(DataError):
 
 
 class PipelineSpec:
-    __slots__ = ("input_path", "output_path", "input_range", "output_range", "skip_cell",
-                 "skip_sentinel", "carry_forward_range", "has_headings", "expected_headers",
+    __slots__ = ("input_path", "output_path", "has_headings", "expected_headers",
                  "field_count_policy", "on_record_error")
 
-    def __init__(self, input_path: str, output_path: str, input_range: str = "InputCells",
-                 output_range: str = "OutputCells", skip_cell: str | None = None,
-                 skip_sentinel: CellValue = "Skip", carry_forward_range: str | None = None,
-                 has_headings: bool = True, expected_headers: list[str] | None = None,
+    def __init__(self, input_path: str, output_path: str, has_headings: bool = True,
+                 expected_headers: list[str] | None = None,
                  field_count_policy: str = "pad-truncate", on_record_error: str = "fail-fast"):
         self.input_path = input_path
         self.output_path = output_path
-        self.input_range = input_range
-        self.output_range = output_range
-        self.skip_cell = skip_cell
-        self.skip_sentinel = skip_sentinel
-        self.carry_forward_range = carry_forward_range
         self.has_headings = has_headings
         self.expected_headers = expected_headers  # the header line must match, if given
         self.field_count_policy = field_count_policy  # FIELD_COUNT_POLICIES
@@ -92,18 +89,13 @@ class PipelineSpec:
 
 
 class CompareSpec:
-    __slots__ = ("left_path", "right_path", "output_path", "left_range", "right_range",
-                 "status_cell", "has_headings")
+    __slots__ = ("left_path", "right_path", "output_path", "has_headings")
 
     def __init__(self, left_path: str, right_path: str, output_path: str | None = None,
-                 left_range: str = "LeftCells", right_range: str = "RightCells",
-                 status_cell: str = "Status", has_headings: bool = False):
+                 has_headings: bool = False):
         self.left_path = left_path
         self.right_path = right_path
         self.output_path = output_path
-        self.left_range = left_range
-        self.right_range = right_range
-        self.status_cell = status_cell
         self.has_headings = has_headings
 
 
@@ -156,16 +148,15 @@ def report_progress(stats: RunStats, every_n: int, stream=None) -> None:
         print(f"records processed: {stats.records_read}", file=stream or sys.stderr)
 
 
-def _range_for(wb: Workbook, name: str, what: str) -> CellRange:
-    try:
-        return wb.resolve_name(name)
-    except Exception as exc:
-        raise ConfigError(f"{what} range {name!r}: {exc}") from exc
+def _range_for(wb: Workbook, name: str) -> CellRange:
+    if not wb.has_name(name):
+        raise ConfigError(f"the definition does not define {name!r}")
+    return wb.resolve_name(name)
 
 
 def _record_range(wb: Workbook, name: str, what: str) -> CellRange:
     """The named range records are written to; it must hold no formula."""
-    rng = _range_for(wb, name, what)
+    rng = _range_for(wb, name)
     for addr in rng.addresses():
         if wb.formula_at(addr) is not None:
             raise ConfigError(
@@ -177,7 +168,7 @@ def _record_range(wb: Workbook, name: str, what: str) -> CellRange:
 
 def _single_cell(wb: Workbook, name: str, what: str) -> tuple:
     """The key of the named range, which must be one cell."""
-    rng = _range_for(wb, name, what)
+    rng = _range_for(wb, name)
     if rng.size() != 1:
         raise ConfigError(f"{what} cell {name!r} must be a single cell")
     return next(rng.keys())
@@ -215,16 +206,16 @@ def _check_readback(line: str, width: int | None, where: str) -> None:
 
 
 def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_keys: list,
-                 policy: str, what: str, error: type, skip=None):
+                 policy: str, what: str, error: type, skip: bool = False):
     """The per-record step shared by ``run_pipeline`` and ``compare_files``.
 
     Returns ``(step, write_back, plan)``. ``step(number, fields, *more)``
     fits each field list to its range, runs the plan and returns the
     values of the ``observed`` cells in order. An error value raises
     ``error`` naming the record and the cell by its role in ``observed``.
-    A record whose first value is TRUE or equals the ``skip`` sentinel
-    returns None unchecked. ``write_back()`` stores the last record's
-    fields and values.
+    With ``skip``, a record whose first value is TRUE or the text Skip in
+    any case returns None unchecked. ``write_back()`` stores the last
+    record's fields and values.
     """
     field_keys = [key for rng in ranges for key in rng.keys()]
     # cells the plan reads but no record changes are computed once
@@ -233,7 +224,6 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
     plan = compile_plan(wb, carry_keys, observed, field_keys)
     run, values = plan.run, wb.values
     names = [f"{role} {wb.cell_name(key)}" for key, role in observed.items()]
-    skip_false = skip is not None and values_equal(False, skip)
     last_row = last_out = ()
 
     def step(number, fields, *more):
@@ -244,9 +234,9 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
                 row = row + _fit_fields(fields, size, policy, number)
         last_row = row
         last_out = out = run(values, row)
-        if skip is not None:
+        if skip:
             flag = out[0]
-            if flag is True or (skip_false if flag is False else values_equal(flag, skip)):
+            if flag is True or flag.__class__ is str and flag.upper() == "SKIP":
                 return None
         for value in out:
             if value.__class__ is CellError:
@@ -261,23 +251,22 @@ def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_ke
     return step, write_back, plan
 
 
-def run_cells(spec: PipelineSpec, wb: Workbook):
+def run_cells(wb: Workbook):
     """The checks ``run_pipeline`` makes before it streams, which the job
     loader makes too. Reads no data and compiles nothing; returns
     ``(input_range, skip_key, payload_keys, carry_keys)``."""
-    input_range = _record_range(wb, spec.input_range, "input")
-    output_range = _range_for(wb, spec.output_range, "output")
-    skip_key = _single_cell(wb, spec.skip_cell, "skip") if spec.skip_cell else None
+    input_range = _record_range(wb, "InputCells", "input")
+    output_range = _range_for(wb, "OutputCells")
+    skip_key = _single_cell(wb, "Skip", "skip") if wb.has_name("Skip") else None
 
     # The skip cell may sit inside the output range; it never joins the payload.
     payload_keys = [k for k in output_range.keys() if k != skip_key]
     if not payload_keys:
-        raise ConfigError(f"output range {spec.output_range!r} has no payload cells")
+        raise ConfigError("output range 'OutputCells' has no payload cells")
 
     carry_keys: list = []
-    if spec.carry_forward_range:
-        carry_range = _record_range(wb, spec.carry_forward_range, "carry-forward")
-        carry_keys = list(carry_range.keys())
+    if wb.has_name("CarryForward"):
+        carry_keys = list(_record_range(wb, "CarryForward", "carry-forward").keys())
         if len(carry_keys) not in (1, len(payload_keys)):
             raise ConfigError(
                 f"carry-forward range holds {len(carry_keys)} cells; "
@@ -301,7 +290,7 @@ def run_pipeline(
     them; ``recalculate(wb)`` refreshes them.
     """
     started = time.perf_counter()
-    input_range, skip_key, payload_keys, carry_keys = run_cells(spec, wb)
+    input_range, skip_key, payload_keys, carry_keys = run_cells(wb)
 
     values = wb.values
     observed = dict.fromkeys(payload_keys, "output cell")
@@ -309,7 +298,7 @@ def run_pipeline(
         observed = {skip_key: "skip cell", **observed}
     step, write_back, plan = _record_step(
         wb, [input_range], observed, carry_keys, spec.field_count_policy, "record",
-        RecordError, None if skip_key is None else spec.skip_sentinel,
+        RecordError, skip_key is not None,
     )
     first = 0 if skip_key is None else 1  # where the payload starts in a step's values
     width = len(payload_keys)
@@ -399,14 +388,14 @@ class CompareReport:
             yield "> " + raw
 
 
-def compare_cells(spec: CompareSpec, wb: Workbook):
+def compare_cells(wb: Workbook):
     """The checks ``compare_files`` makes before it streams, which the job
     loader makes too. Reads no data and compiles nothing; returns
     ``(left_range, right_range, status_key)``."""
     return (
-        _record_range(wb, spec.left_range, "left"),
-        _record_range(wb, spec.right_range, "right"),
-        _single_cell(wb, spec.status_cell, "status"),
+        _record_range(wb, "LeftCells", "left"),
+        _record_range(wb, "RightCells", "right"),
+        _single_cell(wb, "Status", "status"),
     )
 
 
@@ -421,7 +410,7 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     are evaluated; afterwards the others are stale, or never evaluated,
     until ``recalculate(wb)``.
     """
-    left_range, right_range, status_key = compare_cells(spec, wb)
+    left_range, right_range, status_key = compare_cells(wb)
     step, write_back, _ = _record_step(wb, [left_range, right_range], {status_key: "status cell"},
                                        [], "pad-truncate", "record pair", StatusCellError)
 

@@ -254,20 +254,16 @@ def unary_plus(a: CellValue) -> CellValue:
 _TYPE_RANK = {float: 0, str: 1, bool: 2}
 
 
-def compare(a: CellValue, b: CellValue) -> int | CellError:
+def compare(a: CellValue, b: CellValue) -> int:
     """Three-way comparison following spreadsheet ordering rules.
 
     Same-type operands compare directly (text case-insensitively, over
     uppercased code points); mixed types order number < text < boolean.
     A blank operand takes the other side's zero value (0, "", FALSE).
+    Neither operand is an error or a range: a plan fails a range operand
+    when it compiles and checks every operand for an error first.
     """
-    if isinstance(a, RangeValue) or isinstance(b, RangeValue):
-        return VALUE_ERROR
     ca, cb = a.__class__, b.__class__
-    if ca is CellError:
-        return a
-    if cb is CellError:
-        return b
     if ca is Blank and cb is Blank:
         return 0
     if ca is Blank:
@@ -295,16 +291,12 @@ def values_equal(a: CellValue, b: CellValue) -> bool:
     """Equality under the engine's comparison semantics (not bit equality)."""
     if a.__class__ is CellError or b.__class__ is CellError:
         return a == b
-    result = compare(a, b)
-    return result == 0
+    return compare(a, b) == 0
 
 
 def _cmp_op(op):
-    def run(a: CellValue, b: CellValue) -> CellValue:
-        result = compare(a, b)
-        if result.__class__ is CellError:
-            return result
-        return op(result)
+    def run(a: CellValue, b: CellValue) -> bool:
+        return op(compare(a, b))  # operands as ``compare`` takes them
 
     return run
 

@@ -113,8 +113,6 @@ def test_criterion_4_dedup_matches_first_occurrence_filter(workdir):
         spec = PipelineSpec(
             str(workdir / "dedup_in.csv"),
             str(workdir / "dedup_out.csv"),
-            skip_cell="Duplicate",
-            carry_forward_range="CarryForward",
         )
         stats = run_pipeline(spec, wb)
         produced = (workdir / "dedup_out.csv").read_text().splitlines()[1:]

@@ -488,8 +488,8 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
 @pytest.mark.parametrize(
     "edited, old, new, command, job, problem",
     [
-        ("dedup.sheet", "Duplicate = Main!G2\n", "Duplicate = Main!G2:H2\n", "run", "store.job",
-         "[pipeline] skip cell 'Duplicate' must be a single cell"),
+        ("dedup.sheet", "Skip = Main!G2\n", "Skip = Main!G2:H2\n", "run", "store.job",
+         "[pipeline] skip cell 'Skip' must be a single cell"),
         ("dedup.sheet", "CarryForward = Main!M2:P2", "CarryForward = Main!M2:N2", "run",
          "dedup.job", "[pipeline] carry-forward range holds 2 cells; expected 1 or 4"),
         ("caesar.sheet", "cell F2 = =ARABIC(D2)", "cell F2 = =ARABIC(D2)\ncell C2 = =UPPER(B2)",
@@ -511,9 +511,9 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
         ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "run", "store.job",
          "column 'Weight' not found in headers"),
         # The report would take the first output record for the header line.
-        ("caesar.job", "OutputCells\n\n[expected-headers]\nheaders = Id, Item, Colour, Number",
-         "OutputCells\nheadings = n\n\n[subtotals]\njob = Number : Item", "run", "caesar.job",
-         "[subtotals] reads the header line of the output"),
+        ("caesar.job", "caesar_out.csv\n\n[expected-headers]\nheaders = Id, Item, Colour, Number",
+         "caesar_out.csv\nheadings = n\n\n[subtotals]\njob = Number : Item", "run",
+         "caesar.job", "[subtotals] reads the header line of the output"),
         # [expected-headers] alone turns validation on, for check and run alike.
         ("caesar_in.csv", "Number", "Nummer", "run", "caesar.job",
          "header mismatch at position 4: found 'Nummer', expected 'Number'"),
@@ -525,12 +525,39 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
          "run", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
         ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour, Nummer\n[sort]",
          "sort", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
+        # Each role name is checked once, by the preflight.
+        ("caesar.sheet", "InputCells =", "Input =", "run", "caesar.job",
+         "[pipeline] the definition does not define 'InputCells'"),
+        ("dedup.sheet", "OutputCells =", "Output =", "run", "store.job",
+         "[pipeline] the definition does not define 'OutputCells'"),
+        ("compare.sheet", "LeftCells =", "Left =", "compare", "compare.job",
+         "[compare] the definition does not define 'LeftCells'"),
+        ("compare.sheet", "RightCells =", "Right =", "compare", "compare.job",
+         "[compare] the definition does not define 'RightCells'"),
+        ("compare.sheet", "Status =", "Verdict =", "compare", "compare.job",
+         "[compare] the definition does not define 'Status'"),
+        # Job lines the loader rejects, each named by its file and line.
+        ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\nbogus\n", "run",
+         "caesar.job", "caesar.job:8: expected 'key = value': bogus"),
+        ("caesar.job", "caesar.sheet\n", "caesar.sheet\ninput = x.csv\n", "run", "caesar.job",
+         "caesar.job:4: key 'input' outside any section"),
+        ("caesar.job", "Colour, Number\n", "Colour, Number\n[pipeline]\n", "run", "caesar.job",
+         "caesar.job:11: section [pipeline] repeated"),
+        ("caesar.job", "format = 1\n", "format = 1\nformat = 1\n", "run", "caesar.job",
+         "caesar.job:3: key 'format' repeated"),
+        ("caesar.job", "format = 1\n", "format = 2\n", "run", "caesar.job",
+         "caesar.job:2: unsupported format: 2"),
+        # A value's converter names the section and the key, not the line.
+        ("caesar.job", "headers = Id, Item, Colour, Number", "headers =", "run", "caesar.job",
+         "caesar.job: [expected-headers] headers: list is empty"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
          "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
          "unknown-sort-key-in-input", "unknown-subtotal-column", "subtotals-without-header",
          "header-mismatch", "removed-header-key", "header-mismatch-before-run-sorts",
-         "header-mismatch-before-sort"],
+         "header-mismatch-before-sort", "no-input-cells", "no-output-cells", "no-left-cells",
+         "no-right-cells", "no-status", "line-without-equals", "key-outside-section",
+         "repeated-section", "repeated-top-key", "format-2", "empty-headers"],
 )
 def test_check_and_the_command_reject_a_job_alike(
     workdir, capsys, edited, old, new, command, job, problem
@@ -546,6 +573,21 @@ def test_check_and_the_command_reject_a_job_alike(
     assert capsys.readouterr().err == check_err
     assert problem in check_err
     assert sorted(path.name for path in workdir.iterdir()) == before  # run sorted nothing
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("pipeline", "input-range"), ("pipeline", "output-range"), ("pipeline", "skip-cell"),
+     ("pipeline", "skip-sentinel"), ("pipeline", "carry-forward"), ("compare", "left-range"),
+     ("compare", "right-range"), ("compare", "status-cell")],
+)
+def test_a_removed_wiring_key_is_unknown(workdir, capsys, section, key):
+    # The definition's role names wire the cells; no job key does.
+    job, command = ("caesar.job", "run") if section == "pipeline" else ("compare.job", "compare")
+    _write(workdir, job, _read(workdir, job).replace(f"[{section}]\n", f"[{section}]\n{key} = X\n"))
+    for argv in (["check", str(workdir / job)], [command, str(workdir / job)]):
+        assert main(argv) == 1
+        assert f"unknown key '{key}' in [{section}]" in capsys.readouterr().err
 
 
 def test_quiet_silences_every_command(workdir, capsys):

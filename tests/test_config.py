@@ -12,7 +12,6 @@ from gridpipe.config import (
     DuplicateCell,
     LimitExceeded,
     UnknownKey,
-    UnknownRangeName,
     UnknownSection,
     load_definition,
     load_job,
@@ -21,7 +20,7 @@ from gridpipe.config import (
 from gridpipe.engine import CycleError, recalculate
 from gridpipe.errors import ConfigError
 from gridpipe.formula import render_formula
-from gridpipe.pipeline import PipelineSpec
+from gridpipe.pipeline import PipelineSpec, run_cells
 from gridpipe.sortio import SortKey
 from gridpipe.values import BLANK
 from gridpipe.workbook import parse_a1
@@ -144,6 +143,8 @@ def test_a_formula_nested_too_deep_fails_at_load_naming_its_line(tmp_path):
         ("cell A01 = 1", "not a cell address: 'A01'"),  # a formula reads A01 as a name
         ('cell A1 = "a"b"', 'malformed quoted text: "a"b"'),
         ('cell A1 = "abc', 'malformed quoted text: "abc'),
+        ("cell A1", "expected 'key = value': cell A1"),
+        ("value A1 = 1", "expected 'cell <address> = <content>': value A1 = 1"),
     ],
 )
 def test_a_bad_address_or_quoted_text_fails_at_load_naming_its_line(tmp_path, line, problem):
@@ -151,6 +152,15 @@ def test_a_bad_address_or_quoted_text_fails_at_load_naming_its_line(tmp_path, li
     with pytest.raises(DefinitionError) as err:
         load_definition(path)
     assert str(err.value) == f"{path}:3: {problem}"
+
+
+def test_a_name_without_a_sheet_fails_at_load_naming_its_line(tmp_path):
+    path = _definition(tmp_path, "[sheet Main]\ncell B1 = 1\n[names]\nX = A1:B2\n")
+    with pytest.raises(ConfigError) as err:
+        load_definition(path)
+    assert str(err.value) == (
+        f"{path}:4: named range must be '<Sheet>!<A1>' or '<Sheet>!<A1>:<A1>': 'A1:B2'"
+    )
 
 
 def test_cycle_detected_at_load(tmp_path):
@@ -242,8 +252,7 @@ _MINIMAL_SHEET = (
 def _minimal_job_text(extra=""):
     return (
         "definition = rules.sheet\n"
-        "[pipeline]\ninput = in.csv\noutput = out.csv\n"
-        "input-range = InputCells\noutput-range = OutputCells\n" + extra
+        "[pipeline]\ninput = in.csv\noutput = out.csv\n" + extra
     )
 
 
@@ -295,11 +304,12 @@ def test_the_removed_csv_key_is_unknown(tmp_path, section, lines):
 
 
 def test_unknown_range_name(tmp_path):
-    _definition(tmp_path, _MINIMAL_SHEET)
-    text = _minimal_job_text().replace("OutputCells", "OutputCellz")
-    with pytest.raises(UnknownRangeName) as err:
-        load_job(_job(tmp_path, text))
-    assert "OutputCellz" in str(err.value)
+    # The preflight is the one range-name check; it names the role's name.
+    _definition(tmp_path, _MINIMAL_SHEET.replace("OutputCells", "OutputCellz"))
+    job = _job(tmp_path, _minimal_job_text())
+    with pytest.raises(ConfigError) as err:
+        load_job(job)
+    assert str(err.value) == f"{job}: [pipeline] the definition does not define 'OutputCells'"
 
 
 def test_limit_on_control_entries(tmp_path):
@@ -381,10 +391,15 @@ def test_a_bad_choice_in_a_job_names_its_section_and_key(tmp_path):
         load_job(job)
 
 
+def _readme_block(heading):
+    """The first fenced block under README's ``## <heading>``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("```\n", 2)[1]
+
+
 def _readme_job_schema():
     """Section -> keys of the job file block under README's "## The job file"."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## The job file\n", 1)[1].split("```\n", 2)[1]
+    block = _readme_block("The job file")
     schema: dict[str, set] = {"": set()}
     section = ""
     for line in block.splitlines():
@@ -402,11 +417,20 @@ def test_readme_job_file_block_matches_the_key_table():
     assert _readme_job_schema() == {"": config_mod._TOP_KEYS, **table}
 
 
+def test_readme_examples_load(tmp_path):
+    # Only whole lines are comments, so a value keeps a trailing "# ...".
+    wb = load_definition(_definition(tmp_path, _readme_block("The definition file")))
+    assert wb.get_value(_addr("B1")) == 42.0
+    sections = config_mod._parse_job_text(_readme_block("The job file"), "README.md")
+    values = [value for keys in sections.values() for value in keys.values()]
+    assert values and not [value for value in values if "#" in str(value)]
+
+
 def test_store_job_fixture_loads(workdir):
     job = load_job(workdir / "store.job")
     assert job.sort is not None and job.pipeline is not None
     assert job.subtotals.job_lines == ["Number : Item, Colour"]
-    assert job.pipeline.skip_cell == "Duplicate"
+    assert run_cells(job.workbook)[1] == _addr("G2").key()  # the Skip cell
 
 
 # --- read-once guarantee ---------------------------------------------------------

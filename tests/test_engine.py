@@ -323,6 +323,18 @@ def test_evaluate_error_values(source, error):
     assert evaluate_source(Workbook(), source) == error
 
 
+@pytest.mark.parametrize(
+    "source,error",
+    [('="x"-1', VALUE_ERROR), ('=1-"x"', VALUE_ERROR), ('="x"/1', VALUE_ERROR),
+     ('=1/"x"', VALUE_ERROR), ('="x"^2', VALUE_ERROR), ('=2^"x"', VALUE_ERROR),
+     ('=2*"x"', VALUE_ERROR), ('=-"x"', VALUE_ERROR), ('=+"x"', VALUE_ERROR),
+     ("=10^400", NUM_ERROR)],
+)
+def test_arithmetic_on_text_or_out_of_range_is_an_error(source, error):
+    # Each operator's own error return: the operands are not errors.
+    assert evaluate_source(Workbook(), source) == error
+
+
 def test_blank_coercion_rules():
     wb = Workbook()  # Z9 never set
     assert evaluate_source(wb, "=Z9+1") == 1.0  # blank -> 0 in arithmetic

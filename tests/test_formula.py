@@ -199,11 +199,14 @@ def test_a_formula_nests_at_most_64_levels(opener, closer):
 
 
 def test_a_chain_of_2000_operators_evaluates():
-    # The chain is a left-deep tree as long as the formula: it compiles
-    # and renders without a frame per operator.
+    # The chain is a left-deep tree as long as the formula: it compiles,
+    # renders, compares and hashes without a frame per operator.
     source = "=" + "+".join(["1"] * 2000)
     assert evaluate_source(Workbook(), source) == 2000.0
     assert render_formula(parse_formula(source)) == source
+    assert parse_formula(source) == parse_formula(source)
+    assert hash(parse_formula(source)) == hash(parse_formula(source))
+    assert parse_formula(source) != parse_formula(source[:-1] + "2")
 
 
 # --- extract_references -----------------------------------------------------

@@ -166,7 +166,7 @@ def test_output_cell_error_names_the_cell_in_a1(workdir):
 def test_skip_cell_error_names_the_cell_in_a1(workdir):
     _write(workdir, "n,word\nx,bad\n")
     with pytest.raises(RecordError) as err:
-        run_pipeline(_spec(workdir, skip_cell="Flag"), _skip_workbook())
+        run_pipeline(_spec(workdir), _skip_workbook())
     assert str(err.value) == "record 1: skip cell Main!C2 is #VALUE!"
 
 
@@ -225,16 +225,19 @@ def test_run_does_not_evaluate_thousands_of_unobserved_workings(workdir):
 
 
 def test_input_range_over_formula_cells_is_rejected(workdir):
-    wb = _caesar(workdir)
-    wb.define_name("BadInput", _rng("F2", "F2"))  # the conversion formula
-    with pytest.raises(ConfigError):
-        run_pipeline(_spec(workdir, input_range="BadInput"), wb)
+    wb = _joining_workbook(2)
+    wb.set_cell(_addr("B2"), parse_formula("=A2"))
+    with pytest.raises(ConfigError, match="input range Main!A2:B2 overlaps formula cell Main!B2"):
+        run_pipeline(_spec(workdir), wb)
 
 
 def test_unknown_range_name_is_config_error(workdir):
     _write(workdir, "h\n")
-    with pytest.raises(ConfigError):
-        run_pipeline(_spec(workdir, input_range="Nope"), _caesar(workdir))
+    for name, missing in ("InputCells", "OutputCells"), ("OutputCells", "InputCells"):
+        wb = Workbook()
+        wb.define_name(name, _rng("A2", "A2"))
+        with pytest.raises(ConfigError, match=f"^the definition does not define '{missing}'$"):
+            run_pipeline(_spec(workdir), wb)
 
 
 def test_run_leaves_input_and_output_cells_holding_the_last_record(workdir):
@@ -261,28 +264,28 @@ def test_failed_run_leaves_no_output_file(workdir):
 
 
 def _echo_workbook(width, carry=None):
-    """Output cells F2.. echo the input cells A2..; ``carry`` names a
-    carry-forward range on row 5."""
+    """Output cells F2.. echo the input cells A2..; ``carry`` is the
+    corners of a CarryForward range on row 5."""
     wb = Workbook()
     for col in range(width):
         wb.set_cell(_addr(f"{'FGHIJ'[col]}2"), parse_formula(f"={'ABCDE'[col]}2"))
     wb.define_name("InputCells", _rng("A2", f"{'ABCDE'[width - 1]}2"))
     wb.define_name("OutputCells", _rng("F2", f"{'FGHIJ'[width - 1]}2"))
     if carry:
-        wb.define_name("Carry", _rng(*carry))
+        wb.define_name("CarryForward", _rng(*carry))
     return wb
 
 
 def test_multi_cell_payload_is_quoted_and_carried_unquoted(workdir):
     _write(workdir, 'h,h\n"Toga, large","5"" wide"\nplain,text\n')
     wb = _echo_workbook(2, carry=("A5", "B5"))
-    run_pipeline(_spec(workdir, carry_forward_range="Carry"), wb)
+    run_pipeline(_spec(workdir), wb)
     assert _output(workdir) == 'h,h\n"Toga, large","5"" wide"\nplain,text\n'
-    assert wb.read_range(wb.resolve_name("Carry")) == [["plain", "text"]]
+    assert wb.read_range(wb.resolve_name("CarryForward")) == [["plain", "text"]]
 
     _write(workdir, 'h,h\n"Toga, large",x\n')
     wb = _echo_workbook(2, carry=("A5", "A5"))
-    run_pipeline(_spec(workdir, carry_forward_range="Carry"), wb)
+    run_pipeline(_spec(workdir), wb)
     assert wb.get_value(_addr("A5")) == '"Toga, large",x'  # the line as written
 
 
@@ -386,64 +389,77 @@ def test_without_a_header_line_the_expected_headers_set_the_width(workdir, heade
 # --- skip and carry-forward -----------------------------------------------------
 
 
-def _skip_workbook():
-    # Output is the record itself; the flag cell says Skip for values > 5.
+def _skip_workbook(flag='=IF(VALUE(A2)>5,"Skip","")'):
+    """Input A2:B2, Skip cell C2 computing ``flag`` (by default Skip for
+    values > 5), and D2 writing the first field."""
     wb = Workbook()
-    wb.set_cell(_addr("C2"), parse_formula('=IF(VALUE(A2)>5,"Skip","")'))
-    wb.set_cell(_addr("D2"), parse_formula('=A2&","&B2'))
+    wb.set_cell(_addr("C2"), parse_formula(flag))
+    wb.set_cell(_addr("D2"), parse_formula("=A2"))
     wb.define_name("InputCells", _rng("A2", "B2"))
     wb.define_name("OutputCells", _rng("C2", "D2"))
-    wb.define_name("Flag", _rng("C2", "C2"))
+    wb.define_name("Skip", _rng("C2", "C2"))
     return wb
 
 
 def test_skip_sentinel_text(workdir):
     _write(workdir, "n,word\n3,keep\n9,drop\n4,keep\n")
-    stats = run_pipeline(_spec(workdir, skip_cell="Flag"), _skip_workbook())
-    assert _output(workdir) == "n,word\n3,keep\n4,keep\n"
+    stats = run_pipeline(_spec(workdir), _skip_workbook())
+    assert _output(workdir) == "n,word\n3\n4\n"
     assert stats.records_skipped == 1
 
 
 def test_skip_sentinel_matching_is_case_insensitive(workdir):
-    wb = Workbook()
-    wb.set_cell(_addr("C2"), parse_formula('="skip"'))
-    wb.set_cell(_addr("D2"), parse_formula("=A2"))
-    wb.define_name("InputCells", _rng("A2", "A2"))
-    wb.define_name("OutputCells", _rng("C2", "D2"))
-    wb.define_name("Flag", _rng("C2", "C2"))
     _write(workdir, "h\nrow\n")
-    stats = run_pipeline(_spec(workdir, skip_cell="Flag"), wb)
+    stats = run_pipeline(_spec(workdir), _skip_workbook('="skip"'))
     assert stats.records_skipped == 1
     assert _output(workdir) == "h\n"
 
 
 def test_skip_cell_boolean_true(workdir):
-    wb = Workbook()
-    wb.set_cell(_addr("C2"), parse_formula('=A2="x"'))
-    wb.set_cell(_addr("D2"), parse_formula("=A2"))
-    wb.define_name("InputCells", _rng("A2", "A2"))
-    wb.define_name("OutputCells", _rng("C2", "D2"))
-    wb.define_name("Flag", _rng("C2", "C2"))
     _write(workdir, "h\nx\ny\n")
-    stats = run_pipeline(_spec(workdir, skip_cell="Flag"), wb)
+    stats = run_pipeline(_spec(workdir), _skip_workbook('=A2="x"'))
     assert _output(workdir) == "h\ny\n"
     assert stats.records_skipped == 1
+
+
+@pytest.mark.parametrize("flag", ["=FALSE", "=Z9", '="Skipped"', '=" Skip"', "=1"])
+def test_a_skip_cell_keeps_a_record_unless_true_or_skip(workdir, flag):
+    # TRUE, Skip and skip drop it: see the three tests above.
+    _write(workdir, "h\nrow\n")
+    stats = run_pipeline(_spec(workdir), _skip_workbook(flag))
+    assert (stats.records_skipped, _output(workdir)) == (0, "h\nrow\n")
 
 
 @pytest.mark.parametrize(
     "sentinel, written", [(False, "h\ny\nFALSE\nSkip\n"), ("Skip", "h\nx\ny\nFALSE\n")]
 )
 def test_skip_sentinel_false_skips_false_records_only(workdir, sentinel, written):
-    wb = Workbook()
-    wb.set_cell(_addr("C2"), parse_formula('=IF(A2="x",FALSE,A2)'))
-    wb.set_cell(_addr("D2"), parse_formula("=A2"))
-    wb.define_name("InputCells", _rng("A2", "A2"))
-    wb.define_name("OutputCells", _rng("C2", "D2"))
-    wb.define_name("Flag", _rng("C2", "C2"))
+    # Skip is the one sentinel: another is written as a comparison in the
+    # Skip cell's formula.
+    compare = "=FALSE" if sentinel is False else ""
     _write(workdir, "h\nx\ny\nFALSE\nSkip\n")
-    stats = run_pipeline(_spec(workdir, skip_cell="Flag", skip_sentinel=sentinel), wb)
+    stats = run_pipeline(_spec(workdir), _skip_workbook(f'=IF(A2="x",FALSE,A2){compare}'))
     assert _output(workdir) == written
     assert stats.records_skipped == 1
+
+
+@pytest.mark.parametrize(
+    "removed, written, skipped",
+    [
+        ((), ["1,Toga,Purple,1", "2,Belt,Tan,5"], 1),
+        (("CarryForward",), ["1,Toga,Purple,1", "1,Toga,White,2", "2,Belt,Tan,5"], 0),
+        (("Skip", "CarryForward"),
+         ["FALSE,1,Toga,Purple,1", "FALSE,1,Toga,White,2", "FALSE,2,Belt,Tan,5"], 0),
+    ],
+    ids=["both", "no-carry-forward", "neither"],
+)
+def test_defining_skip_and_carry_forward_turns_their_roles_on(workdir, removed, written, skipped):
+    lines = (workdir / "dedup.sheet").read_text(encoding="utf-8").splitlines(True)
+    _write(workdir, "".join(line for line in lines if not line.startswith(removed)), "dedup.sheet")
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,I\n1,Toga,White,II\n2,Belt,Tan,V\n")
+    stats = run_pipeline(_spec(workdir), load_definition(workdir / "dedup.sheet"))
+    assert _output(workdir).splitlines()[1:] == written
+    assert stats.records_skipped == skipped
 
 
 def test_dedup_against_first_occurrence_oracle(workdir):
@@ -472,10 +488,7 @@ def test_dedup_against_first_occurrence_oracle(workdir):
         "Id,Item,Colour,Number\n" + "".join(",".join(r) + "\n" for r in rows),
     )
     wb = load_definition(workdir / "dedup.sheet")
-    stats = run_pipeline(
-        _spec(workdir, skip_cell="Duplicate", carry_forward_range="CarryForward"),
-        wb,
-    )
+    stats = run_pipeline(_spec(workdir), wb)
     assert _output(workdir).splitlines()[1:] == expected
     assert stats.records_skipped == 200 - len(expected)
 
@@ -483,10 +496,7 @@ def test_dedup_against_first_occurrence_oracle(workdir):
 def test_carry_forward_holds_last_kept_record(workdir):
     _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n1,Toga,White,XC\n")
     wb = load_definition(workdir / "dedup.sheet")
-    run_pipeline(
-        _spec(workdir, skip_cell="Duplicate", carry_forward_range="CarryForward"),
-        wb,
-    )
+    run_pipeline(_spec(workdir), wb)
     carried = wb.read_range(wb.resolve_name("CarryForward"))
     assert carried == [["1", "Toga", "Purple", "1459"]]
 
@@ -497,18 +507,18 @@ def test_single_cell_carry_forward_receives_joined_record(workdir):
     wb.set_cell(_addr("D2"), parse_formula("=B2"))
     wb.define_name("InputCells", _rng("A2", "B2"))
     wb.define_name("OutputCells", _rng("C2", "D2"))
-    wb.define_name("Prev", _rng("F2", "F2"))
+    wb.define_name("CarryForward", _rng("F2", "F2"))
     _write(workdir, "h1,h2\na,b\nc,d\n")
-    run_pipeline(_spec(workdir, carry_forward_range="Prev"), wb)
+    run_pipeline(_spec(workdir), wb)
     assert wb.get_value(_addr("F2")) == "c,d"
 
 
 def test_carry_forward_width_must_match_payload(workdir):
     wb = _caesar(workdir)
-    wb.define_name("Wrong", _rng("M2", "N2"))  # payload is one cell
+    wb.define_name("CarryForward", _rng("M2", "N2"))  # payload is one cell
     _write(workdir, "h\n")
-    with pytest.raises(ConfigError):
-        run_pipeline(_spec(workdir, carry_forward_range="Wrong"), wb)
+    with pytest.raises(ConfigError, match="carry-forward range holds 2 cells; expected 1 or 1"):
+        run_pipeline(_spec(workdir), wb)
 
 
 def test_row_local_pipeline_commutes_with_permutation(workdir):
