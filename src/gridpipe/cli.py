@@ -14,10 +14,10 @@ import sys
 from . import config as config_mod, errors
 from .csvio import atomic_output, read_records
 from .engine import recalculate
-from .errors import ConfigError, DataError, warn
-from .pipeline import run_pipeline, compare_files, validate_headers
+from .errors import ConfigError, DataError
+from .pipeline import run_pipeline, compare_files
 from .report import parse_job_line, render_report, subtotal, translation_table
-from .sortio import _resolve_key_columns, sort_file
+from .sortio import sort_file
 from .values import CellError, render_value
 
 EXIT_OK = 0
@@ -103,7 +103,6 @@ def _load_job(args, section: str):
 def _cmd_run(args) -> int:
     job = _load_job(args, "pipeline")
     spec = job.pipeline
-    _check_header_line(job)  # before the sort writes anything
     if job.sort is not None:
         rows = sort_file(job.sort)
         if not args.quiet:
@@ -147,7 +146,6 @@ def _write_subtotals(job, data_path: str) -> None:
 
 def _cmd_sort(args) -> int:
     job = _load_job(args, "sort")
-    _check_header_line(job)
     rows = sort_file(job.sort)
     if not args.quiet:
         print(f"sorted {rows} rows into {job.sort.output_path}", file=sys.stderr)
@@ -176,46 +174,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # Loading the job runs every configured command's preflight.
-    _check_header_line(config_mod.load_job(args.job))
+    # Loading the job runs every configured command's preflight and header check.
+    config_mod.load_job(args.job)
     print("OK")
     return EXIT_OK
-
-
-def _check_header_line(job) -> None:
-    """Check the job's header line before ``check``, ``sort`` or ``run``
-    writes: the first line of ``[sort] input``, or of ``[pipeline] input``
-    without a sort, if that section has headings and the file exists. It
-    must match ``[expected-headers]``, if any, warning once per name with
-    surrounding spaces. Then the sort keys and subtotal columns resolve
-    against the expected headers, else that line."""
-    if not (job.expected_headers or job.sort or job.subtotals):
-        return
-    pipeline = job.pipeline
-    if job.subtotals is not None and pipeline is not None and not pipeline.has_headings:
-        raise ConfigError(f"{job.job_path}: [subtotals] reads the header line of the output, "
-                          "which [pipeline] headings = n does not write")
-    source = job.sort or pipeline
-    header = None
-    if source is not None and source.has_headings:
-        try:
-            header = next(read_records(source.input_path), (None, None))[1]
-        except OSError:
-            pass  # an absent input has no header line; the command that reads it fails
-    if header and job.expected_headers:
-        for position, name in enumerate(header, start=1):
-            if name != name.strip():
-                warn(f"superfluous spaces in header {position}: {name!r}")
-        validate_headers(header, job.expected_headers)
-    header = job.expected_headers or header
-    if not header:
-        return
-    if job.sort is not None:
-        _resolve_key_columns(job.sort, header)
-    if job.subtotals is not None:
-        translation = translation_table(header)
-        for line in job.subtotals.job_lines:
-            parse_job_line(line, translation)
 
 
 def _cmd_eval(args) -> int:

@@ -1,6 +1,6 @@
 """Workbook definitions and job configuration.
 
-Two plain-text formats, both read exactly once per run:
+Two plain-text formats, both read exactly once per run by one line reader:
 
 Definition file (the business rules, diffable and auditable)::
 
@@ -28,18 +28,21 @@ Job file (everything an operator would have kept in control tables)::
 
 A cell's role is the name the definition gives it (see ``pipeline``).
 Relative paths resolve against the job file's directory, so a job runs
-the same from anywhere.
+the same from anywhere. Every command loads its job first, and
+``load_job`` also checks the job's header line.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import ConfigError, SettingError, check_choices
-from .formula import LexError, ParseError, decode_string, parse_formula, render_formula, token_kind
-from .pipeline import CompareSpec, PipelineSpec, compare_cells, run_cells
-from .report import REPORT_FORMATS, BadControlTable, split_job_line
-from .sortio import SortKey, SortSpec, parse_sort_key
+from .csvio import read_records
+from .errors import ConfigError, SettingError, check_choices, warn
+from .formula import decode_string, parse_formula, render_formula, token_kind
+from .pipeline import CompareSpec, PipelineSpec, compare_cells, run_cells, validate_headers
+from .report import (REPORT_FORMATS, BadControlTable, parse_job_line, split_job_line,
+                     translation_table)
+from .sortio import SortKey, SortSpec, _resolve_key_columns, parse_sort_key
 from .values import Blank, parse_number, render_number
 from .workbook import CellAddress, Workbook, normalized_range, parse_a1
 
@@ -67,7 +70,7 @@ class DefinitionError(ConfigError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-class DuplicateCell(ConfigError):
+class DuplicateCell(DefinitionError):
     """The same cell assigned twice in a definition file."""
 
 
@@ -94,13 +97,27 @@ def _read_text(path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _logical_lines(text: str):
-    """(line_no, content) with blank and comment lines dropped."""
+def _entries(text: str, path):
+    """``(line_no, section, key, value)`` per line that is not blank or a
+    comment; a ``[section]`` line has ``key`` None, and a line before the
+    first section has section "". A top-level ``format`` must be 1."""
+    section = ""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield line_no, line
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            yield line_no, section, None, None
+            continue
+        if "=" not in line:
+            raise DefinitionError(path, line_no, f"expected 'key = value': {line}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not section and key.lower() == "format" and value != "1":
+            raise DefinitionError(path, line_no, f"unsupported format: {value}")
+        yield line_no, section, key, value
 
 
 def load_definition(path) -> Workbook:
@@ -109,72 +126,44 @@ def load_definition(path) -> Workbook:
 
     text = _read_text(path)
     wb = Workbook()
-    sheet: str | None = None
-    in_names = False
     assigned: set[tuple] = set()
 
-    for line_no, line in _logical_lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section.lower() == "names":
-                in_names = True
-                sheet = None
-            elif section.lower().startswith("sheet "):
-                sheet = section[6:].strip()  # not empty: ``section`` is stripped
-                wb.add_sheet(sheet)
-                in_names = False
-            else:
-                raise DefinitionError(
-                    path, line_no, f"unknown section [{section}]"
-                )
-            continue
-
-        if "=" not in line:
-            raise DefinitionError(path, line_no, f"expected 'key = value': {line}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-
-        if in_names:
-            try:  # raises errors without a location, never a DefinitionError
+    for line_no, section, key, value in _entries(text, path):
+        kind = section.lower()
+        sheet = section[6:].strip() if kind.startswith("sheet ") else None
+        try:  # what these calls raise has no location
+            if key is None:
+                if sheet is not None:
+                    wb.add_sheet(sheet)  # not empty: ``section`` is stripped
+                elif kind != "names":
+                    raise ConfigError(f"unknown section [{section}]")
+            elif kind == "names":
                 wb.define_name(key, _parse_range_text(value))
-            except ConfigError as exc:
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
-            continue
-
-        if key.lower() == "format" and sheet is None:
-            if value != "1":
-                raise DefinitionError(path, line_no, f"unsupported format: {value}")
-            continue
-
-        if not key.lower().startswith("cell "):
-            raise DefinitionError(
-                path, line_no, f"expected 'cell <address> = <content>': {line}"
-            )
-        if sheet is None:
-            raise DefinitionError(path, line_no, "cell assignment outside [sheet]")
-        try:
-            addr = parse_a1(key[5:], sheet)
+            elif not key.lower().startswith("cell "):
+                if section or key.lower() != "format":  # _entries checks the format
+                    raise ConfigError(f"expected 'cell <address> = <content>': {key} = {value}")
+            elif sheet is None:
+                raise ConfigError("cell assignment outside [sheet]")
+            else:
+                addr = parse_a1(key[5:], sheet)
+                if addr.key() in assigned:
+                    raise DuplicateCell(path, line_no, f"cell {addr} assigned twice")
+                assigned.add(addr.key())
+                wb.set_cell(addr, _decode_cell_value(value))
+        except DefinitionError:
+            raise
         except ConfigError as exc:
-            raise DefinitionError(path, line_no, str(exc)) from None
-        if addr.key() in assigned:
-            raise DuplicateCell(f"{path}:{line_no}: cell {addr} assigned twice")
-        assigned.add(addr.key())
-
-        try:
-            wb.set_cell(addr, _decode_cell_value(value, path, line_no))
-        except (LexError, ParseError) as exc:
             raise DefinitionError(path, line_no, str(exc)) from None
     build_graph(wb)
     return wb
 
 
-def _decode_cell_value(value: str, path, line_no: int):
+def _decode_cell_value(value: str):
     if value.startswith("="):
         return parse_formula(value)
     if value.startswith('"'):
         if token_kind(value) != "string":
-            raise DefinitionError(path, line_no, f"malformed quoted text: {value}")
+            raise ConfigError(f"malformed quoted text: {value}")
         return decode_string(value)
     number = parse_number(value)
     if number is not None:
@@ -253,21 +242,20 @@ class JobSubtotals:
         self.output_path = output_path
         self.format = format  # REPORT_FORMATS
         check_choices(self, format=REPORT_FORMATS)
-        for line in job_lines:
+        for entry, line in enumerate(job_lines):
             try:
                 split_job_line(line)
             except BadControlTable as exc:
-                raise SettingError("job_lines", str(exc)) from None
+                raise SettingError("job_lines", str(exc), entry) from None
 
 
 class JobConfig:
     __slots__ = ("job_path", "definition_path", "workbook", "pipeline", "sort", "subtotals",
-                 "compare", "expected_headers")
+                 "compare")
 
     def __init__(self, job_path: str, definition_path: str | None, workbook: Workbook | None,
                  pipeline: PipelineSpec | None, sort: SortSpec | None,
-                 subtotals: JobSubtotals | None, compare: CompareSpec | None,
-                 expected_headers: list[str] | None):
+                 subtotals: JobSubtotals | None, compare: CompareSpec | None):
         self.job_path = job_path
         self.definition_path = definition_path
         self.workbook = workbook
@@ -275,10 +263,9 @@ class JobConfig:
         self.sort = sort
         self.subtotals = subtotals
         self.compare = compare
-        self.expected_headers = expected_headers
 
 
-# Converters from a key's text (a list of texts for a repeatable key) to
+# Converters from a key's text (one entry's text for a repeatable key) to
 # its field's value; ``base`` is the job file's directory.
 
 
@@ -297,21 +284,17 @@ def _yes_no(value: str, base: str) -> bool:
     return cleaned == "y"
 
 
-def _list(values: list, base: str) -> list:
+def _capped(values: list) -> list:
     if len(values) > MAX_LIST_ENTRIES:
         raise LimitExceeded(f"{len(values)} entries exceed the cap of {MAX_LIST_ENTRIES}")
     return values
 
 
 def _names(value: str, base: str) -> list[str]:
-    names = _list([part.strip() for part in value.split(",") if part.strip()], base)
+    names = _capped([part.strip() for part in value.split(",") if part.strip()])
     if not names:
         raise ConfigError("list is empty")
     return names
-
-
-def _sort_keys(values: list[str], base: str) -> list[SortKey]:
-    return [parse_sort_key(value) for value in _list(values, base)]
 
 
 # Per section: the spec it builds and, per job key, the spec field the
@@ -331,12 +314,12 @@ _SCHEMA = {
         "input": ("input_path", _path),
         "output": ("output_path", _path),
         "headings": ("has_headings", _yes_no),
-        "key": ("keys", _sort_keys),
+        "key": ("keys", lambda value, base: parse_sort_key(value)),
     }),
     "subtotals": (JobSubtotals, {
         "output": ("output_path", _path),
         "format": ("format", _text),
-        "job": ("job_lines", _list),
+        "job": ("job_lines", _text),
     }),
     "compare": (CompareSpec, {
         "left": ("left_path", _path),
@@ -348,63 +331,60 @@ _SCHEMA = {
 # The checks a command makes before it streams, run again at load on the
 # definition, which such a section requires.
 _PREFLIGHT = {"pipeline": run_cells, "compare": compare_cells}
+# Keys that may be given more than once; their field is the list of entries.
 _REPEATABLE = {("sort", "key"), ("subtotals", "job")}
 _TOP_KEYS = {"format", "definition"}
 
 
 def _parse_job_text(text: str, path) -> dict:
-    """Sections to key/value maps; repeatable keys collect into lists."""
+    """Sections to key -> ``[(line_no, value), ...]``; only a repeatable
+    key has more than one entry."""
     sections: dict[str, dict] = {"": {}}
-    current = ""
-    for line_no, line in _logical_lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in _SCHEMA:
-                raise UnknownSection(f"{path}:{line_no}: unknown section [{name}]")
-            if name in sections:
-                raise DefinitionError(path, line_no, f"section [{name}] repeated")
-            sections[name] = {}
-            current = name
+    for line_no, section, key, value in _entries(text, path):
+        section = section.lower()
+        if key is None:
+            if section not in _SCHEMA:
+                raise UnknownSection(f"{path}:{line_no}: unknown section [{section}]")
+            if section in sections:
+                raise DefinitionError(path, line_no, f"section [{section}] repeated")
+            sections[section] = {}
             continue
-        if "=" not in line:
-            raise DefinitionError(path, line_no, f"expected 'key = value': {line}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if current == "":
-            if key not in _TOP_KEYS:
-                raise UnknownKey(
-                    f"{path}:{line_no}: key {key!r} outside any section"
-                )
-            if key in sections[""]:
-                raise DefinitionError(path, line_no, f"key {key!r} repeated")
-            if key == "format" and value != "1":
-                raise DefinitionError(path, line_no, f"unsupported format: {value}")
-            sections[""][key] = value
-            continue
-        if key not in _SCHEMA[current][1]:
+        key = key.lower()
+        if not section and key not in _TOP_KEYS:
             raise UnknownKey(
-                f"{path}:{line_no}: unknown key {key!r} in [{current}]"
+                f"{path}:{line_no}: key {key!r} outside any section"
             )
-        if (current, key) in _REPEATABLE:
-            sections[current].setdefault(key, []).append(value)
-        elif key in sections[current]:
-            raise DefinitionError(path, line_no, f"key {key!r} repeated in [{current}]")
-        else:
-            sections[current][key] = value
+        if section and key not in _SCHEMA[section][1]:
+            raise UnknownKey(
+                f"{path}:{line_no}: unknown key {key!r} in [{section}]"
+            )
+        entries = sections[section]
+        if key in entries and (section, key) not in _REPEATABLE:
+            where = f" in [{section}]" if section else ""
+            raise DefinitionError(path, line_no, f"key {key!r} repeated{where}")
+        entries.setdefault(key, []).append((line_no, value))
     return sections
 
 
 def _build_section(path: str, section: str, raw: dict, workbook, **extra):
     """The section's spec, or for a section without one its settings."""
     spec_class, table = _SCHEMA[section]
+
+    def where(key: str, entry: int) -> str:
+        return f"{path}:{raw[key][entry][0]}: [{section}] {key}"
+
     settings = dict(extra)
     for key, (name, convert) in table.items():
         if key in raw:
-            try:
-                settings[name] = convert(raw[key], os.path.dirname(path))
-            except ConfigError as exc:
-                raise type(exc)(f"{path}: [{section}] {key}: {exc}") from None
+            values = []
+            for line_no, value in raw[key]:
+                try:
+                    if len(values) == MAX_LIST_ENTRIES:
+                        _capped(raw[key])  # names the first entry over the cap
+                    values.append(convert(value, os.path.dirname(path)))
+                except ConfigError as exc:
+                    raise type(exc)(f"{where(key, len(values))}: {exc}") from None
+            settings[name] = values if (section, key) in _REPEATABLE else values[0]
     key_of = {name: key for key, (name, _) in table.items()}
     if spec_class is None:
         required = list(key_of)
@@ -419,7 +399,7 @@ def _build_section(path: str, section: str, raw: dict, workbook, **extra):
     try:
         spec = spec_class(**settings)
     except SettingError as exc:
-        raise ConfigError(f"{path}: [{section}] {key_of[exc.setting]}: {exc.problem}") from None
+        raise ConfigError(f"{where(key_of[exc.setting], exc.entry)}: {exc.problem}") from None
     if section in _PREFLIGHT:
         if workbook is None:
             raise ConfigError(f"{path}: [{section}] requires a definition file")
@@ -431,14 +411,15 @@ def _build_section(path: str, section: str, raw: dict, workbook, **extra):
 
 
 def load_job(path) -> JobConfig:
-    """Read and fully validate a job file (and its definition)."""
+    """Read and fully validate a job file (and its definition), its
+    header line included."""
     path = os.path.abspath(path)
     sections = _parse_job_text(_read_text(path), path)
     top = sections.pop("")
     definition_path = None
     workbook = None
     if "definition" in top:
-        definition_path = _path(top["definition"], os.path.dirname(path))
+        definition_path = _path(top["definition"][0][1], os.path.dirname(path))
         workbook = load_definition(definition_path)
 
     def build(section: str, **extra):
@@ -446,14 +427,46 @@ def load_job(path) -> JobConfig:
             return None
         return _build_section(path, section, sections[section], workbook, **extra)
 
-    expected_headers = (build("expected-headers") or {}).get("expected_headers")
+    expected = (build("expected-headers") or {}).get("expected_headers")
+    pipeline = build("pipeline", expected_headers=expected)
+    sort = build("sort")
+    subtotals = build("subtotals")
+    compare = build("compare")
+
+    # The header line, checked before any command writes: the first line
+    # of the [sort] input, or of the [pipeline] input without a sort, if
+    # that section has headings and the file exists. It must match the
+    # expected headers, if any; then the sort keys and subtotal columns
+    # resolve against the expected headers, else that line.
+    if subtotals is not None and pipeline is not None and not pipeline.has_headings:
+        raise ConfigError(f"{path}: [subtotals] reads the header line of the output, "
+                          "which [pipeline] headings = n does not write")
+    source = sort or pipeline
+    found = None
+    if (expected or sort or subtotals) and source is not None and source.has_headings:
+        try:
+            found = next(read_records(source.input_path), (None, None))[1]
+        except OSError:
+            pass  # an absent input has no header line; the command that reads it fails
+    if found and expected:
+        for position, name in enumerate(found, start=1):
+            if name != name.strip():
+                warn(f"superfluous spaces in header {position}: {name!r}")
+        validate_headers(found, expected)
+    header = expected or found
+    if header and sort is not None:
+        _resolve_key_columns(sort, header)
+    if header and subtotals is not None:
+        translation = translation_table(header)
+        for line in subtotals.job_lines:
+            parse_job_line(line, translation)
+
     return JobConfig(
         job_path=path,
         definition_path=definition_path,
         workbook=workbook,
-        pipeline=build("pipeline", expected_headers=expected_headers),
-        sort=build("sort"),
-        subtotals=build("subtotals"),
-        compare=build("compare"),
-        expected_headers=expected_headers,
+        pipeline=pipeline,
+        sort=sort,
+        subtotals=subtotals,
+        compare=compare,
     )

@@ -162,6 +162,7 @@ class _Emitter:
     def cell(self, key: tuple, ast, write: bool) -> None:
         target = self.target = f"c{len(self.locals)}"
         self.breaks = False
+        self.reads: dict[tuple, str] = {}  # a cell outside the plan -> its local, read here
         self.lines.append("while True:")
         operand, kind = self.expr(ast, key[0])
         if kind is _RANGE:  # a bare range is no cell value
@@ -178,8 +179,10 @@ class _Emitter:
 
     def read(self, key: tuple):
         local = self.locals.get(key)
-        if local is None:
-            return self.temp(f"get({key!r}, BLANK)"), _ANY
+        if local is None:  # read once, checked, then reused where that read has run
+            if key not in self.reads:
+                self.reads[key] = self.temp(f"get({key!r}, BLANK)")
+            return self.reads[key], _ANY
         if key in self.fails:
             self.check(local)
         return local, self.kinds[key]
@@ -196,7 +199,9 @@ class _Emitter:
         self.temps += 1
         otherwise = args[2] if len(args) > 2 else None  # a missing branch gives FALSE
         kinds = []
+        reads = self.reads  # a branch reuses the reads before it, not the other's
         for head, arg in (f"if {condition}:", args[1]), ("else:", otherwise):
+            self.reads = dict(reads)
             self.emit(head)
             self.indent += "    "
             operand, kind = ("False", BOOL) if arg is None else self.expr(arg, sheet)
@@ -206,6 +211,7 @@ class _Emitter:
                 self.emit(f"{result} = {operand}")
             self.indent = self.indent[:-4]
             kinds.append(kind)
+        self.reads = reads
         return result, kinds[0] if kinds[0] is kinds[1] else _ANY
 
     def binary(self, op: str, left, left_kind, right, right_kind):
@@ -226,9 +232,7 @@ class _Emitter:
         wb = self.wb
 
         if cls is Literal:
-            v = node.value
-            if v.__class__ is int:
-                v = float(v)
+            v = node.value  # a float, str or bool
             if v.__class__ is float and not math.isfinite(v):
                 v = NUM_ERROR  # numbers are finite end-to-end
             if v.__class__ is CellError:
@@ -295,8 +299,8 @@ class _Emitter:
                 args.append(operand)
                 texts.append(self.text(operand, kind))
             if sig.direct is not None:
-                code, kind = sig.direct
-                return self.temp(code.format(*args, t=texts)), kind
+                code, kind, fails = sig.direct
+                return self.temp(code.format(*args, t=texts), checked=fails), kind
             return self.temp(f"{self.const(sig.impl)}([{', '.join(args)}])"), _ANY
 
         raise TypeError(f"not an AST node: {node!r}")

@@ -25,11 +25,13 @@ class UnknownColumn(ConfigError):
 
 class SettingError(ConfigError):
     """A spec field set to a value it does not allow; ``setting`` names
-    the field, so a job file loader can name its key instead."""
+    the field, so a job file loader can name its key instead, and
+    ``entry`` the list field's entry at fault (0-based)."""
 
-    def __init__(self, setting: str, problem: str):
+    def __init__(self, setting: str, problem: str, entry: int = 0):
         self.setting = setting
         self.problem = problem
+        self.entry = entry
         super().__init__(f"{setting}: {problem}")
 
 

@@ -25,11 +25,11 @@ from .values import (
     RangeValue,
     REF_ERROR,
     VALUE_ERROR,
+    compare,
     parse_number,
     render_value,
     to_boolean,
     to_number,
-    values_equal,
 )
 
 __all__ = ["FunctionSignature", "REGISTRY", "lookup", "arabic", "roman"]
@@ -51,11 +51,11 @@ class FunctionSignature:
         self.max_args = max_args  # None = unbounded
         self.arg_kinds = arg_kinds  # per-position; last kind repeats for variadics
         self.impl = impl
-        # None, or (code, kind): a Python expression of the value ``impl``
-        # gives, formatted with the arguments' expressions as positional
-        # fields and their texts as ``t``, and the kind of that value
-        # when it is not an error. Each name it uses is a global of
-        # every plan (``engine._GLOBALS``).
+        # None, or (code, kind, fails): a Python expression of the value
+        # ``impl`` gives, formatted with the arguments' expressions as
+        # positional fields and their texts as ``t``, the kind of that
+        # value when it is not an error, and whether it can be an error.
+        # Each name it uses is a global of every plan (``engine._GLOBALS``).
         self.direct = direct
 
 
@@ -138,7 +138,7 @@ def roman_text(n: int) -> str:
     return _NUMERALS[n] if n > 0 else ""  # a negative index would wrap
 
 
-@_register("ARABIC", 1, 1, (SCALAR,), ("arabic_value({t[0]})", NUMBER))
+@_register("ARABIC", 1, 1, (SCALAR,), ("arabic_value({t[0]})", NUMBER, True))
 def arabic(args):
     return arabic_value(render_value(args[0]))
 
@@ -196,12 +196,12 @@ def not_(args):
     return not b
 
 
-@_register("ISBLANK", 1, 1, (SCALAR,), ("({0}).__class__ is Blank", BOOL))
+@_register("ISBLANK", 1, 1, (SCALAR,), ("({0}).__class__ is Blank", BOOL, False))
 def isblank(args):
     return args[0].__class__ is Blank
 
 
-@_register("EXACT", 2, 2, (SCALAR, SCALAR), ("{t[0]} == {t[1]}", BOOL))
+@_register("EXACT", 2, 2, (SCALAR, SCALAR), ("{t[0]} == {t[1]}", BOOL, False))
 def exact(args):
     return render_value(args[0]) == render_value(args[1])
 
@@ -380,6 +380,8 @@ def value(args):
 
 @_register("VLOOKUP", 3, 3, (SCALAR, RANGE_ONLY, SCALAR))
 def vlookup(args):
+    """The first row whose first value ``compare``s equal to ``key``; a
+    plan checks the key and the table for errors before the call."""
     key, table, col = args
     index = to_number(col)
     if index.__class__ is CellError:
@@ -390,6 +392,6 @@ def vlookup(args):
     if not table.rows or index > len(table.rows[0]):
         return REF_ERROR
     for row in table.rows:
-        if values_equal(row[0], key):
+        if compare(row[0], key) == 0:
             return row[index - 1]
     return NA_ERROR

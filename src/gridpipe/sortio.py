@@ -81,12 +81,13 @@ class SortSpec:
         self.scratch_dir = scratch_dir
         if not self.keys:
             raise SettingError("keys", "none given")
-        for sort_key in self.keys:
+        for entry, sort_key in enumerate(self.keys):
             column = sort_key.column
             if isinstance(column, int) and column < 1:
-                raise SettingError("keys", f"column must be >= 1, got {column}")
+                raise SettingError("keys", f"column must be >= 1, got {column}", entry)
             if isinstance(column, str) and not has_headings:
-                raise SettingError("keys", f"{column!r} is a header name, which needs headings")
+                raise SettingError("keys", f"{column!r} is a header name, which needs headings",
+                                   entry)
 
 
 # The words a written sort key may end with, and the SortKey setting of each.

@@ -287,13 +287,6 @@ def compare(a: CellValue, b: CellValue) -> int:
     return (a > b) - (a < b)
 
 
-def values_equal(a: CellValue, b: CellValue) -> bool:
-    """Equality under the engine's comparison semantics (not bit equality)."""
-    if a.__class__ is CellError or b.__class__ is CellError:
-        return a == b
-    return compare(a, b) == 0
-
-
 def _cmp_op(op):
     def run(a: CellValue, b: CellValue) -> bool:
         return op(compare(a, b))  # operands as ``compare`` takes them

@@ -483,73 +483,85 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
     assert err.count(f"[sort] key: {problem}") == 2
 
 
-# One edit to a shipped file per case: each makes a job that the command
-# rejects before it reads data, and check must reject it the same way.
+# One edit to a shipped file per case: each makes a job that loading
+# rejects, so check and every command reject it before they read data.
 @pytest.mark.parametrize(
-    "edited, old, new, command, job, problem",
+    "edited, old, new, job, problem",
     [
-        ("dedup.sheet", "Skip = Main!G2\n", "Skip = Main!G2:H2\n", "run", "store.job",
+        ("dedup.sheet", "Skip = Main!G2\n", "Skip = Main!G2:H2\n", "store.job",
          "[pipeline] skip cell 'Skip' must be a single cell"),
-        ("dedup.sheet", "CarryForward = Main!M2:P2", "CarryForward = Main!M2:N2", "run",
-         "dedup.job", "[pipeline] carry-forward range holds 2 cells; expected 1 or 4"),
+        ("dedup.sheet", "CarryForward = Main!M2:P2", "CarryForward = Main!M2:N2", "dedup.job",
+         "[pipeline] carry-forward range holds 2 cells; expected 1 or 4"),
         ("caesar.sheet", "cell F2 = =ARABIC(D2)", "cell F2 = =ARABIC(D2)\ncell C2 = =UPPER(B2)",
-         "run", "caesar.job", "[pipeline] input range Main!A2:D2 overlaps formula cell Main!C2"),
-        ("dedup.sheet", "OutputCells = Main!G2:K2", "OutputCells = Main!G2", "run", "dedup.job",
+         "caesar.job", "[pipeline] input range Main!A2:D2 overlaps formula cell Main!C2"),
+        ("dedup.sheet", "OutputCells = Main!G2:K2", "OutputCells = Main!G2", "dedup.job",
          "[pipeline] output range 'OutputCells' has no payload cells"),
-        ("compare.sheet", "Status = Main!K2", "Status = Main!K2:L2", "compare", "compare.job",
+        ("compare.sheet", "Status = Main!K2", "Status = Main!K2:L2", "compare.job",
          "[compare] status cell 'Status' must be a single cell"),
-        ("compare.sheet", "[names]", "cell B2 = =A2\n[names]", "compare", "compare.job",
+        ("compare.sheet", "[names]", "cell B2 = =A2\n[names]", "compare.job",
          "[compare] left range Main!A2:D2 overlaps formula cell Main!B2"),
-        ("store.job", "job = Number : Item, Colour", "job = sum : Item", "run", "store.job",
+        ("store.job", "job = Number : Item, Colour", "job = sum : Item", "store.job",
          "[subtotals] job: subtotal measures is empty"),
         ("store.job", "key = 1 asc\n",
-         "key = Nope\n[expected-headers]\nheaders = Id, Item, Colour, Number\n", "sort",
-         "store.job", "sort key column 'Nope' not in header"),
-        # Without [expected-headers], names resolve against the input's header line.
-        ("store.job", "key = 1 asc\n", "key = Nope\n", "sort", "store.job",
+         "key = Nope\n[expected-headers]\nheaders = Id, Item, Colour, Number\n", "store.job",
          "sort key column 'Nope' not in header"),
-        ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "run", "store.job",
+        # Without [expected-headers], names resolve against the input's header line.
+        ("store.job", "key = 1 asc\n", "key = Nope\n", "store.job",
+         "sort key column 'Nope' not in header"),
+        ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "store.job",
          "column 'Weight' not found in headers"),
         # The report would take the first output record for the header line.
         ("caesar.job", "caesar_out.csv\n\n[expected-headers]\nheaders = Id, Item, Colour, Number",
-         "caesar_out.csv\nheadings = n\n\n[subtotals]\njob = Number : Item", "run",
-         "caesar.job", "[subtotals] reads the header line of the output"),
-        # [expected-headers] alone turns validation on, for check and run alike.
-        ("caesar_in.csv", "Number", "Nummer", "run", "caesar.job",
+         "caesar_out.csv\nheadings = n\n\n[subtotals]\njob = Number : Item", "caesar.job",
+         "[subtotals] reads the header line of the output"),
+        # [expected-headers] alone turns validation on, for every command alike.
+        ("caesar_in.csv", "Number", "Nummer", "caesar.job",
          "header mismatch at position 4: found 'Nummer', expected 'Number'"),
-        ("caesar.job", "[pipeline]\n", "[pipeline]\nheader = validate\n", "run", "caesar.job",
+        ("caesar.job", "[pipeline]\n", "[pipeline]\nheader = validate\n", "caesar.job",
          "unknown key 'header' in [pipeline]"),
         # The header line of a job with a sort is the sort input's, checked
         # before the sort writes.
         ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour, Nummer\n[sort]",
-         "run", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
-        ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour, Nummer\n[sort]",
-         "sort", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
+         "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
+        ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour\n[sort]",
+         "store.job", "header mismatch at position 4: found 'Number', expected '<extra>'"),
         # Each role name is checked once, by the preflight.
-        ("caesar.sheet", "InputCells =", "Input =", "run", "caesar.job",
+        ("caesar.sheet", "InputCells =", "Input =", "caesar.job",
          "[pipeline] the definition does not define 'InputCells'"),
-        ("dedup.sheet", "OutputCells =", "Output =", "run", "store.job",
+        ("dedup.sheet", "OutputCells =", "Output =", "store.job",
          "[pipeline] the definition does not define 'OutputCells'"),
-        ("compare.sheet", "LeftCells =", "Left =", "compare", "compare.job",
+        ("compare.sheet", "LeftCells =", "Left =", "compare.job",
          "[compare] the definition does not define 'LeftCells'"),
-        ("compare.sheet", "RightCells =", "Right =", "compare", "compare.job",
+        ("compare.sheet", "RightCells =", "Right =", "compare.job",
          "[compare] the definition does not define 'RightCells'"),
-        ("compare.sheet", "Status =", "Verdict =", "compare", "compare.job",
+        ("compare.sheet", "Status =", "Verdict =", "compare.job",
          "[compare] the definition does not define 'Status'"),
         # Job lines the loader rejects, each named by its file and line.
-        ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\nbogus\n", "run",
+        ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\nbogus\n",
          "caesar.job", "caesar.job:8: expected 'key = value': bogus"),
-        ("caesar.job", "caesar.sheet\n", "caesar.sheet\ninput = x.csv\n", "run", "caesar.job",
+        ("caesar.job", "caesar.sheet\n", "caesar.sheet\ninput = x.csv\n", "caesar.job",
          "caesar.job:4: key 'input' outside any section"),
-        ("caesar.job", "Colour, Number\n", "Colour, Number\n[pipeline]\n", "run", "caesar.job",
+        ("caesar.job", "Colour, Number\n", "Colour, Number\n[pipeline]\n", "caesar.job",
          "caesar.job:11: section [pipeline] repeated"),
-        ("caesar.job", "format = 1\n", "format = 1\nformat = 1\n", "run", "caesar.job",
+        ("caesar.job", "format = 1\n", "format = 1\nformat = 1\n", "caesar.job",
          "caesar.job:3: key 'format' repeated"),
-        ("caesar.job", "format = 1\n", "format = 2\n", "run", "caesar.job",
+        ("caesar.job", "format = 1\n", "format = 2\n", "caesar.job",
          "caesar.job:2: unsupported format: 2"),
-        # A value's converter names the section and the key, not the line.
-        ("caesar.job", "headers = Id, Item, Colour, Number", "headers =", "run", "caesar.job",
-         "caesar.job: [expected-headers] headers: list is empty"),
+        # A bad value names its line, section and key; of a repeated key,
+        # the entry at fault.
+        ("caesar.job", "headers = Id, Item, Colour, Number", "headers =", "caesar.job",
+         "caesar.job:10: [expected-headers] headers: list is empty"),
+        ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\non-error = sometimes\n",
+         "caesar.job", "caesar.job:8: [pipeline] on-error: must be one of fail-fast, "
+         "skip-and-log; got 'sometimes'"),
+        ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\nheadings = maybe\n",
+         "caesar.job", "caesar.job:8: [pipeline] headings: must be y or n, got 'maybe'"),
+        ("store.job", "key = 1 asc\n", "key = 1 asc\nkey = 0\n", "store.job",
+         "store.job:11: [sort] key: column must be >= 1, got 0"),
+        ("store.job", "key = 1 asc\n", "key = 1 asc\nkey =\n", "store.job",
+         "store.job:11: [sort] key: empty sort key"),
+        ("store.job", "job = Number : Item, Colour", "job = Number : Item\njob = sum : Item",
+         "store.job", "store.job:19: [subtotals] job: subtotal measures is empty"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
          "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
@@ -557,22 +569,25 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
          "header-mismatch", "removed-header-key", "header-mismatch-before-run-sorts",
          "header-mismatch-before-sort", "no-input-cells", "no-output-cells", "no-left-cells",
          "no-right-cells", "no-status", "line-without-equals", "key-outside-section",
-         "repeated-section", "repeated-top-key", "format-2", "empty-headers"],
+         "repeated-section", "repeated-top-key", "format-2", "empty-headers", "bad-on-error",
+         "bad-headings", "sort-key-0", "empty-sort-key", "second-subtotal-job"],
 )
-def test_check_and_the_command_reject_a_job_alike(
-    workdir, capsys, edited, old, new, command, job, problem
-):
+def test_check_and_the_command_reject_a_job_alike(workdir, capsys, edited, old, new, job, problem):
     text = _read(workdir, edited)
     assert old in text
     _write(workdir, edited, text.replace(old, new))
     _write(workdir, "store_raw.csv", TOGA_FILE)
     before = sorted(path.name for path in workdir.iterdir())
-    assert main(["check", str(workdir / job)]) == 1
+    path = str(workdir / job)
+    assert main(["check", path]) == 1
     check_err = capsys.readouterr().err
-    assert main(["--quiet", command, str(workdir / job)]) == 1
-    assert capsys.readouterr().err == check_err
     assert problem in check_err
-    assert sorted(path.name for path in workdir.iterdir()) == before  # run sorted nothing
+    # Every command loads the job first, so each rejects it the same way.
+    for argv in (["run", path], ["sort", path], ["report", path, str(workdir / "store_raw.csv")],
+                 ["compare", path]):
+        assert main(["--quiet", *argv]) == 1, argv
+        assert capsys.readouterr().err == check_err, argv
+    assert sorted(path.name for path in workdir.iterdir()) == before  # no command wrote
 
 
 @pytest.mark.parametrize(

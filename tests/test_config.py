@@ -156,7 +156,7 @@ def test_a_bad_address_or_quoted_text_fails_at_load_naming_its_line(tmp_path, li
 
 def test_a_name_without_a_sheet_fails_at_load_naming_its_line(tmp_path):
     path = _definition(tmp_path, "[sheet Main]\ncell B1 = 1\n[names]\nX = A1:B2\n")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(DefinitionError) as err:
         load_definition(path)
     assert str(err.value) == (
         f"{path}:4: named range must be '<Sheet>!<A1>' or '<Sheet>!<A1>:<A1>': 'A1:B2'"
@@ -316,7 +316,8 @@ def test_limit_on_control_entries(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     jobs = "".join("job = Number : Item\n" for _ in range(10_001))
     text = _minimal_job_text() + "[subtotals]\n" + jobs
-    with pytest.raises(LimitExceeded):
+    # The first entry over the cap, on line 6 + 10,000, is named.
+    with pytest.raises(LimitExceeded, match=r"job\.job:10006: \[subtotals\] job: 10001 entries"):
         load_job(_job(tmp_path, text))
 
 
@@ -387,7 +388,7 @@ def test_a_bad_choice_fails_when_the_spec_is_built(spec_class, setting):
 def test_a_bad_choice_in_a_job_names_its_section_and_key(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     job = _job(tmp_path, _minimal_job_text("on-error = bogus\n"))
-    with pytest.raises(ConfigError, match=r"job\.job: \[pipeline\] on-error: must be one of"):
+    with pytest.raises(ConfigError, match=r"job\.job:5: \[pipeline\] on-error: must be one of"):
         load_job(job)
 
 
@@ -458,3 +459,37 @@ def test_config_files_read_exactly_once_per_run(workdir, monkeypatch):
         str(workdir / "caesar.job"): 1,
         str(workdir / "caesar.sheet"): 1,
     }
+
+
+def test_render_skips_a_blank_literal_and_rejects_an_error_literal():
+    from gridpipe.values import DIV0
+    from gridpipe.workbook import Workbook
+
+    wb = Workbook()
+    wb.set_cell(_addr("A1"), BLANK)
+    wb.set_cell(_addr("A2"), 1.0)
+    assert render_definition(wb) == "format = 1\n\n[sheet Main]\ncell A2 = 1\n"
+    wb.set_cell(_addr("A3"), DIV0)
+    with pytest.raises(ConfigError) as err:
+        render_definition(wb)
+    assert str(err.value) == (
+        "cell Main!A3 holds a CellError literal, which the definition format cannot express"
+    )
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("B2 = Main!A1", "name would shadow a cell reference: 'B2'"),
+        ("InputCells = Main!A1", "name already defined: 'InputCells'"),
+        ("X = Main!A1:B", "not a cell address: 'B'"),
+    ],
+    ids=["address-as-name", "duplicate-name", "bad-corner"],
+)
+def test_a_bad_name_line_is_a_definition_error_naming_its_line(tmp_path, line, problem):
+    text = f"[sheet Main]\ncell B1 = 1\n[names]\nInputCells = Main!A2\n{line}\n"
+    path = _definition(tmp_path, text)
+    with pytest.raises(DefinitionError) as err:
+        load_definition(path)
+    assert err.value.line_no == 5
+    assert str(err.value) == f"{path}:5: {problem}"

@@ -616,3 +616,50 @@ def test_typed_code_agrees_with_the_eager_implementations():
         (got,) = plan.run(wb.values, row)
         want = _eager(name, values)
         assert (got.__class__, repr(got)) == (want.__class__, repr(want)), (case, source, values)
+
+
+def test_the_skip_cell_reads_its_carried_id_once_and_checks_no_boolean(monkeypatch):
+    # dedup.sheet's G2 is =IF(ISBLANK(M2),FALSE,EXACT(A2,M2)). M2 lies
+    # outside the plan: it is read and checked once, before the IF, and
+    # that read is reused in the branch. ISBLANK and EXACT give no error,
+    # so nothing checks their results.
+    import builtins
+
+    import gridpipe.engine as engine_mod
+    from gridpipe.pipeline import run_cells
+
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(engine_mod, "compile", spy, raising=False)
+    wb = load_definition(f"{FIXTURES}/dedup.sheet")
+    input_range, skip, _, carry = run_cells(wb)
+    plan = compile_plan(wb, carry, (skip,), tuple(input_range.keys()))
+    (source,) = sources
+    assert source.count("get(('MAIN', 2, 13), BLANK)") == 1
+    assert source.count("CellError") == 1  # the check of that read
+    values = dict(wb.values)
+    assert plan.run(values, ("1", "Toga", "Purple", "I")) == (False,)
+    values[("MAIN", 2, 13)] = "1"
+    assert plan.run(values, ("1", "Toga", "Purple", "I")) == (True,)
+
+
+@pytest.mark.parametrize(
+    "source, condition, expected",
+    [
+        # B1 is read before the IF and reused in both branches.
+        ('=B1&IF(A1,B1,B1&"!")', True, "xx"),
+        ('=B1&IF(A1,B1,B1&"!")', False, "xx!"),
+        # A read inside one branch serves neither the other branch nor
+        # what follows the IF.
+        ('=IF(A1,B1,"n")&B1', True, "xx"),
+        ('=IF(A1,B1,"n")&B1', False, "nx"),
+        ('=IF(A1,B1,B1&"!")&IF(NOT(A1),B1,"y")', False, "x!x"),
+    ],
+)
+def test_a_cell_read_once_serves_only_code_that_runs_after_it(source, condition, expected):
+    wb = _sheet({"A1": condition, "B1": "x"})
+    assert evaluate_source(wb, source) == expected

@@ -241,3 +241,37 @@ def test_structure_version_tracks_formulas_not_literals():
     assert wb.structure_version == version
     wb.set_cell(_addr("A3"), parse_formula("=A1+A2"))
     assert wb.structure_version > version
+
+
+def test_a_literal_over_a_formula_replaces_it_and_its_dependents_recompute():
+    from gridpipe.engine import recalculate
+
+    wb = Workbook()
+    wb.set_cell(_addr("A1"), parse_formula("=1+1"))
+    wb.set_cell(_addr("B1"), parse_formula("=A1*10"))
+    recalculate(wb)
+    assert wb.get_value(_addr("B1")) == 20.0
+    version = wb.structure_version
+    wb.set_cell(_addr("A1"), 5.0)
+    assert wb.formula_at(_addr("A1")) is None
+    assert wb.structure_version > version
+    recalculate(wb)
+    assert wb.get_value(_addr("B1")) == 50.0
+
+
+def test_a_formula_over_a_literal_drops_the_literal_and_its_value():
+    wb = Workbook()
+    wb.set_cell(_addr("A1"), "x")
+    wb.set_cell(_addr("A1"), parse_formula('="y"'))
+    assert wb.literal_at(_addr("A1")) is None
+    assert wb.get_value(_addr("A1")) is BLANK  # until a recalculation
+    assert [is_formula for _, is_formula in wb.populated()] == [True]
+
+
+def test_a_nan_literal_is_stored_as_num_error():
+    from gridpipe.values import NUM_ERROR
+
+    wb = Workbook()
+    wb.set_cell(_addr("A1"), float("nan"))
+    assert wb.get_value(_addr("A1")) == NUM_ERROR
+    assert wb.literal_at(_addr("A1")) == NUM_ERROR
