@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
     if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as handle:
+        with atomic_output(args.stats_json) as handle:
             json.dump(stats.as_dict(), handle, indent=2)
             handle.write("\n")
 

@@ -22,14 +22,16 @@ Job file (everything an operator would have kept in control tables)::
 
     format = 1
     definition = rules.sheet
-    [pipeline]
     input = in.csv
+    [pipeline]
     output = out.csv
 
-A cell's role is the name the definition gives it (see ``pipeline``).
-Relative paths resolve against the job file's directory, so a job runs
-the same from anywhere. Every command loads its job first, and
-``load_job`` also checks the job's header line.
+The stages form one chain: ``[sort]`` reads ``input``, ``[pipeline]``
+the sort's output (or ``input`` without a sort). A cell's role is the
+name the definition gives it (see ``pipeline``). Relative paths resolve
+against the job file's directory, so a job runs the same from anywhere.
+Every command loads its job first, and ``load_job`` also checks the
+job's header line.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def _text(value: str, base: str) -> str:
 
 
 def _path(value: str, base: str) -> str:
-    return value if os.path.isabs(value) else os.path.normpath(os.path.join(base, value))
+    return os.path.normpath(os.path.join(base, value))
 
 
 def _yes_no(value: str, base: str) -> bool:
@@ -300,20 +302,23 @@ def _names(value: str, base: str) -> list[str]:
 # Per section: the spec it builds and, per job key, the spec field the
 # key sets and its converter. A key the job leaves out is not passed, so
 # the spec's default applies; a spec parameter without a default makes its
-# key required. Each spec checks its own values when it is built.
+# key required. Each spec checks its own values when it is built. The top
+# level ("") builds no spec: ``load_job`` hands its data keys to the specs.
 _SCHEMA = {
-    "expected-headers": (None, {"headers": ("expected_headers", _names)}),
-    "pipeline": (PipelineSpec, {
+    "": (None, {
+        "format": ("format", _text),
+        "definition": ("definition_path", _path),
         "input": ("input_path", _path),
-        "output": ("output_path", _path),
         "headings": ("has_headings", _yes_no),
+        "expected-headers": ("expected_headers", _names),
+    }),
+    "pipeline": (PipelineSpec, {
+        "output": ("output_path", _path),
         "fields": ("field_count_policy", _text),
         "on-error": ("on_record_error", _text),
     }),
     "sort": (SortSpec, {
-        "input": ("input_path", _path),
         "output": ("output_path", _path),
-        "headings": ("has_headings", _yes_no),
         "key": ("keys", lambda value, base: parse_sort_key(value)),
     }),
     "subtotals": (JobSubtotals, {
@@ -325,7 +330,6 @@ _SCHEMA = {
         "left": ("left_path", _path),
         "right": ("right_path", _path),
         "output": ("output_path", _path),
-        "headings": ("has_headings", _yes_no),
     }),
 }
 # The checks a command makes before it streams, run again at load on the
@@ -333,7 +337,6 @@ _SCHEMA = {
 _PREFLIGHT = {"pipeline": run_cells, "compare": compare_cells}
 # Keys that may be given more than once; their field is the list of entries.
 _REPEATABLE = {("sort", "key"), ("subtotals", "job")}
-_TOP_KEYS = {"format", "definition"}
 
 
 def _parse_job_text(text: str, path) -> dict:
@@ -350,28 +353,25 @@ def _parse_job_text(text: str, path) -> dict:
             sections[section] = {}
             continue
         key = key.lower()
-        if not section and key not in _TOP_KEYS:
-            raise UnknownKey(
-                f"{path}:{line_no}: key {key!r} outside any section"
-            )
-        if section and key not in _SCHEMA[section][1]:
-            raise UnknownKey(
-                f"{path}:{line_no}: unknown key {key!r} in [{section}]"
-            )
+        where = f" in [{section}]" if section else ""
+        if key not in _SCHEMA[section][1]:
+            raise UnknownKey(f"{path}:{line_no}: unknown key {key!r}{where}")
         entries = sections[section]
         if key in entries and (section, key) not in _REPEATABLE:
-            where = f" in [{section}]" if section else ""
             raise DefinitionError(path, line_no, f"key {key!r} repeated{where}")
         entries.setdefault(key, []).append((line_no, value))
     return sections
 
 
-def _build_section(path: str, section: str, raw: dict, workbook, **extra):
-    """The section's spec, or for a section without one its settings."""
+def _build_section(path: str, section: str, raw: dict, workbook, files: dict, **extra):
+    """The section's spec, or for the top level its settings. ``files``
+    holds each path named so far: an output shares its file with no other."""
     spec_class, table = _SCHEMA[section]
 
+    prefix = f"[{section}] " if section else ""
+
     def where(key: str, entry: int) -> str:
-        return f"{path}:{raw[key][entry][0]}: [{section}] {key}"
+        return f"{path}:{raw[key][entry][0]}: {prefix}{key}"
 
     settings = dict(extra)
     for key, (name, convert) in table.items():
@@ -385,17 +385,19 @@ def _build_section(path: str, section: str, raw: dict, workbook, **extra):
                 except ConfigError as exc:
                     raise type(exc)(f"{where(key, len(values))}: {exc}") from None
             settings[name] = values if (section, key) in _REPEATABLE else values[0]
-    key_of = {name: key for key, (name, _) in table.items()}
-    if spec_class is None:
-        required = list(key_of)
-    else:  # the spec's parameters without a default
-        init = spec_class.__init__
-        required = init.__code__.co_varnames[1:init.__code__.co_argcount - len(init.__defaults__)]
-    for name in required:
-        if name not in settings:
-            raise ConfigError(f"{path}: [{section}] is missing required key {key_of[name]!r}")
+            if convert is _path:
+                other, line, output = files.setdefault(
+                    values[0], (prefix + key, raw[key][0][0], key == "output"))
+                if other != prefix + key and (output or key == "output"):
+                    raise ConfigError(f"{where(key, 0)}: {values[0]} is already named by "
+                                      f"{other} on line {line}")
     if spec_class is None:
         return settings
+    key_of = {name: key for key, (name, _) in table.items()}
+    init = spec_class.__init__  # its parameters without a default are required
+    for name in init.__code__.co_varnames[1:init.__code__.co_argcount - len(init.__defaults__)]:
+        if name not in settings:
+            raise ConfigError(f"{path}: [{section}] is missing required key {key_of[name]!r}")
     try:
         spec = spec_class(**settings)
     except SettingError as exc:
@@ -415,37 +417,40 @@ def load_job(path) -> JobConfig:
     header line included."""
     path = os.path.abspath(path)
     sections = _parse_job_text(_read_text(path), path)
-    top = sections.pop("")
-    definition_path = None
-    workbook = None
-    if "definition" in top:
-        definition_path = _path(top["definition"][0][1], os.path.dirname(path))
-        workbook = load_definition(definition_path)
+    files: dict = {}
+    top = _build_section(path, "", sections.pop(""), None, files)
+    definition_path = top.get("definition_path")
+    workbook = None if definition_path is None else load_definition(definition_path)
+    input_path = top.get("input_path")
+    has_headings = top.get("has_headings", True)
+    expected = top.get("expected_headers")
 
     def build(section: str, **extra):
         if section not in sections:
             return None
-        return _build_section(path, section, sections[section], workbook, **extra)
+        if "input_path" in extra and extra["input_path"] is None:
+            raise ConfigError(f"{path}: [{section}] reads the top-level key 'input', "
+                              "which the job does not give")
+        return _build_section(path, section, sections[section], workbook, files, **extra)
 
-    expected = (build("expected-headers") or {}).get("expected_headers")
-    pipeline = build("pipeline", expected_headers=expected)
-    sort = build("sort")
+    # One chain: the sort reads the input, the pipeline the sort's output.
+    sort = build("sort", input_path=input_path, has_headings=has_headings)
+    pipeline = build("pipeline", input_path=sort.output_path if sort else input_path,
+                     has_headings=has_headings, expected_headers=expected)
     subtotals = build("subtotals")
-    compare = build("compare")
+    compare = build("compare", has_headings=has_headings)
 
     # The header line, checked before any command writes: the first line
-    # of the [sort] input, or of the [pipeline] input without a sort, if
-    # that section has headings and the file exists. It must match the
-    # expected headers, if any; then the sort keys and subtotal columns
-    # resolve against the expected headers, else that line.
-    if subtotals is not None and pipeline is not None and not pipeline.has_headings:
+    # of the input, if the job has headings and the file exists. It must
+    # match the expected headers, if any; then the sort keys and subtotal
+    # columns resolve against the expected headers, else that line.
+    if subtotals is not None and not has_headings:
         raise ConfigError(f"{path}: [subtotals] reads the header line of the output, "
-                          "which [pipeline] headings = n does not write")
-    source = sort or pipeline
+                          "which headings = n does not write")
     found = None
-    if (expected or sort or subtotals) and source is not None and source.has_headings:
+    if (expected or sort or subtotals) and input_path is not None and has_headings:
         try:
-            found = next(read_records(source.input_path), (None, None))[1]
+            found = next(read_records(input_path), (None, None))[1]
         except OSError:
             pass  # an absent input has no header line; the command that reads it fails
     if found and expected:

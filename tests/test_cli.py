@@ -6,16 +6,19 @@ import json
 import logging
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridpipe.cli import _write_subtotals, main
 from gridpipe.config import load_definition, load_job, render_definition
 from gridpipe.csvio import read_records
+from gridpipe.functions import roman_text
 from gridpipe.report import aggregate, parse_job_line, render_report, translation_table
 
 TOGA_FILE = "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n"
@@ -77,6 +80,23 @@ def test_run_stats_json(workdir):
     assert stats["records_read"] == (
         stats["records_written"] + stats["records_skipped"] + stats["records_errored"]
     )
+
+
+def test_a_failed_stats_json_write_leaves_the_previous_file(workdir, monkeypatch, capsys):
+    # Like every output, the statistics reach their path only once complete.
+    _write(workdir, "caesar_in.csv", TOGA_FILE)
+    _write(workdir, "stats.json", "previous\n")
+
+    def dump_then_fail(obj, handle, **kwargs):
+        handle.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    assert main(["--quiet", "run", str(workdir / "caesar.job"), "--stats-json",
+                 str(workdir / "stats.json")]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert _read(workdir, "stats.json") == "previous\n"
+    assert not list(workdir.glob("*.tmp"))
 
 
 def test_run_stats_json_lists_the_plan_cells(workdir):
@@ -285,6 +305,52 @@ def test_run_whole_chain_with_sort_and_report(workdir):
     assert (workdir / "store_report.csv").read_bytes() == report
 
 
+def test_a_sort_in_front_of_a_pipeline_keeps_the_header_line_first(workdir):
+    # The job states headings once (default y): the sort and the pipeline
+    # both read the header line as one, and the pipeline reads the sort's output.
+    _write(workdir, "pass.sheet", "[sheet Main]\ncell H2 = =A2\ncell I2 = =B2\n"
+           "cell J2 = =UPPER(C2)\n[names]\nInputCells = Main!A2:C2\nOutputCells = Main!H2:J2\n")
+    _write(workdir, "chain.job", "format = 1\ndefinition = pass.sheet\ninput = raw.csv\n"
+           "[sort]\noutput = sorted.csv\n[pipeline]\noutput = out.csv\n")
+    _write(workdir, "raw.csv", "Id,Item,Colour\n2,Toga,purple\n1,Belt,tan\n")
+    assert main(["check", str(workdir / "chain.job")]) == 0
+    assert main(["--quiet", "run", str(workdir / "chain.job")]) == 0
+    assert _read(workdir, "sorted.csv") == "Id,Item,Colour\n1,Belt,tan\n2,Toga,purple\n"
+    assert _read(workdir, "out.csv") == "Id,Item,Colour\n1,Belt,TAN\n2,Toga,PURPLE\n"
+
+
+_STORE_TEXT = st.text(alphabet='ab ,"', min_size=1, max_size=6)
+
+
+def _csv_field(text):
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+@given(rows=st.lists(st.tuples(st.integers(1, 8), _STORE_TEXT, _STORE_TEXT,
+                               st.integers(1, 3999)), min_size=1, max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_the_store_chain_connects_its_stages(tmp_path_factory, rows):
+    # Repeated Ids, and fields with commas and doubled quotes, through
+    # the shipped store job: each file of the chain starts with the header
+    # line, and `report` of the run's output rewrites the run's report.
+    workdir = tmp_path_factory.mktemp("store")
+    shutil.copytree(REPO_ROOT / "fixtures", workdir, dirs_exist_ok=True)
+    lines = [f"{id_},{_csv_field(item)},{_csv_field(colour)},{roman_text(number)}"
+             for id_, item, colour, number in rows]
+    _write(workdir, "store_raw.csv", "Id,Item,Colour,Number\n" + "".join(
+        line + "\n" for line in lines))
+    job = str(workdir / "store.job")
+    assert main(["--quiet", "run", job]) == 0
+    for name in ("store_sorted.csv", "store_out.csv"):
+        assert _read(workdir, name).startswith("Id,Item,Colour,Number\n"), name
+    ids = [line.split(",", 1)[0] for line in _read(workdir, "store_out.csv").splitlines()[1:]]
+    assert ids == [str(id_) for id_ in sorted({row[0] for row in rows})]
+    report = (workdir / "store_report.csv").read_bytes()
+    (workdir / "store_report.csv").unlink()
+    assert main(["--quiet", "report", job, str(workdir / "store_out.csv")]) == 0
+    assert (workdir / "store_report.csv").read_bytes() == report
+
+
 # --- sort / report / compare ------------------------------------------------------
 
 
@@ -297,6 +363,19 @@ def test_sort_command(workdir, capsys):
     assert main(["sort", str(workdir / "store.job")]) == 0
     assert _read(workdir, "store_sorted.csv").splitlines()[1] == "1,a,c,I"
     assert capsys.readouterr().err == f"sorted 2 rows into {workdir / 'store_sorted.csv'}\n"
+
+
+def test_a_named_sort_key_over_an_empty_input_fails_at_sort(workdir, capsys):
+    # An empty input has no header line for check to read, so the sort
+    # that needs one to resolve a named key is what rejects it.
+    _write(workdir, "store.job", _read(workdir, "store.job").replace("key = 1 asc", "key = Id"))
+    _write(workdir, "store_raw.csv", "")
+    assert main(["check", str(workdir / "store.job")]) == 0
+    assert main(["sort", str(workdir / "store.job")]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: sort key 'Id' is a header name but the file has no headings\n"
+    )
+    assert not (workdir / "store_sorted.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -431,7 +510,9 @@ def test_a_headerless_input_with_expected_headers_passes_check_and_run(workdir, 
     # headings = n: no header line to check; the expected headers give
     # the width a single-cell line must read back as.
     _write(workdir, "caesar_in.csv", "1,Toga,Purple,MCDLIX\n")
-    job = _job_with(workdir, "caesar.job", "headings = n")
+    _write(workdir, "caesar.job", _read(workdir, "caesar.job").replace(
+        "caesar_in.csv\n", "caesar_in.csv\nheadings = n\n"))
+    job = str(workdir / "caesar.job")
     assert main(["check", job]) == 0
     assert capsys.readouterr().out == "OK\n"
     assert main(["--quiet", "run", job]) == 0
@@ -467,15 +548,17 @@ def test_check_validates_bad_definition(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "sort_lines, problem",
+    "top_lines, sort_lines, problem",
     [
-        ("headings = y\nkey = 0\n", "column must be >= 1, got 0"),
-        ("headings = n\nkey = Item\n", "'Item' is a header name"),
+        ("", "key = 0\n", "column must be >= 1, got 0"),
+        ("headings = n\n", "key = Item\n", "'Item' is a header name"),
     ],
     ids=["column-0", "name-without-headings"],
 )
-def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines, problem):
-    text = _read(workdir, "store.job").replace("headings = y\nkey = 1 asc\n", sort_lines)
+def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, top_lines, sort_lines,
+                                                    problem):
+    text = _read(workdir, "store.job").replace("format = 1\n", "format = 1\n" + top_lines)
+    text = text.replace("key = 1 asc\n", sort_lines)
     _write(workdir, "store.job", text)
     assert main(["check", str(workdir / "store.job")]) == 1
     assert main(["sort", str(workdir / "store.job")]) == 1
@@ -502,28 +585,28 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
          "[compare] left range Main!A2:D2 overlaps formula cell Main!B2"),
         ("store.job", "job = Number : Item, Colour", "job = sum : Item", "store.job",
          "[subtotals] job: subtotal measures is empty"),
-        ("store.job", "key = 1 asc\n",
-         "key = Nope\n[expected-headers]\nheaders = Id, Item, Colour, Number\n", "store.job",
+        ("store.job", "store_raw.csv\n\n[sort]\noutput = store_sorted.csv\nkey = 1 asc\n",
+         "store_raw.csv\nexpected-headers = Id, Item, Colour, Number\n\n[sort]\n"
+         "output = store_sorted.csv\nkey = Nope\n", "store.job",
          "sort key column 'Nope' not in header"),
-        # Without [expected-headers], names resolve against the input's header line.
+        # Without expected-headers, names resolve against the input's header line.
         ("store.job", "key = 1 asc\n", "key = Nope\n", "store.job",
          "sort key column 'Nope' not in header"),
         ("store.job", "job = Number : Item, Colour", "job = Weight : Item", "store.job",
          "column 'Weight' not found in headers"),
         # The report would take the first output record for the header line.
-        ("caesar.job", "caesar_out.csv\n\n[expected-headers]\nheaders = Id, Item, Colour, Number",
-         "caesar_out.csv\nheadings = n\n\n[subtotals]\njob = Number : Item", "caesar.job",
+        ("store.job", "store_raw.csv\n", "store_raw.csv\nheadings = n\n", "store.job",
          "[subtotals] reads the header line of the output"),
-        # [expected-headers] alone turns validation on, for every command alike.
+        # expected-headers alone turns validation on, for every command alike.
         ("caesar_in.csv", "Number", "Nummer", "caesar.job",
          "header mismatch at position 4: found 'Nummer', expected 'Number'"),
         ("caesar.job", "[pipeline]\n", "[pipeline]\nheader = validate\n", "caesar.job",
          "unknown key 'header' in [pipeline]"),
         # The header line of a job with a sort is the sort input's, checked
         # before the sort writes.
-        ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour, Nummer\n[sort]",
-         "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
-        ("store.job", "[sort]", "[expected-headers]\nheaders = Id, Item, Colour\n[sort]",
+        ("store.job", "store_raw.csv\n",
+         "store_raw.csv\nexpected-headers = Id, Item, Colour, Nummer\n", "store.job", "header mismatch at position 4: found 'Number', expected 'Nummer'"),
+        ("store.job", "store_raw.csv\n", "store_raw.csv\nexpected-headers = Id, Item, Colour\n",
          "store.job", "header mismatch at position 4: found 'Number', expected '<extra>'"),
         # Each role name is checked once, by the preflight.
         ("caesar.sheet", "InputCells =", "Input =", "caesar.job",
@@ -538,30 +621,58 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
          "[compare] the definition does not define 'Status'"),
         # Job lines the loader rejects, each named by its file and line.
         ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\nbogus\n",
-         "caesar.job", "caesar.job:8: expected 'key = value': bogus"),
-        ("caesar.job", "caesar.sheet\n", "caesar.sheet\ninput = x.csv\n", "caesar.job",
-         "caesar.job:4: key 'input' outside any section"),
-        ("caesar.job", "Colour, Number\n", "Colour, Number\n[pipeline]\n", "caesar.job",
-         "caesar.job:11: section [pipeline] repeated"),
+         "caesar.job", "caesar.job:9: expected 'key = value': bogus"),
+        ("caesar.job", "caesar.sheet\n", "caesar.sheet\noutput = x.csv\n", "caesar.job",
+         "caesar.job:4: unknown key 'output'"),
+        ("caesar.job", "caesar_out.csv\n", "caesar_out.csv\n[pipeline]\n", "caesar.job",
+         "caesar.job:9: section [pipeline] repeated"),
         ("caesar.job", "format = 1\n", "format = 1\nformat = 1\n", "caesar.job",
          "caesar.job:3: key 'format' repeated"),
         ("caesar.job", "format = 1\n", "format = 2\n", "caesar.job",
          "caesar.job:2: unsupported format: 2"),
         # A bad value names its line, section and key; of a repeated key,
         # the entry at fault.
-        ("caesar.job", "headers = Id, Item, Colour, Number", "headers =", "caesar.job",
-         "caesar.job:10: [expected-headers] headers: list is empty"),
+        ("caesar.job", "expected-headers = Id, Item, Colour, Number", "expected-headers =",
+         "caesar.job", "caesar.job:5: expected-headers: list is empty"),
         ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\non-error = sometimes\n",
-         "caesar.job", "caesar.job:8: [pipeline] on-error: must be one of fail-fast, "
+         "caesar.job", "caesar.job:9: [pipeline] on-error: must be one of fail-fast, "
          "skip-and-log; got 'sometimes'"),
-        ("caesar.job", "output = caesar_out.csv\n", "output = caesar_out.csv\nheadings = maybe\n",
-         "caesar.job", "caesar.job:8: [pipeline] headings: must be y or n, got 'maybe'"),
+        ("caesar.job", "caesar_in.csv\n", "caesar_in.csv\nheadings = maybe\n",
+         "caesar.job", "caesar.job:5: headings: must be y or n, got 'maybe'"),
         ("store.job", "key = 1 asc\n", "key = 1 asc\nkey = 0\n", "store.job",
-         "store.job:11: [sort] key: column must be >= 1, got 0"),
+         "store.job:10: [sort] key: column must be >= 1, got 0"),
         ("store.job", "key = 1 asc\n", "key = 1 asc\nkey =\n", "store.job",
-         "store.job:11: [sort] key: empty sort key"),
+         "store.job:10: [sort] key: empty sort key"),
         ("store.job", "job = Number : Item, Colour", "job = Number : Item\njob = sum : Item",
-         "store.job", "store.job:19: [subtotals] job: subtotal measures is empty"),
+         "store.job", "store.job:17: [subtotals] job: subtotal measures is empty"),
+        # The job's data is stated once, at the top: a stage names no input
+        # and no headings of its own, and there is no [expected-headers].
+        ("caesar.job", "[pipeline]\n", "[pipeline]\ninput = caesar_in.csv\n", "caesar.job",
+         "caesar.job:8: unknown key 'input' in [pipeline]"),
+        ("caesar.job", "[pipeline]\n", "[pipeline]\nheadings = y\n", "caesar.job",
+         "caesar.job:8: unknown key 'headings' in [pipeline]"),
+        ("store.job", "[sort]\n", "[sort]\ninput = store_raw.csv\n", "store.job",
+         "store.job:8: unknown key 'input' in [sort]"),
+        ("store.job", "[sort]\n", "[sort]\nheadings = y\n", "store.job",
+         "store.job:8: unknown key 'headings' in [sort]"),
+        ("compare.job", "[compare]\n", "[compare]\nheadings = n\n", "compare.job",
+         "compare.job:8: unknown key 'headings' in [compare]"),
+        ("caesar.job", "[pipeline]\n",
+         "[expected-headers]\nheaders = Id, Item, Colour, Number\n[pipeline]\n", "caesar.job",
+         "caesar.job:7: unknown section [expected-headers]"),
+        ("caesar.job", "input = caesar_in.csv\n", "", "caesar.job",
+         "caesar.job: [pipeline] reads the top-level key 'input', which the job does not give"),
+        ("store.job", "input = store_raw.csv\n", "", "store.job",
+         "store.job: [sort] reads the top-level key 'input', which the job does not give"),
+        # An output replaces no file the job reads, and no other output.
+        ("caesar.job", "output = caesar_out.csv", "output = caesar_in.csv", "caesar.job",
+         "caesar_in.csv is already named by input on line 4"),
+        ("store.job", "output = store_report.csv", "output = store_sorted.csv", "store.job",
+         "store_sorted.csv is already named by [sort] output on line 8"),
+        ("dedup.job", "output = dedup_out.csv", "output = dedup.sheet", "dedup.job",
+         "dedup.sheet is already named by definition on line 3"),
+        ("compare.job", "output = diff.txt", "output = left.csv", "compare.job",
+         "left.csv is already named by [compare] left on line 8"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
          "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
@@ -570,7 +681,11 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, sort_lines,
          "header-mismatch-before-sort", "no-input-cells", "no-output-cells", "no-left-cells",
          "no-right-cells", "no-status", "line-without-equals", "key-outside-section",
          "repeated-section", "repeated-top-key", "format-2", "empty-headers", "bad-on-error",
-         "bad-headings", "sort-key-0", "empty-sort-key", "second-subtotal-job"],
+         "bad-headings", "sort-key-0", "empty-sort-key", "second-subtotal-job",
+         "pipeline-input", "pipeline-headings", "sort-input", "sort-headings",
+         "compare-headings", "expected-headers-section", "pipeline-without-input",
+         "sort-without-input", "output-over-input", "output-over-output",
+         "output-over-definition", "output-over-left"],
 )
 def test_check_and_the_command_reject_a_job_alike(workdir, capsys, edited, old, new, job, problem):
     text = _read(workdir, edited)

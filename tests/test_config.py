@@ -145,6 +145,8 @@ def test_a_formula_nested_too_deep_fails_at_load_naming_its_line(tmp_path):
         ('cell A1 = "abc', 'malformed quoted text: "abc'),
         ("cell A1", "expected 'key = value': cell A1"),
         ("value A1 = 1", "expected 'cell <address> = <content>': value A1 = 1"),
+        ("cell A1 = =B1:1", "expected a cell reference after ':' at offset 4, found '1'"),
+        ("cell A1 = =1+*", "expected a value, reference, or '(' at offset 3, found '*'"),
     ],
 )
 def test_a_bad_address_or_quoted_text_fails_at_load_naming_its_line(tmp_path, line, problem):
@@ -251,8 +253,8 @@ _MINIMAL_SHEET = (
 
 def _minimal_job_text(extra=""):
     return (
-        "definition = rules.sheet\n"
-        "[pipeline]\ninput = in.csv\noutput = out.csv\n" + extra
+        "definition = rules.sheet\ninput = in.csv\n"
+        "[pipeline]\noutput = out.csv\n" + extra
     )
 
 
@@ -290,7 +292,7 @@ def test_unknown_key(tmp_path):
     "section, lines",
     [
         ("pipeline", ""),
-        ("sort", "[sort]\ninput = a.csv\noutput = b.csv\n"),
+        ("sort", "[sort]\noutput = b.csv\n"),
         ("compare", "[compare]\nleft = a.csv\nright = b.csv\n"),
     ],
     ids=["pipeline", "sort", "compare"],
@@ -324,7 +326,7 @@ def test_limit_on_control_entries(tmp_path):
 def test_sort_key_parsing(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     text = _minimal_job_text() + (
-        "[sort]\ninput = a.csv\noutput = b.csv\nheadings = y\n"
+        "[sort]\noutput = b.csv\n"
         "key = 2 desc\nkey = Item text\nkey = 1\n"
     )
     job = load_job(_job(tmp_path, text))
@@ -339,19 +341,19 @@ def test_sort_key_parsing(tmp_path):
 def test_repeated_key_rejected(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     with pytest.raises(DefinitionError):
-        load_job(_job(tmp_path, _minimal_job_text("input = again.csv\n")))
+        load_job(_job(tmp_path, _minimal_job_text("output = again.csv\n")))
 
 
 def test_missing_required_key(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
-    text = "definition = rules.sheet\n[pipeline]\ninput = in.csv\n"
+    text = "definition = rules.sheet\ninput = in.csv\n[pipeline]\n"
     with pytest.raises(ConfigError) as err:
         load_job(_job(tmp_path, text))
     assert "output" in str(err.value)
 
 
 def test_pipeline_without_definition_rejected(tmp_path):
-    text = "[pipeline]\ninput = a\noutput = b\n"
+    text = "input = a\n[pipeline]\noutput = b\n"
     with pytest.raises(ConfigError):
         load_job(_job(tmp_path, text))
 
@@ -361,13 +363,12 @@ def test_bad_choice_values(tmp_path):
     with pytest.raises(ConfigError):
         load_job(_job(tmp_path, _minimal_job_text("csv = tabs\n")))
     with pytest.raises(ConfigError):
-        load_job(_job(tmp_path, _minimal_job_text("headings = maybe\n"), "b.job"))
+        load_job(_job(tmp_path, "headings = maybe\n" + _minimal_job_text(), "b.job"))
     with pytest.raises(ConfigError):
         load_job(
             _job(
                 tmp_path,
-                _minimal_job_text()
-                + "[sort]\ninput = a\noutput = b\nheadings = sure\n",
+                "headings = sure\n" + _minimal_job_text() + "[sort]\noutput = b\n",
                 "c.job",
             )
         )
@@ -415,7 +416,7 @@ def _readme_job_schema():
 
 def test_readme_job_file_block_matches_the_key_table():
     table = {section: set(keys) for section, (_, keys) in config_mod._SCHEMA.items()}
-    assert _readme_job_schema() == {"": config_mod._TOP_KEYS, **table}
+    assert _readme_job_schema() == table
 
 
 def test_readme_examples_load(tmp_path):

@@ -301,6 +301,11 @@ def test_bare_range_formula_is_value_error():
         ('="abc"="ABC"', True),  # text comparison is case-insensitive
         ('="a"<"B"', True),
         ("=1<>1", False),
+        ('=IF(Z9,"y","n")', "n"),  # Z9 is blank: FALSE as a condition
+        ('=IF(" false ","y","n")', "n"),  # the text FALSE in any case and spacing
+        ("=1>Z9", True),  # a blank takes the other side's zero value
+        ("=FALSE=Z9", True),
+        ("=TRUE=Z9", False),
     ],
 )
 def test_evaluate_examples(source, expected):
@@ -317,6 +322,8 @@ def test_evaluate_examples(source, expected):
         ("=0^-1", DIV0),
         ("=(-1)^0.5", NUM_ERROR),
         ("=1E308*10", NUM_ERROR),
+        ("=IF(A1:A2,1,2)", VALUE_ERROR),  # a range is no condition
+        ("=-A1:A2", VALUE_ERROR),  # nor an operand
     ],
 )
 def test_evaluate_error_values(source, error):

@@ -27,6 +27,8 @@ from gridpipe.values import (
     VALUE_ERROR,
     _NUMBER_RE,
     parse_number,
+    render_value,
+    to_number,
 )
 from gridpipe.workbook import Workbook, parse_a1
 
@@ -408,3 +410,10 @@ def test_functions_never_return_non_finite_numbers():
     assert ev("=SUM(1E308,1E308)") == NUM_ERROR
     assert ev("=1E400") == NUM_ERROR  # an overflowing literal is itself #NUM!
     assert ev("=ROMAN(1E400)") == NUM_ERROR
+
+
+def test_an_error_renders_as_its_code_and_coerces_to_value_error():
+    assert render_value(NUM_ERROR) == "#NUM!"
+    assert to_number(NUM_ERROR) == VALUE_ERROR  # not a scalar to coerce
+    with pytest.raises(TypeError):
+        render_value(object())

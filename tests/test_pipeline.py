@@ -376,7 +376,7 @@ def test_a_single_cell_line_that_does_not_read_back_is_a_record_error(
 @pytest.mark.parametrize("headers, written", [(None, 1), (["h1", "h2"], 0)])
 def test_without_a_header_line_the_expected_headers_set_the_width(workdir, headers, written):
     # Without a header line the line must be one record, as wide as
-    # [expected-headers] if there are any.
+    # expected-headers if there are any.
     _write(workdir, "a\n")
     spec = _spec(
         workdir, has_headings=False, expected_headers=headers, on_record_error="skip-and-log"

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gridpipe.errors import UnknownColumn
+from gridpipe.errors import ConfigError, UnknownColumn
 from gridpipe.report import (
     BadControlTable,
     NonNumericMeasure,
@@ -36,6 +36,11 @@ def test_unknown_measure_column():
 def test_measure_and_group_must_be_disjoint():
     with pytest.raises(BadControlTable):
         make_job(["Item"], ["Item"], TRANSLATION)
+
+
+def test_make_job_takes_sum_or_count():
+    with pytest.raises(BadControlTable, match="^aggregate must be sum or count, got 'mean'$"):
+        make_job(["Number"], ["Item"], TRANSLATION, "mean")
 
 
 def test_parse_job_line_variants():
@@ -214,6 +219,11 @@ def test_aligned_text_render():
     offset = lines[0].index("Colour")
     assert lines[1][offset - 1] == " "
     assert lines[2][offset - 1] == " "
+
+
+def test_an_unknown_report_format_is_rejected():
+    with pytest.raises(ConfigError, match="^unknown report format: 'xml'$"):
+        render_report(aggregate([["1", "Toga", "Purple", "5", "9"]], _job()), "xml")
 
 
 def test_integer_sums_render_without_decimal_point():

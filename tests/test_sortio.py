@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridpipe.errors import UnknownColumn
+from gridpipe.errors import SettingError, UnknownColumn
 from gridpipe.sortio import (
     MERGE_FAN_IN,
     MissingColumn,
@@ -146,6 +146,11 @@ def test_named_key_requires_headings(tmp_path):
             )
         )
     assert "headings" in str(err.value)
+
+
+def test_a_spec_needs_a_key():
+    with pytest.raises(SettingError, match="^keys: none given$"):
+        SortSpec("in.csv", "out.csv", keys=[])
 
 
 def test_unknown_named_key(tmp_path):

@@ -181,6 +181,21 @@ def test_normalized_range_sorts_corners():
     assert rng == _rng("A1", "B2")
 
 
+@pytest.mark.parametrize(
+    "make, a, b, problem",
+    [
+        (CellRange, "A1", "B2", "range spans sheets: Main!A1 .. Other!B2"),
+        (normalized_range, "A1", "B2", "range spans sheets: Main!A1 .. Other!B2"),
+        (CellRange, "B2", "A1", "inverted range corners: Main!B2 .. Main!A1"),
+    ],
+)
+def test_a_range_needs_one_sheet_and_ordered_corners(make, a, b, problem):
+    # normalized_range orders the corners itself; CellRange takes them as given.
+    sheet = "Other" if problem.startswith("range spans") else "Main"
+    with pytest.raises(BadAddress, match=f"^{problem}$"):
+        make(_addr(a), _addr(b, sheet))
+
+
 # --- bulk transfer ---------------------------------------------------------------
 
 
