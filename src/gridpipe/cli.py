@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import config as config_mod, errors
-from .csvio import atomic_output, read_records
+from .csvio import atomic_output, read_fields
 from .engine import recalculate
 from .errors import ConfigError, DataError
 from .pipeline import run_pipeline, compare_files
@@ -102,6 +102,8 @@ def _load_job(args, section: str):
 
 def _cmd_run(args) -> int:
     job = _load_job(args, "pipeline")
+    if args.stats_json:
+        config_mod.check_output(job, args.stats_json, "--stats-json")
     spec = job.pipeline
     if job.sort is not None:
         rows = sort_file(job.sort)
@@ -129,13 +131,13 @@ def _cmd_run(args) -> int:
 
 def _write_subtotals(job, data_path: str) -> None:
     sub = job.subtotals
-    records = read_records(data_path)
+    records = read_fields(data_path)
     head = next(records, None)
     if head is None:
         raise DataError(f"{data_path}: no header row to aggregate against")
-    translation = translation_table(head[1])
+    translation = translation_table(head)
     jobs = [parse_job_line(line, translation) for line in sub.job_lines]
-    tables = subtotal((fields for _, fields in records), jobs)
+    tables = subtotal(records, jobs)
     text = "\n".join(render_report(table, sub.format) for table in tables)
     if sub.output_path:
         with atomic_output(sub.output_path) as handle:

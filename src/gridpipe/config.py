@@ -59,6 +59,7 @@ __all__ = [
     "JobConfig",
     "load_definition",
     "load_job",
+    "check_output",
     "render_definition",
 ]
 
@@ -253,11 +254,12 @@ class JobSubtotals:
 
 class JobConfig:
     __slots__ = ("job_path", "definition_path", "workbook", "pipeline", "sort", "subtotals",
-                 "compare")
+                 "compare", "files")
 
     def __init__(self, job_path: str, definition_path: str | None, workbook: Workbook | None,
                  pipeline: PipelineSpec | None, sort: SortSpec | None,
-                 subtotals: JobSubtotals | None, compare: CompareSpec | None):
+                 subtotals: JobSubtotals | None, compare: CompareSpec | None,
+                 files: dict | None = None):
         self.job_path = job_path
         self.definition_path = definition_path
         self.workbook = workbook
@@ -265,6 +267,7 @@ class JobConfig:
         self.sort = sort
         self.subtotals = subtotals
         self.compare = compare
+        self.files = {} if files is None else files  # path -> (key, line, is an output)
 
 
 # Converters from a key's text (one entry's text for a repeatable key) to
@@ -386,11 +389,8 @@ def _build_section(path: str, section: str, raw: dict, workbook, files: dict, **
                     raise type(exc)(f"{where(key, len(values))}: {exc}") from None
             settings[name] = values if (section, key) in _REPEATABLE else values[0]
             if convert is _path:
-                other, line, output = files.setdefault(
-                    values[0], (prefix + key, raw[key][0][0], key == "output"))
-                if other != prefix + key and (output or key == "output"):
-                    raise ConfigError(f"{where(key, 0)}: {values[0]} is already named by "
-                                      f"{other} on line {line}")
+                _claim(files, values[0], prefix + key, raw[key][0][0], key == "output",
+                       where(key, 0))
     if spec_class is None:
         return settings
     key_of = {name: key for key, (name, _) in table.items()}
@@ -410,6 +410,21 @@ def _build_section(path: str, section: str, raw: dict, workbook, files: dict, **
         except ConfigError as exc:
             raise ConfigError(f"{path}: [{section}] {exc}") from None
     return spec
+
+
+def _claim(files: dict, path: str, name: str, line: int, output: bool, where: str) -> None:
+    """Note in ``files`` that ``name``, on ``line``, names ``path``;
+    raise a ``ConfigError`` at ``where`` if an output shares its file."""
+    other, other_line, other_output = files.setdefault(path, (name, line, output))
+    if other != name and (output or other_output):
+        raise ConfigError(f"{where}: {path} is already named by {other} on line {other_line}")
+
+
+def check_output(job: JobConfig, path: str, name: str) -> None:
+    """Raise a ``ConfigError`` if ``path``, which the option ``name``
+    writes, names a file of the job, as an output in the job would."""
+    path = os.path.abspath(path)
+    _claim(dict(job.files), path, name, 0, True, f"{job.job_path}: {name}")
 
 
 def load_job(path) -> JobConfig:
@@ -474,4 +489,5 @@ def load_job(path) -> JobConfig:
         sort=sort,
         subtotals=subtotals,
         compare=compare,
+        files=files,
     )

@@ -1,9 +1,10 @@
 """Delimited-file reading and writing in one dialect, RFC 4180: every
 record gridpipe reads, from a file or a line, goes through ``_reader``.
 
-Readers yield ``(raw, fields)`` so callers that must preserve records
-byte-for-byte (sorting, comparison) can write the original text back
-out. Output always uses LF line endings and UTF-8, and reaches its path
+``read_records`` yields ``(raw, fields)`` so callers that must preserve
+records byte-for-byte (sorting, comparison) can write the original text
+back out; ``read_fields`` and ``open_fields`` give the same fields
+without building that text. Output always uses LF line endings and UTF-8, and reaches its path
 only once it is complete (``atomic_output``).
 """
 
@@ -19,7 +20,8 @@ from typing import Iterator
 
 from .errors import DataError
 
-__all__ = ["read_records", "parse_line", "encode_record", "atomic_output"]
+__all__ = ["read_records", "read_fields", "open_fields", "parse_line", "encode_record",
+           "atomic_output"]
 
 csv.field_size_limit(2**31 - 1)  # not the stdlib's 128 KiB: see read_records
 _reader = partial(csv.reader, strict=True)
@@ -54,6 +56,46 @@ def read_records(path) -> Iterator[tuple[str, list[str]]]:
             line = reader.line_num
             start = line - len(consumed) + 1
             raise DataError(f"{path} line {line}: {exc} (record from line {start})") from None
+
+
+@contextmanager
+def open_fields(path, head: bool = False):
+    """Open ``path`` to read field lists, with no raw text: yields
+    ``(first, records)``. With ``head``, ``first`` is the first record as
+    ``read_records`` gives it, or None for an empty file; without, None.
+    ``records`` is the ``csv.reader`` over the records after it, so an
+    empty line comes as ``[]``, where ``read_records`` gives ``[""]``.
+    A malformed record, read here or in the block, raises the
+    ``DataError`` that ``read_records`` raises for it.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        try:
+            first = None
+            if head:
+                lines: list[str] = []
+                fields = next(_reader(filterfalse(lines.append, handle)), None)
+                if fields is not None:
+                    first = "".join(lines).rstrip("\r\n"), fields or [""]
+            # A reader takes no line past the record it returns, so this
+            # one starts where the first one stopped.
+            yield first, _reader(handle)
+            return
+        except csv.Error:
+            pass
+    # Only read_records knows where the bad record began: read the file
+    # again, so that the good records pay nothing for that.
+    for _ in read_records(path):
+        pass
+    raise DataError(f"{path} changed while it was read")
+
+
+def read_fields(path) -> Iterator[list[str]]:
+    """Stream the field lists ``read_records`` reads from ``path``, and
+    raise its ``DataError`` for a malformed record, without building any
+    record's raw text."""
+    with open_fields(path) as (_, records):
+        for fields in records:
+            yield fields or [""]
 
 
 def parse_line(line: str) -> list[list[str]]:

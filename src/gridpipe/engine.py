@@ -1,17 +1,20 @@
 """Dependency graph construction and deterministic recalculation.
 
-Every evaluation -- ``recalculate``, a streaming run's per-record step,
+Every evaluation -- ``recalculate``, a comparison's per-pair step,
 ``evaluate_source`` -- runs a *plan*: formula cells in topological
 order, compiled into one generated function ``run(values, row=())``
-over the workbook's value dict. In it each plan cell and each field of
-``row`` is a local, a precedent outside the plan is one ``values.get``,
-and operator and function implementations are constants called
-directly, or direct code where an operand's kind (text, bool, number)
-is known. ``IF`` is an ``if``/``else``: its condition, then only the
-branch taken. Every value read or computed that can be an error is
-checked, and an error breaks out of its cell where the formula first
-meets it, left to right. It returns the observed values as a tuple and
-writes only the cells a range or a later generated function reads.
+over the workbook's value dict; a streaming run takes the same code as
+statements (``inline_plan``) inside the record loop it generates. In
+it each plan cell and each field of ``row`` is a local, a precedent
+outside the plan is one ``values.get``, and operator and function
+implementations are constants called directly, or direct code where an
+operand's kind (text, bool, number) is known. ``IF`` is an
+``if``/``else``: its condition, then only the branch taken. Every value
+read or computed that can be an error is checked, and an error breaks
+out of its cell where the formula first meets it, left to right. It returns the observed values as a tuple and
+writes only the cells a range or a later generated function reads. A
+plan of more than ``_CHUNK`` cells is several functions: the last one
+calls those before it.
 
 A plan is pruned by demand: cells downstream of the dirty cells and the
 fields and upstream of an observed cell. ``recalculate`` observes none
@@ -20,8 +23,8 @@ full-downstream semantics; a streaming run observes its output cells
 only. Before it streams, ``compile_constants`` evaluates once the cells
 its plan reads that no record changes; every other cell stays stale, or
 never evaluated, until the next ``recalculate(wb)``.
-Plans depend only on the structure and are cached, so nothing is
-rebuilt per record.
+Plans depend only on the structure and are cached, and a run compiles
+its loop once, so nothing is rebuilt per record.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "UnknownNameError",
     "build_graph",
     "compile_plan",
+    "inline_plan",
     "compile_constants",
     "recalculate",
     "evaluate_source",
@@ -109,14 +113,17 @@ class _Emitter:
     the keys in ``fields`` from its ``row`` argument.
     """
 
-    def __init__(self, wb: Workbook, fields=()):
+    def __init__(self, wb: Workbook, fields=(), carry=()):
         self.wb = wb
         self.fields = fields
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}  # globals of the generated function
-        # plan cell or field key -> local name, and the kind of its value
+        # plan cell, field or carry key -> local name, and the kind of its value
         self.locals = {key: f"p{i}" for i, key in enumerate(fields)}
         self.kinds = dict.fromkeys(self.locals, TEXT)
+        self.carry = carry  # keys whose value, never an error, the caller sets
+        self.locals.update((key, f"q{i}") for i, key in enumerate(carry))
+        self.kinds.update(dict.fromkeys(carry, _ANY))
         self.fails: set[tuple] = set()  # plan cells whose value can be an error
         self.temps = 0
         self.indent = "    "
@@ -162,7 +169,7 @@ class _Emitter:
     def cell(self, key: tuple, ast, write: bool) -> None:
         target = self.target = f"c{len(self.locals)}"
         self.breaks = False
-        self.reads: dict[tuple, str] = {}  # a cell outside the plan -> its local, read here
+        self.reads: dict[tuple, str] = {}  # a key read and checked here -> its local
         self.lines.append("while True:")
         operand, kind = self.expr(ast, key[0])
         if kind is _RANGE:  # a bare range is no cell value
@@ -183,8 +190,9 @@ class _Emitter:
             if key not in self.reads:
                 self.reads[key] = self.temp(f"get({key!r}, BLANK)")
             return self.reads[key], _ANY
-        if key in self.fails:
+        if key in self.fails and key not in self.reads:  # checked once, as a read is
             self.check(local)
+            self.reads[key] = local
         return local, self.kinds[key]
 
     def if_else(self, args, sheet: str):
@@ -305,21 +313,46 @@ class _Emitter:
 
         raise TypeError(f"not an AST node: {node!r}")
 
-    def function(self, name: str, top, observed):
-        """Compile the cells emitted so far into ``run(values, row=())``,
-        which first writes the ``top`` fields to ``values`` and returns
-        the ``observed`` values as a tuple."""
-        head = ["get = values.get"]
+    def statements(self, top, before=()) -> list[str]:
+        """The plan as statements over ``values``, ``get`` and ``row``:
+        unpack ``row`` into the field locals, write the ``top`` fields to
+        ``values``, call each ``before`` function, then the cells."""
+        head = []
         if self.fields:
             head.append("".join(f"p{i}, " for i in range(len(self.fields))) + "= row")
         head += [f"values[{key!r}] = {self.locals[key]}" for key in top]
-        operands = [self.locals.get(key) or f"get({key!r}, BLANK)" for key in observed]
-        body = [*head, *self.lines, "return (" + "".join(f"{op}, " for op in operands) + ")"]
-        source = "def run(values, row=()):\n"
-        source += "".join(f"    {text}\n" for text in body)
-        namespace = {**_GLOBALS, **self.consts}
-        exec(compile(source, f"<{name}>", "exec"), namespace)
-        return namespace["run"]
+        head += [f"{self.const(run)}(values, row)" for run in before]
+        return head + self.lines
+
+    def operand(self, key: tuple) -> str:
+        """Code for a cell's value once the statements have run."""
+        return self.locals.get(key) or f"get({key!r}, BLANK)"
+
+    def can_fail(self, key: tuple) -> bool:
+        """Whether ``operand(key)`` can be an error value."""
+        return key in self.fails or key not in self.locals
+
+    def text_of(self, key: tuple) -> str:
+        """Code for the text ``operand(key)`` renders as, once it is
+        known to be no error."""
+        return self.text(self.operand(key), self.kinds.get(key, _ANY))
+
+    def define(self, name: str, label: str, source: str, **names):
+        """Compile ``source`` with this emitter's globals and ``names``;
+        returns what it defines as ``name``. ``label`` names the source
+        in tracebacks."""
+        namespace = {**_GLOBALS, **self.consts, **names}
+        exec(compile(source, f"<{label}>", "exec"), namespace)
+        return namespace[name]
+
+    def function(self, label: str, top, before, observed):
+        """Compile the cells emitted so far into ``run(values, row=())``,
+        which runs ``statements(top, before)`` and returns the
+        ``observed`` values as a tuple."""
+        returns = "".join(f"{self.operand(key)}, " for key in observed)
+        body = ["get = values.get", *self.statements(top, before), f"return ({returns})"]
+        source = "def run(values, row=()):\n" + "".join(f"    {text}\n" for text in body)
+        return self.define("run", label, source)
 
 
 def _key_rows(sheet, row1, col1, row2, col2):
@@ -340,7 +373,7 @@ def evaluate_source(workbook: Workbook, source: str, sheet: str | None = None) -
     key = ((sheet or workbook.default_sheet()).upper(), 0, 0)
     emitter = _Emitter(workbook)
     emitter.cell(key, ast, write=False)
-    return emitter.function("formula", (), (key,))(workbook.values)[0]
+    return emitter.function("formula", (), (), (key,))(workbook.values)[0]
 
 
 # --- Dependency graph --------------------------------------------------------
@@ -366,15 +399,21 @@ class DependencyGraph:
         cached = self._plans.get(cache_key)
         if cached is not None:
             return cached
+        plan = self.compile(wb, self.affected(dirty, observed, fields), observed, fields)
+        if len(self._plans) < 64:
+            self._plans[cache_key] = plan
+        return plan
+
+    def affected(self, dirty: frozenset | None, observed=None, fields=()) -> set:
+        """The formula cells a plan evaluates: downstream of the ``dirty``
+        and ``fields`` keys (every one for ``dirty=None``) and, unless
+        ``observed`` is None, upstream of the ``observed`` keys."""
         affected = (
             set(self.order) if dirty is None else _closure(dirty.union(fields), self.dependents)
         )
         if observed is not None:
             affected &= self.upstream(observed)
-        plan = self.compile(wb, affected, observed, fields)
-        if len(self._plans) < 64:
-            self._plans[cache_key] = plan
-        return plan
+        return affected
 
     def upstream(self, observed) -> set:
         """The ``observed`` keys and every key they read, directly or not."""
@@ -384,6 +423,19 @@ class DependencyGraph:
     def compile(self, wb: Workbook, cells: set, observed=None, fields=()) -> Plan:
         """The formula ``cells`` as one plan, run in topological order.
         With ``observed=None`` it writes every cell and returns ()."""
+        cells, emitter, top, before = self.emit(wb, cells, observed, fields)
+        label = f"plan cells {len(before) * _CHUNK}+"
+        return Plan(cells, emitter.function(label, top, before, observed or ()))
+
+    def emit(self, wb: Workbook, cells: set, observed=None, fields=(), carry=()):
+        """The formula ``cells`` in topological order, the emitter of the
+        last chunk of them (at most ``_CHUNK``), the ``fields`` a range
+        reads and the functions that compute the chunks before it.
+
+        Each ``carry`` key that no range reads is a local of the emitter,
+        if one chunk holds every cell; its value is the caller's to set,
+        and is never an error.
+        """
         if observed is None:
             writes = set(cells)
         else:
@@ -400,25 +452,15 @@ class DependencyGraph:
             if any(chunk_of.get(d, -1) > chunk_of[key] for d in self.dependents.get(key, ()))
         }
         top = [key for key in fields if key in self.block_reads]
-        runs = []
+        carry = [] if last else [k for k in carry if k not in self.block_reads and k not in fields]
+        before = []
         for start in range(0, max(len(cells), 1), _CHUNK):
-            emitter = _Emitter(wb, fields)
+            emitter = _Emitter(wb, fields, carry)
             for key in cells[start : start + _CHUNK]:
                 emitter.cell(key, wb._formulas[key], key in writes)
-            returns = (observed or ()) if start // _CHUNK == last else ()
-            runs.append(emitter.function(f"plan cells {start}+", top if start == 0 else (), returns))
-        return Plan(cells, runs[0] if len(runs) == 1 else _chain(runs))
-
-
-def _chain(runs):
-    *head, tail = runs
-
-    def run(values, row=()):
-        for part in head:
-            part(values, row)
-        return tail(values, row)
-
-    return run
+            if start // _CHUNK < last:
+                before.append(emitter.function(f"plan cells {start}+", (), (), ()))
+        return cells, emitter, top, before
 
 
 def _closure(start, edges: dict) -> set:
@@ -513,6 +555,23 @@ def compile_plan(wb: Workbook, dirty, observed, fields=()) -> Plan:
     generated function reads it.
     """
     return _current_graph(wb).plan(wb, frozenset(dirty), tuple(observed), tuple(fields))
+
+
+def inline_plan(wb: Workbook, dirty, observed, fields=(), carry=()):
+    """The plan ``compile_plan`` builds, as code for a function the caller
+    writes around it. Returns ``(cells, lines, emitter)``: the formula
+    cells, the plan's statements (see ``_Emitter.statements``) and their
+    emitter. It gives the code for each key's value (``operand``), says
+    whether that can be an error, and compiles the caller's source with
+    the names the statements use (``define``). Its ``carry`` keys are
+    locals the caller sets before the statements run, to values that are
+    never errors; the other ``carry`` keys are read from ``values``.
+    """
+    graph = _current_graph(wb)
+    observed, fields = tuple(observed), tuple(fields)
+    cells = graph.affected(frozenset(dirty), observed, fields)
+    cells, emitter, top, before = graph.emit(wb, cells, observed, fields, carry)
+    return cells, emitter.statements(top, before), emitter
 
 
 def compile_constants(wb: Workbook, streamed, observed) -> Plan:

@@ -6,15 +6,19 @@ A cell's role is the name the definition gives it, known only here:
 ``CarryForward`` for a run; ``LeftCells``, ``RightCells`` and ``Status``
 for a comparison.
 
-Per record the engine (1) parses the fields, (2) fits them to the input
-range, (3) runs the compiled record step, which takes the fields as
-text and returns the output and skip cells' values, computing only the
-cells downstream of the input and carry-forward cells that those read,
-(4) consults the skip cell, and (5) for kept records writes the joined
-output line and copies it into the carry-forward cells. Cross-row rules
-(duplicate detection) fall out of the carry-forward mechanism. Also
-hosts the sorted-file comparison loop, which drives a status cell
-through the same step.
+A run compiles one function for itself, ``stream(records, write)``: the
+record loop with the plan's code inline. The reader hands it each
+record's field list (``csvio.open_fields``; no record but the header
+keeps its raw text), and per record it (1) counts it, (2) fits the
+fields to the input range if their number differs, (3) computes, as
+locals, the cells downstream of the input and carry-forward cells that
+the output and skip cells read, (4) consults the skip cell, and (5) for
+a kept record tests each value that can be an error, joins the output
+line, writes it and copies it into the carry-forward cells. A record's
+``DataError`` ends the run, or under ``skip-and-log`` is counted and
+logged. Cross-row rules (duplicate detection) fall out of the
+carry-forward mechanism. Also hosts the sorted-file comparison loop,
+which drives a status cell through a compiled plan in Python.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from __future__ import annotations
 import sys
 import time
 
-from .csvio import atomic_output, encode_record, parse_line, read_records
-from .engine import compile_constants, compile_plan
+from .csvio import atomic_output, encode_record, open_fields, parse_line, read_records
+from .engine import compile_constants, compile_plan, inline_plan
 from .errors import ConfigError, DataError, check_choices, warn
 from .values import CellError, render_value
 from .workbook import CellRange, Workbook
@@ -205,52 +209,6 @@ def _check_readback(line: str, width: int | None, where: str) -> None:
         raise RecordError(f"{where} reads back as {count} fields, the header has {width}")
 
 
-def _record_step(wb: Workbook, ranges: list[CellRange], observed: dict, carry_keys: list,
-                 policy: str, what: str, error: type, skip: bool = False):
-    """The per-record step shared by ``run_pipeline`` and ``compare_files``.
-
-    Returns ``(step, write_back, plan)``. ``step(number, fields, *more)``
-    fits each field list to its range, runs the plan and returns the
-    values of the ``observed`` cells in order. An error value raises
-    ``error`` naming the record and the cell by its role in ``observed``.
-    With ``skip``, a record whose first value is TRUE or the text Skip in
-    any case returns None unchecked. ``write_back()`` stores the last
-    record's fields and values.
-    """
-    field_keys = [key for rng in ranges for key in rng.keys()]
-    # cells the plan reads but no record changes are computed once
-    compile_constants(wb, field_keys + carry_keys, observed).run(wb.values)
-    width, *more_widths = [rng.size() for rng in ranges]
-    plan = compile_plan(wb, carry_keys, observed, field_keys)
-    run, values = plan.run, wb.values
-    names = [f"{role} {wb.cell_name(key)}" for key, role in observed.items()]
-    last_row = last_out = ()
-
-    def step(number, fields, *more):
-        nonlocal last_row, last_out
-        row = fields if len(fields) == width else _fit_fields(fields, width, policy, number)
-        if more:  # the right-hand side of a comparison
-            for fields, size in zip(more, more_widths):
-                row = row + _fit_fields(fields, size, policy, number)
-        last_row = row
-        last_out = out = run(values, row)
-        if skip:
-            flag = out[0]
-            if flag is True or flag.__class__ is str and flag.upper() == "SKIP":
-                return None
-        for value in out:
-            if value.__class__ is CellError:
-                name = next(n for n, v in zip(names, out) if v is value)
-                raise error(f"{what} {number}: {name} is {value.code}")
-        return out
-
-    def write_back():
-        values.update(zip(field_keys, last_row))
-        values.update(zip(observed, last_out))
-
-    return step, write_back, plan
-
-
 def run_cells(wb: Workbook):
     """The checks ``run_pipeline`` makes before it streams, which the job
     loader makes too. Reads no data and compiles nothing; returns
@@ -291,83 +249,128 @@ def run_pipeline(
     """
     started = time.perf_counter()
     input_range, skip_key, payload_keys, carry_keys = run_cells(wb)
-
-    values = wb.values
     observed = dict.fromkeys(payload_keys, "output cell")
     if skip_key is not None:
         observed = {skip_key: "skip cell", **observed}
-    step, write_back, plan = _record_step(
-        wb, [input_range], observed, carry_keys, spec.field_count_policy, "record",
-        RecordError, skip_key is not None,
-    )
-    first = 0 if skip_key is None else 1  # where the payload starts in a step's values
-    width = len(payload_keys)
-    payload_name = f"output cell {wb.cell_name(payload_keys[0])}"
-    fail_fast = spec.on_record_error == "fail-fast"
-    single_carry = len(carry_keys) == 1
-    stats = RunStats(plan_cells=[wb.cell_name(key) for key in plan.cells])
-    read = written = skipped = errored = 0
+    fields = list(input_range.keys())
+    # cells the plan reads but no record changes are computed once
+    compile_constants(wb, fields + carry_keys, observed).run(wb.values)
+    # A carry-forward cell is a local of the loop unless it holds an error
+    # now: the loop writes only texts there, so the local is never one.
+    carry_locals = [key for key in carry_keys if wb.values.get(key).__class__ is not CellError]
+    cells, lines, emitter = inline_plan(wb, carry_keys, observed, fields, carry_locals)
+    stats = RunStats(plan_cells=[wb.cell_name(key) for key in cells])
 
-    with atomic_output(spec.output_path) as out:
-        records = read_records(spec.input_path)
+    def progress(read):
+        stats.records_read = read
+        report_progress(stats, progress_every, progress_stream)
+
+    with (atomic_output(spec.output_path) as out,
+          open_fields(spec.input_path, spec.has_headings) as (head, records)):
         header_width = len(spec.expected_headers) if spec.expected_headers else None
+        if head is not None:
+            raw, names = head
+            if spec.expected_headers:
+                validate_headers(names, spec.expected_headers)
+            header_width = len(names)
+            out.write(raw + "\n")
+        source = _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
+                              progress_every)
+        stream = emitter.define("stream", "record loop", source, values=wb.values,
+                                progress=progress, **_LOOP_NAMES)
+        counts = stream(records, out.write)
 
-        if spec.has_headings:
-            head = next(records, None)
-            if head is not None:
-                raw, fields = head
-                if spec.expected_headers:
-                    validate_headers(fields, spec.expected_headers)
-                header_width = len(fields)
-                out.write(raw + "\n")
-        commas = () if header_width is None else (0, header_width - 1)
-
-        for raw, fields in records:
-            read += 1
-            try:
-                result = step(read, fields)
-                if result is not None and width == 1:  # the line as the sheet built it
-                    line = result[first]
-                    if line.__class__ is not str:
-                        line = render_value(line)
-                    # Without quotes or line breaks, its commas tell its width.
-                    if ('"' in line or "\n" in line or "\r" in line
-                            or commas and line.count(",") not in commas):
-                        _check_readback(line, header_width, f"record {read}: {payload_name}")
-            except DataError as exc:
-                errored += 1
-                if fail_fast:
-                    raise
-                warn(f"{exc} (record skipped)")
-            else:
-                if result is None:
-                    skipped += 1
-                else:
-                    if width > 1:
-                        rendered = [value if value.__class__ is str else render_value(value)
-                                    for value in result[first:]]
-                        line = ",".join(rendered)
-                        if (line.count(",") != width - 1 or '"' in line
-                                or "\n" in line or "\r" in line):
-                            line = encode_record(rendered)
-                    out.write(line + "\n")
-                    written += 1
-                    if single_carry:
-                        values[carry_keys[0]] = line
-                    elif carry_keys:
-                        values.update(zip(carry_keys, rendered))
-            if progress_every and not read % progress_every:
-                stats.records_read = read
-                report_progress(stats, progress_every, progress_stream)
-    write_back()
-
-    stats.records_read, stats.records_written = read, written
-    stats.records_skipped, stats.records_errored = skipped, errored
+    (stats.records_read, stats.records_written, stats.records_skipped,
+     stats.records_errored) = counts
     stats.elapsed = time.perf_counter() - started
     assert stats.records_read == (
         stats.records_written + stats.records_skipped + stats.records_errored
     ), "record conservation violated"
     return stats
+
+
+# What the record loop calls besides the plan's names, ``values`` and ``progress``.
+_LOOP_NAMES = {"DataError": DataError, "RecordError": RecordError, "_fit_fields": _fit_fields,
+               "_check_readback": _check_readback, "encode_record": encode_record, "warn": warn}
+
+
+def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
+                 progress_every) -> str:
+    """The source of ``stream(records, write)``, the run's record loop
+    around the plan's ``lines``; it returns the four counts of ``RunStats``.
+
+    Per field list: the width check, the plan, the skip test, an error
+    test for each observed value that can be an error, the line (each
+    value rendered unless its kind is text) and its read-back test, the
+    write and the carry-forward update. Under ``skip-and-log`` one
+    ``try`` per record counts and logs a record's ``DataError``. The
+    carry-forward cells no range reads are locals of the loop; it writes
+    them, and the last record's fields and observed values, back to
+    ``values`` at the end.
+    """
+    operand, fields, carry_locals = emitter.operand, emitter.fields, emitter.carry
+    skip_key = next((key for key, role in observed.items() if role == "skip cell"), None)
+    payload = [key for key in observed if key != skip_key]
+    suspect = "'\"' in line or '\\n' in line or '\\r' in line"  # a line that may need quoting
+
+    kept = []  # the code for a record the skip cell keeps
+    for key, role in observed.items():
+        if emitter.can_fail(key):
+            name, value = emitter.const(f"{role} {wb.cell_name(key)}"), operand(key)
+            kept.append(f"if {value}.__class__ is CellError: "
+                        f'raise RecordError(f"record {{read}}: {{{name}}} is {{{value}.code}}")')
+    if len(payload) == 1:  # the line as the sheet built it, if it reads back
+        kept.append(f"line = {emitter.text_of(payload[0])}")
+        if header_width is not None:  # without quotes or line breaks, its commas tell its width
+            suspect += f" or line.count(',') not in (0, {header_width - 1})"
+        name = emitter.const(f"output cell {wb.cell_name(payload[0])}")
+        kept += [f"if {suspect}:",
+                 f'    _check_readback(line, {header_width}, f"record {{read}}: {{{name}}}")']
+    else:
+        texts = [f"r{i}" for i in range(len(payload))]
+        kept += [f"{text} = {emitter.text_of(key)}" for text, key in zip(texts, payload)]
+        joined = "".join(f"{text}, " for text in texts)
+        kept += [f"line = ','.join(({joined}))",
+                 f"if line.count(',') != {len(payload) - 1} or {suspect}:",
+                 f"    line = encode_record(({joined}))"]
+    kept += ['write(line + "\\n")', "written += 1"]
+    # A carry-forward cell takes the line, or its payload cell's text.
+    carried = ["line"] if len(carry_keys) == 1 else texts if carry_keys else []
+    for key, text in zip(carry_keys, carried):
+        target = emitter.locals[key] if key in carry_locals else f"values[{key!r}]"
+        kept.append(f"{target} = {text}")
+
+    # The reader gives an empty line as [], which is one empty field.
+    body = [f"if len(row) != {len(fields)}:",
+            f"    row = _fit_fields(row or [''], {len(fields)}, {spec.field_count_policy!r}, read)",
+            *lines]
+    if skip_key is None:
+        body += kept
+    else:
+        flag = operand(skip_key)
+        body += [f'if {flag} is True or {flag}.__class__ is str and {flag}.upper() == "SKIP":',
+                 "    skipped += 1",
+                 "else:", *(f"    {text}" for text in kept)]
+    if spec.on_record_error == "skip-and-log":  # else a record's error ends the run
+        body = ["try:", *(f"    {text}" for text in body), "except DataError as exc:",
+                "    errored += 1", '    warn(f"{exc} (record skipped)")']
+    loop = ["for row in records:", "    read += 1", *(f"    {text}" for text in body)]
+    if progress_every:
+        loop.append(f"    if not read % {progress_every}: progress(read)")
+    if carry_locals:
+        loop = ["try:", *(f"    {text}" for text in loop), "finally:", "    if written:",
+                *(f"        values[{key!r}] = {emitter.locals[key]}" for key in carry_locals)]
+
+    first = operand(fields[0])  # None until a record reaches the plan
+    source = ["get = values.get",
+              "read = written = skipped = errored = 0",
+              f"{first} = None",
+              *(f"{emitter.locals[key]} = get({key!r}, BLANK)" for key in carry_locals),
+              *loop,
+              f"if {first} is not None:",
+              *(f"    values[{key!r}] = {operand(key)}" for key in [*fields, *observed]),
+              "return read, written, skipped, errored"]
+    return "def stream(records, write):\n" + "".join(f"    {text}\n" for text in source)
 
 
 class CompareReport:
@@ -411,8 +414,12 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     until ``recalculate(wb)``.
     """
     left_range, right_range, status_key = compare_cells(wb)
-    step, write_back, _ = _record_step(wb, [left_range, right_range], {status_key: "status cell"},
-                                       [], "pad-truncate", "record pair", StatusCellError)
+    fields = [*left_range.keys(), *right_range.keys()]
+    compile_constants(wb, fields, [status_key]).run(wb.values)
+    run, values = compile_plan(wb, [], [status_key], fields).run, wb.values
+    left_width, right_width = left_range.size(), right_range.size()
+    name = wb.cell_name(status_key)
+    row = out = ()
 
     left_records = read_records(spec.left_path)
     right_records = read_records(spec.right_path)
@@ -426,7 +433,11 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     index = 0
     while left is not None and right is not None:
         index += 1
-        (status,) = step(index, left[1], right[1])
+        row = (_fit_fields(left[1], left_width, "pad-truncate", index)
+               + _fit_fields(right[1], right_width, "pad-truncate", index))
+        (status,) = out = run(values, row)
+        if status.__class__ is CellError:
+            raise StatusCellError(f"record pair {index}: status cell {name} is {status.code}")
         verdict = render_value(status).strip().upper()
         if verdict == "LEFT":
             report.left_only.append(left[0])
@@ -443,7 +454,8 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
                 f"record pair {index}: status cell returned {verdict!r}, "
                 "expected LEFT, RIGHT, or MATCH"
             )
-    write_back()
+    values.update(zip(fields, row))  # the last pair's fields and status
+    values.update(zip([status_key], out))
     while left is not None:
         report.left_only.append(left[0])
         left = next(left_records, None)

@@ -161,7 +161,8 @@ def _key_function(keys: list[SortKey], indices: list[int]):
 
 
 def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> list[int]:
-    """0-based field indices for the sort keys."""
+    """0-based field indices for the sort keys; a key that is a header
+    name needs ``header_fields``."""
     translation = None if header_fields is None else translation_table(header_fields)
     indices = []
     for sort_key in spec.keys:
@@ -169,10 +170,6 @@ def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> lis
         if isinstance(column, int):
             indices.append(column - 1)
             continue
-        if translation is None:  # headings, but the file is empty
-            raise ConfigError(
-                f"sort key {column!r} is a header name but the file has no headings"
-            )
         index = translation.get(column.strip().upper())
         if index is None:
             raise UnknownColumn(f"sort key column {column!r} not in header")
@@ -195,7 +192,9 @@ def sort_file(spec: SortSpec) -> int:
         head = next(records, None)
         if head is not None:
             header_raw, header_fields = head
-    key_of = _key_function(spec.keys, _resolve_key_columns(spec, header_fields))
+    # An empty file has no header line to resolve a key's name in, and no row to key.
+    empty = spec.has_headings and header_raw is None
+    key_of = None if empty else _key_function(spec.keys, _resolve_key_columns(spec, header_fields))
 
     # A full chunk spills only when another row arrives, so the last
     # chunk always stays in memory; without a budget nothing spills.

@@ -99,6 +99,27 @@ def test_a_failed_stats_json_write_leaves_the_previous_file(workdir, monkeypatch
     assert not list(workdir.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "job, target, named_by",
+    [("caesar.job", "caesar_in.csv", "input on line 4"),
+     ("caesar.job", "caesar.sheet", "definition on line 3"),
+     ("caesar.job", "caesar_out.csv", "[pipeline] output on line 8"),
+     ("store.job", "store_report.csv", "[subtotals] output on line 15")],
+    ids=["input", "definition", "output", "report"],
+)
+def test_stats_json_may_not_name_a_file_of_the_job(workdir, capsys, job, target, named_by):
+    _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n")
+    _write(workdir, "store_raw.csv", "Id,Item,Colour,Number\n1,Toga,Purple,I\n")
+    _write(workdir, "store_report.csv", "previous\n")
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert main(["run", str(workdir / job), "--stats-json", str(workdir / target)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / job}: --stats-json: {workdir / target} is already named by "
+        f"{named_by}\n"
+    )
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
 def test_run_stats_json_lists_the_plan_cells(workdir):
     _write(workdir, "caesar_in.csv", TOGA_FILE)
     stats_path = workdir / "stats.json"
@@ -365,17 +386,16 @@ def test_sort_command(workdir, capsys):
     assert capsys.readouterr().err == f"sorted 2 rows into {workdir / 'store_sorted.csv'}\n"
 
 
-def test_a_named_sort_key_over_an_empty_input_fails_at_sort(workdir, capsys):
-    # An empty input has no header line for check to read, so the sort
-    # that needs one to resolve a named key is what rejects it.
-    _write(workdir, "store.job", _read(workdir, "store.job").replace("key = 1 asc", "key = Id"))
+@pytest.mark.parametrize("key", ["1", "Id"])
+def test_a_sort_over_an_empty_input_writes_an_empty_file(workdir, capsys, key):
+    # An empty input is data with no rows: a key that names a column
+    # needs no header line to sort none, and check and sort agree.
+    _write(workdir, "store.job", _read(workdir, "store.job").replace("key = 1 asc", f"key = {key}"))
     _write(workdir, "store_raw.csv", "")
     assert main(["check", str(workdir / "store.job")]) == 0
-    assert main(["sort", str(workdir / "store.job")]) == 1
-    assert capsys.readouterr().err.endswith(
-        "error: sort key 'Id' is a header name but the file has no headings\n"
-    )
-    assert not (workdir / "store_sorted.csv").exists()
+    assert main(["sort", str(workdir / "store.job")]) == 0
+    assert _read(workdir, "store_sorted.csv") == ""
+    assert capsys.readouterr().err == f"sorted 0 rows into {workdir / 'store_sorted.csv'}\n"
 
 
 @pytest.mark.parametrize(

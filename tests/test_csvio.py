@@ -8,7 +8,7 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridpipe.csvio import encode_record, parse_line, read_records
+from gridpipe.csvio import encode_record, open_fields, parse_line, read_fields, read_records
 from gridpipe.errors import DataError
 
 
@@ -100,9 +100,29 @@ def _csv_module_records(text: str):
         return "error"
 
 
-def _read_fields(path):
+def _open_fields(path):
+    """``open_fields`` with its first record, whose raw text must be the
+    one ``read_records`` gives, then the field lists after it, where an
+    empty line, ``[]``, is one empty field."""
+    with open_fields(path, head=True) as (first, records):
+        if first is not None:
+            assert first == next(read_records(path))
+            yield first[1]
+        for fields in records:
+            yield fields or [""]
+
+
+# Each reader's field lists: read_records', and the fields-only readers'.
+_FIELD_READERS = {
+    "read_records": lambda path: (fields for _, fields in read_records(path)),
+    "read_fields": read_fields,
+    "open_fields": _open_fields,
+}
+
+
+def _read_fields(path, reader):
     try:
-        return [fields for _, fields in read_records(path)]
+        return list(_FIELD_READERS[reader](path))
     except DataError:
         return "error"
 
@@ -119,14 +139,15 @@ def _read_fields(path):
 )
 @example(lines=[("x" * 8191, "\r\n"), ('"a', "\r\n"), ('b"', "\n")], final_newline=True)
 @settings(max_examples=300)
-def test_read_records_matches_the_csv_module(tmp_path_factory, lines, final_newline):
+@pytest.mark.parametrize("reader", list(_FIELD_READERS))
+def test_read_records_matches_the_csv_module(tmp_path_factory, lines, final_newline, reader):
     text = "".join(body + ending for body, ending in lines)
     if lines and not final_newline:
         text = text[: -len(lines[-1][1])]
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = _csv_module_records(text)
-    assert _read_fields(path) == expected
+    assert _read_fields(path, reader) == expected
     if expected != "error":
         for raw, fields in read_records(path):
             assert _csv_module_records(raw + "\n") == [fields]
@@ -147,6 +168,7 @@ def test_cr_and_crlf_inside_quotes_are_kept(tmp_path, inner):
     assert list(read_records(path)) == [(f'3,"{inner}"', ["3", inner]), ("4,x", ["4", "x"])]
 
 
+@pytest.mark.parametrize("reader", list(_FIELD_READERS))
 @pytest.mark.parametrize(
     "text, line, reason, start",
     [
@@ -155,14 +177,19 @@ def test_cr_and_crlf_inside_quotes_are_kept(tmp_path, inner):
         ('Id,Item\n1,a\n2,"open\nstill\nopen\n', 5, "unexpected end of data", 3),
     ],
 )
-def test_malformed_record_names_file_and_physical_line(tmp_path, text, line, reason, start):
+def test_malformed_record_names_file_and_physical_line(tmp_path, text, line, reason, start,
+                                                       reader):
     path = _write(tmp_path, text)
-    records = read_records(path)
-    assert next(records) == ("Id,Item", ["Id", "Item"])
+    assert next(read_records(path)) == ("Id,Item", ["Id", "Item"])
+    records = _FIELD_READERS[reader](path)
+    assert next(records) == ["Id", "Item"]
     with pytest.raises(DataError, match=reason) as caught:
         list(records)
     assert f"{path} line {line}:" in str(caught.value)
     assert str(caught.value).endswith(f"(record from line {start})")
+    with pytest.raises(DataError) as by_read_records:
+        list(read_records(path))
+    assert str(caught.value) == str(by_read_records.value)
 
 
 @pytest.mark.parametrize("quoted", [False, True])

@@ -8,15 +8,19 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from gridpipe.config import load_definition, load_job
-from gridpipe.csvio import encode_record, read_records
-from gridpipe.errors import ConfigError
+from gridpipe.csvio import encode_record, parse_line, read_records
+from gridpipe import errors
+from gridpipe.engine import recalculate
+from gridpipe.errors import ConfigError, DataError
 from gridpipe.formula import parse_formula
 from gridpipe.functions import roman_text
-from gridpipe.values import VALUE_ERROR, Blank
+from gridpipe.values import VALUE_ERROR, Blank, CellError, render_value
 from gridpipe.pipeline import (
+    FIELD_COUNT_POLICIES,
+    RECORD_ERROR_POLICIES,
     CompareSpec,
     FieldCountError,
     HeaderMismatch,
@@ -537,6 +541,177 @@ def test_row_local_pipeline_commutes_with_permutation(workdir):
     run_pipeline(_spec(workdir), _caesar(workdir))
     permuted = _output(workdir).splitlines()[1:]
     assert permuted == [original[i] for i in order]
+
+
+# --- the generated record loop against public calls -----------------------------
+
+# Formulas over the input A2:C2 and the carry-forward cells from M2: a
+# bad numeral in B2 makes ARABIC an error value, and a field holding a
+# comma or a quote makes the joined lines need quoting.
+_PAYLOAD_FORMULAS = ["=A2", "=ARABIC(B2)", '=A2&","&B2', "=A2&M2", "=LEN(A2)+1", '=B2="I"',
+                     '="""q"""&A2', '=M2&"|"&N2']
+# A single output cell is the line as written: these build one.
+_LINE_FORMULAS = ['=A2&","&B2', '=A2&","&B2&","&C2', '="""q"""&A2&","&B2', "=A2&M2",
+                  '=A2&","&ARABIC(B2)']
+_SKIP_FORMULAS = ['=A2="skip"', '=IF(ARABIC(B2)>100,"Skip","")', "=EXACT(A2,M2)"]
+_FIELDS = st.sampled_from(["I", "XIV", "MCDLIX", "Q", "", "skip", "a,b", 'say "hi"', "x\ny"])
+
+
+def _glue_workbook(width, payload, skip, skip_in_output, carry, m2_error):
+    """Input A2 to C2 (``width`` cells), payload H2 on, a Skip cell G2
+    (in OutputCells if ``skip_in_output``) and ``carry`` cells from M2,
+    which holds #VALUE! to begin with if ``m2_error``."""
+    wb = Workbook()
+    if m2_error:
+        wb.set_cell(_addr("M2"), VALUE_ERROR)
+    for col, formula in zip("HIJ", payload):
+        wb.set_cell(_addr(f"{col}2"), parse_formula(formula))
+    wb.define_name("InputCells", _rng("A2", f"{'ABC'[width - 1]}2"))
+    first = "G2" if skip is not None and skip_in_output else "H2"
+    wb.define_name("OutputCells", _rng(first, f"{'HIJ'[len(payload) - 1]}2"))
+    if skip is not None:
+        wb.set_cell(_addr("G2"), parse_formula(skip))
+        wb.define_name("Skip", _rng("G2", "G2"))
+    if carry:
+        wb.define_name("CarryForward", _rng("M2", f"{'MNO'[carry - 1]}2"))
+    return wb
+
+
+def _reads_back(line, width):
+    """Why a single-cell line does not read back as one record of 1 or
+    ``width`` fields (any number if None), or None if it does."""
+    if '"' in line:
+        try:
+            records = parse_line(line)
+        except DataError as exc:
+            return f"does not read back: {exc}"
+        if len(records) != 1:
+            return f"reads back as {len(records)} records"
+        count = len(records[0])
+    elif "\n" in line or "\r" in line:
+        return "holds a line break outside quotes"
+    else:
+        count = line.count(",") + 1
+    if width is not None and count not in (1, width):
+        return f"reads back as {count} fields, the header has {width}"
+    return None
+
+
+def _reference_run(wb, path, spec):
+    """What ``run_pipeline`` should do, record by record through public
+    calls: write the fields to the input range, recalculate, read the
+    output cells and encode them. Returns the output text (None if the
+    run fails), the four counts, the warnings, the error raised and
+    whether any record was written to the input range."""
+    input_range = wb.resolve_name("InputCells")
+    width = input_range.size()
+    skip = wb.resolve_name("Skip").start if wb.has_name("Skip") else None
+    payload = [addr for addr in wb.resolve_name("OutputCells").addresses() if addr != skip]
+    carry = wb.resolve_name("CarryForward") if wb.has_name("CarryForward") else None
+    records = [fields for _, fields in read_records(path)]
+    lines = []
+    header_width = len(spec.expected_headers) if spec.expected_headers else None
+    if spec.has_headings and records:
+        header = records.pop(0)
+        lines.append(encode_record(header))
+        header_width = len(header)
+    counts, warnings, reached = [0, 0, 0, 0], [], False
+    for number, fields in enumerate(records, start=1):
+        counts[0] += 1
+        try:
+            if len(fields) != width:
+                if spec.field_count_policy == "strict":
+                    raise FieldCountError(
+                        f"record {number}: {len(fields)} fields, input range holds {width}")
+                fields = (fields + [""] * width)[:width]
+            wb.write_range(input_range, [fields])
+            recalculate(wb)
+            reached = True
+            if skip is not None:
+                flag = wb.get_value(skip)
+                if flag is True or isinstance(flag, str) and flag.upper() == "SKIP":
+                    counts[2] += 1
+                    continue
+            roles = [("skip cell", skip)] if skip is not None else []
+            for role, addr in roles + [("output cell", addr) for addr in payload]:
+                value = wb.get_value(addr)
+                if isinstance(value, CellError):
+                    raise RecordError(f"record {number}: {role} {addr} is {value.code}")
+            texts = [render_value(wb.get_value(addr)) for addr in payload]
+            line = encode_record(texts) if len(texts) > 1 else texts[0]
+            problem = None if len(texts) > 1 else _reads_back(line, header_width)
+            if problem is not None:
+                raise RecordError(f"record {number}: output cell {payload[0]} {problem}")
+        except DataError as exc:
+            counts[3] += 1
+            if spec.on_record_error == "fail-fast":
+                return None, counts, warnings, exc, reached
+            warnings.append(f"{exc} (record skipped)")
+            continue
+        lines.append(line)
+        counts[1] += 1
+        if carry is not None:
+            wb.write_range(carry, [[line] if carry.size() == 1 else texts])
+    return "".join(line + "\n" for line in lines), counts, warnings, None, reached
+
+
+@given(
+    width=st.integers(min_value=2, max_value=3),
+    payload=st.one_of(st.lists(st.sampled_from(_PAYLOAD_FORMULAS), min_size=2, max_size=3),
+                      st.sampled_from(_PAYLOAD_FORMULAS + _LINE_FORMULAS).map(lambda f: [f])),
+    skip=st.one_of(st.none(), st.sampled_from(_SKIP_FORMULAS)),
+    skip_in_output=st.booleans(),
+    carry=st.sampled_from(["none", "one", "payload"]),
+    m2_error=st.booleans(),
+    headings=st.booleans(),
+    header=st.lists(st.sampled_from(["Id", "Name", "Number"]), min_size=1, max_size=3),
+    expected=st.booleans(),
+    rows=st.lists(st.lists(_FIELDS, min_size=1, max_size=4), max_size=6),
+    field_count_policy=st.sampled_from(FIELD_COUNT_POLICIES),
+    on_record_error=st.sampled_from(RECORD_ERROR_POLICIES),
+)
+# Without the explain phase: on a failure it took minutes to re-run
+# examples before reporting one.
+@settings(max_examples=250, deadline=None, phases=set(Phase) - {Phase.explain})
+def test_the_record_loop_matches_a_reference_built_from_public_calls(
+    tmp_path_factory, width, payload, skip, skip_in_output, carry, m2_error, headings, header,
+    expected, rows, field_count_policy, on_record_error,
+):
+    carry = {"none": 0, "one": 1, "payload": len(payload)}[carry]
+    tmp = tmp_path_factory.mktemp("glue")
+    if headings:  # the header line's width need not be the input range's
+        rows = [header, *rows]
+    (tmp / "in.csv").write_text("".join(encode_record(row) + "\n" for row in rows),
+                                encoding="utf-8")
+    spec = _spec(tmp, has_headings=headings, expected_headers=header if expected else None,
+                 field_count_policy=field_count_policy, on_record_error=on_record_error)
+    shape = (width, payload, skip, skip_in_output, carry, m2_error)
+    reference = _glue_workbook(*shape)
+    text, counts, warnings, error, reached = _reference_run(reference, tmp / "in.csv", spec)
+
+    def cells(wb, *names):
+        return [wb.read_range(wb.resolve_name(name)) for name in names if wb.has_name(name)]
+
+    wb = _glue_workbook(*shape)
+    logged = []
+    errors.printer = logged.append
+    try:
+        stats = run_pipeline(spec, wb)
+    except DataError as exc:
+        assert (type(exc), str(exc)) == (type(error), str(error))
+        assert not (tmp / "out.csv").exists()
+    else:
+        assert error is None
+        assert (tmp / "out.csv").read_bytes() == text.encode("utf-8")
+        assert [stats.records_read, stats.records_written, stats.records_skipped,
+                stats.records_errored] == counts
+        if reached:  # the last record's fields and values, which a failed run leaves
+            assert cells(wb, "InputCells", "OutputCells") == cells(reference, "InputCells",
+                                                                   "OutputCells")
+    finally:
+        errors.printer = None
+    assert logged == warnings
+    assert cells(wb, "CarryForward") == cells(reference, "CarryForward")
 
 
 # --- validate_headers -------------------------------------------------------------
