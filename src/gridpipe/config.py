@@ -417,7 +417,8 @@ def _claim(files: dict, path: str, name: str, line: int, output: bool, where: st
     raise a ``ConfigError`` at ``where`` if an output shares its file."""
     other, other_line, other_output = files.setdefault(path, (name, line, output))
     if other != name and (output or other_output):
-        raise ConfigError(f"{where}: {path} is already named by {other} on line {other_line}")
+        named = f"{other} on line {other_line}" if other_line else other
+        raise ConfigError(f"{where}: {path} is already named by {named}")
 
 
 def check_output(job: JobConfig, path: str, name: str) -> None:
@@ -432,7 +433,7 @@ def load_job(path) -> JobConfig:
     header line included."""
     path = os.path.abspath(path)
     sections = _parse_job_text(_read_text(path), path)
-    files: dict = {}
+    files: dict = {path: ("the job file", 0, False)}  # no output may replace the job
     top = _build_section(path, "", sections.pop(""), None, files)
     definition_path = top.get("definition_path")
     workbook = None if definition_path is None else load_definition(definition_path)

@@ -1,28 +1,40 @@
 """Stable sorting of delimited files, in memory or via external merge.
 
-There is one path. Each row's composite key is computed once, when the
-row is read, and travels with the raw text as a ``(key, raw)`` pair.
-Rows collect in a chunk; with a memory budget, a full chunk is sorted
-and spilled as a run of pickled blocks when the next row arrives. The
-last chunk is never written: it joins the final ``heapq.merge`` of the
-runs from memory, as its last input, or is the output itself when
-nothing spilled. ``heapq.merge`` keeps its inputs' order on ties and
-the runs are merged in input order, so the external path is
-byte-identical to the in-memory one (no budget: no runs).
-Memory is O(budget + MERGE_FAN_IN x block). Because every sort is
-stable, sorting by the last key, then the next, up to the first, gives
-exactly the composite multi-key order -- which is also how more keys
-than a sort dialog allows can be applied by hand.
+There is one path, and it moves rows in blocks of ``_BLOCK`` rows. A
+block's keys are computed by mapping over its key columns. The first
+key is a scalar. Numeric-aware order puts every number before every
+text, so a block splits into a numbers section, keyed by bare floats,
+and a texts section, keyed by upper-cased text (texts first for a
+descending key); ``text`` collation has the texts section alone. Later
+keys follow the scalar in a tuple. Each section collects ``(key, raw)``
+pairs in a chunk; with a memory budget, a full chunk is sorted and
+spilled, when the next row arrives, as a run of pickled blocks holding
+one section after the other. The last chunk is never written: it is the
+last run of the final merge, and with nothing spilled its only run.
+
+A merge takes one section at a time from at most MERGE_FAN_IN runs, a
+block of each at a time, and is stable: each step finds the first run
+whose current block ends with the smallest key, ``bound``, and takes
+that whole block, the keys up to ``bound`` from the runs before it and
+the keys below ``bound`` from the runs after it. The batch, joined in
+run order and sorted stably, is ``heapq.merge``'s next stretch, ties in
+run order, so the external path is byte-identical to the in-memory one.
+Each batch is written with one call. Memory is O(budget + MERGE_FAN_IN x
+block). Because every sort is stable, sorting by the last key, then the
+next, up to the first, gives exactly the composite multi-key order --
+which is also how more keys than a sort dialog allows can be applied by
+hand.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import shutil
 import tempfile
-from itertools import islice
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from contextlib import ExitStack
+from itertools import compress, islice
+from operator import itemgetter, not_
 
 from .csvio import atomic_output, read_records
 from .errors import ConfigError, DataError, SettingError, UnknownColumn, check_choices
@@ -40,8 +52,10 @@ __all__ = [
 ]
 
 MERGE_FAN_IN = 64
-_BLOCK_PAIRS = 64  # pairs per pickled block of a spilled run
-_pair_key = itemgetter(0)
+_BLOCK = 64  # rows per key block, per pickled block of a run and per merge step
+_first = itemgetter(0)  # a pair's key; a record's raw text
+_second = itemgetter(1)  # a pair's raw text; a record's fields
+_INF = float("inf")
 COLLATIONS = ("numeric-aware", "text")
 
 
@@ -128,36 +142,73 @@ class _Desc:
         return other.inner == self.inner
 
 
-def _element_function(sort_key: SortKey, index: int):
-    """``element(fields, row_no)``: one sort key's element of a row.
+def _numbers(texts: list[str]) -> list:
+    """``parse_number`` of each of a block's key texts: a float, or None."""
+    if all(map(str.isdecimal, texts)):
+        # Digit runs, which ids are, are read by float() in C as
+        # parse_number reads them, unless one is too long for a float:
+        # float() gives inf for it, and parse_number None.
+        numbers = list(map(float, texts))
+        if _INF not in numbers:
+            return numbers
+    return list(map(parse_number, texts))
 
-    Numeric-aware collation is a total order: all numbers sort before
-    all non-numeric text, numbers numerically, text case-insensitively.
-    The tag decides first, so a number is never compared with a text.
-    """
-    numeric = sort_key.collation == "numeric-aware"
-    descending = sort_key.descending
 
-    def element(fields: list[str], row_no: int):
-        if index >= len(fields):
-            raise MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
-        text = fields[index]
-        if numeric:
+def _element(sort_key: SortKey):
+    """``element(text)``: a later sort key's element of a key text. A
+    numeric-aware element is tagged, so a number never meets a text."""
+    if sort_key.collation == "numeric-aware":
+        def element(text: str):
             number = parse_number(text)
-            value = (1, text.upper()) if number is None else (0, number)
-        else:
-            value = text.upper()
-        return _Desc(value) if descending else value
-
+            return (1, text.upper()) if number is None else (0, number)
+    else:
+        element = str.upper
+    if sort_key.descending:
+        return lambda text: _Desc(element(text))
     return element
 
 
-def _key_function(keys: list[SortKey], indices: list[int]):
-    """Sort key of a row: the bare element for one key, else a tuple."""
-    elements = [_element_function(k, i) for k, i in zip(keys, indices)]
-    if len(elements) == 1:
-        return elements[0]
-    return lambda fields, row_no: tuple(element(fields, row_no) for element in elements)
+def _block_splitter(keys: list[SortKey]):
+    """``split(columns, raws)``: a block's numbers and texts sections, each
+    a list of ``(key, raw)`` pairs in input order. ``columns`` holds each
+    sort key's texts and ``raws`` the rows' raw texts."""
+    numeric = keys[0].collation == "numeric-aware"
+    descending = keys[0].descending
+    elements = [_element(sort_key) for sort_key in keys[1:]]
+
+    def pairs(scalars, later, raws):
+        if descending:
+            scalars = map(_Desc, scalars)
+        if elements:
+            scalars = zip(scalars, *(map(e, texts) for e, texts in zip(elements, later)))
+        return list(zip(scalars, raws))
+
+    def split(columns, raws):
+        texts, later = columns[0], columns[1:]
+        if not numeric:
+            return [], pairs(map(str.upper, texts), later, raws)
+        numbers = _numbers(texts)
+        if None not in numbers:
+            return pairs(numbers, later, raws), []
+        is_number = [number is not None for number in numbers]
+
+        def part(scalars, chosen):
+            return pairs(compress(scalars, chosen), [compress(c, chosen) for c in later],
+                         compress(raws, chosen))
+
+        return part(numbers, is_number), part(map(str.upper, texts), list(map(not_, is_number)))
+
+    return split
+
+
+def _missing_column(rows: list[list[str]], indices: list[int], rows_before: int):
+    """The ``MissingColumn`` of the first row of a block too short for a
+    key: it names that row and its first missing key column."""
+    for row_no, fields in enumerate(rows, start=rows_before + 1):
+        for index in indices:
+            if index >= len(fields):
+                return MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
+    raise AssertionError("no short row in the block")
 
 
 def _resolve_key_columns(spec: SortSpec, header_fields: list[str] | None) -> list[int]:
@@ -194,24 +245,45 @@ def sort_file(spec: SortSpec) -> int:
             header_raw, header_fields = head
     # An empty file has no header line to resolve a key's name in, and no row to key.
     empty = spec.has_headings and header_raw is None
-    key_of = None if empty else _key_function(spec.keys, _resolve_key_columns(spec, header_fields))
+    indices = [] if empty else _resolve_key_columns(spec, header_fields)
+    columns_of = [itemgetter(index) for index in indices]
+    split = _block_splitter(spec.keys)
+    # The numbers section comes first, the texts section for a descending key.
+    order = (1, 0) if spec.keys[0].descending else (0, 1)
 
     # A full chunk spills only when another row arrives, so the last
     # chunk always stays in memory; without a budget nothing spills.
     spill_at = spec.memory_budget_rows if spec.memory_budget_rows > 0 else None
+    take = _BLOCK if spill_at is None else min(_BLOCK, spill_at)
     scratch = None
     runs: list[str] = []
-    chunk: list[tuple] = []
+    chunk: tuple[list, list] = ([], [])
+    size = rows_read = 0
     try:
-        for row_no, (raw, fields) in enumerate(records, start=1):
-            if len(chunk) == spill_at:
+        while block := list(islice(records, take)):
+            if size == spill_at:
                 if scratch is None:
                     scratch = tempfile.mkdtemp(prefix="gridsort-", dir=spec.scratch_dir)
-                chunk.sort(key=_pair_key)
-                runs.append(_write_run(os.path.join(scratch, f"run-{len(runs):06d}"), chunk))
-                chunk = []
-            chunk.append((key_of(fields, row_no), raw))
-        chunk.sort(key=_pair_key)
+                for section in chunk:
+                    section.sort(key=_first)
+                path = os.path.join(scratch, f"run-{len(runs):06d}")
+                runs.append(_write_run(path, ([chunk[s]] for s in order)))
+                chunk = ([], [])
+                size = 0
+            rows = list(map(_second, block))
+            try:
+                columns = [list(map(column_of, rows)) for column_of in columns_of]
+            except IndexError:
+                raise _missing_column(rows, indices, rows_read) from None
+            numbers, texts = split(columns, list(map(_first, block)))
+            chunk[0].extend(numbers)
+            chunk[1].extend(texts)
+            size += len(block)
+            rows_read += len(block)
+            if spill_at is not None:
+                take = min(_BLOCK, spill_at - size) or min(_BLOCK, spill_at)
+        for section in chunk:
+            section.sort(key=_first)
 
         # Merge at most MERGE_FAN_IN runs at a time until the spilled
         # runs and the last chunk can stream straight into the output.
@@ -222,45 +294,92 @@ def sort_file(spec: SortSpec) -> int:
             runs = []
             for group in groups:
                 path = os.path.join(scratch, f"merge-{generation}-{len(runs):06d}")
-                runs.append(
-                    _write_run(path, heapq.merge(*map(_read_run, group), key=_pair_key))
-                )
+                with ExitStack() as stack:
+                    handles = [stack.enter_context(open(done, "rb")) for done in group]
+                    sections = (_merge(list(map(_run_section, handles))) for _ in order)
+                    runs.append(_write_run(path, sections))
                 for done in group:
                     os.remove(done)
 
         # The chunk merges last, so equal keys keep their input order.
-        pairs = heapq.merge(*map(_read_run, runs), chunk, key=_pair_key) if runs else chunk
         count = 0
-        with atomic_output(spec.output_path) as out:
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "rb")) for path in runs]
+            out = stack.enter_context(atomic_output(spec.output_path))
             if header_raw is not None:
                 out.write(header_raw + "\n")
-            for _, raw in pairs:
-                out.write(raw + "\n")
-                count += 1
+            for s in order:
+                pairs = chunk[s]
+                blocks = (pairs[i : i + _BLOCK] for i in range(0, len(pairs), _BLOCK))
+                for batch in _merge([*map(_run_section, handles), blocks]):
+                    out.write("\n".join(map(_second, batch)) + "\n")
+                    count += len(batch)
         return count
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _write_run(path: str, pairs) -> str:
-    """Store sorted ``(key, raw)`` pairs at ``path`` as pickled blocks,
+def _merge(runs: list):
+    """Merge ``runs``, iterators of sorted blocks of ``(key, raw)`` pairs:
+    yields sorted batches which, one after the other, hold every pair in
+    ``heapq.merge(key=...)``'s order, equal keys in run order."""
+    sources, blocks, starts = [], [], []
+    for run in runs:
+        block = next(run, None)
+        if block:
+            sources.append(run)
+            blocks.append(block)
+            starts.append(0)
+    while len(blocks) > 1:
+        lasts = [block[-1][0] for block in blocks]
+        # The first run whose block ends lowest: nothing after its block
+        # can come before it, in this run or, at an equal key, in a later one.
+        m = min(range(len(lasts)), key=lasts.__getitem__)
+        bound = lasts[m]
+        batch = []
+        for i, block in enumerate(blocks):
+            start = starts[i]
+            if i < m:
+                end = bisect_right(block, bound, start, key=_first)
+            elif i > m:
+                end = bisect_left(block, bound, start, key=_first)
+            else:
+                end = len(block)
+            batch += block[start:end]
+            starts[i] = end
+        batch.sort(key=_first)
+        yield batch
+        # Only run m's block is used up: every other block ends above
+        # bound, or at bound in a later run, which keeps its rows at bound.
+        block = next(sources[m], None)
+        if block:
+            blocks[m], starts[m] = block, 0
+        else:
+            del sources[m], blocks[m], starts[m]
+    if blocks:
+        yield blocks[0][starts[0]:]
+        yield from sources[0]
+
+
+def _write_run(path: str, sections) -> str:
+    """Store ``sections``, each an iterable of sorted pair batches, at
+    ``path`` as pickled blocks of at most ``_BLOCK`` pairs, each section
     ended by an empty block; returns the path."""
     import pickle  # importing it raises peak RSS: only a sort that spills pays
 
-    pairs = iter(pairs)
     with open(path, "wb") as handle:
-        while True:
-            block = list(islice(pairs, _BLOCK_PAIRS))
-            pickle.dump(block, handle, pickle.HIGHEST_PROTOCOL)
-            if not block:
-                return path
+        for batches in sections:
+            for batch in batches:
+                for start in range(0, len(batch), _BLOCK):
+                    pickle.dump(batch[start : start + _BLOCK], handle, pickle.HIGHEST_PROTOCOL)
+            pickle.dump([], handle, pickle.HIGHEST_PROTOCOL)
+    return path
 
 
-def _read_run(path: str):
-    """The ``(key, raw)`` pairs of a run written by ``_write_run``."""
+def _run_section(handle):
+    """The blocks of the next section of a run file ``_write_run`` wrote."""
     import pickle
 
-    with open(path, "rb") as handle:
-        while block := pickle.load(handle):
-            yield from block
+    while block := pickle.load(handle):
+        yield block

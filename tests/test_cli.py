@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridpipe import cli
 from gridpipe.cli import _write_subtotals, main
 from gridpipe.config import load_definition, load_job, render_definition
 from gridpipe.csvio import read_records
@@ -104,8 +105,9 @@ def test_a_failed_stats_json_write_leaves_the_previous_file(workdir, monkeypatch
     [("caesar.job", "caesar_in.csv", "input on line 4"),
      ("caesar.job", "caesar.sheet", "definition on line 3"),
      ("caesar.job", "caesar_out.csv", "[pipeline] output on line 8"),
-     ("store.job", "store_report.csv", "[subtotals] output on line 15")],
-    ids=["input", "definition", "output", "report"],
+     ("store.job", "store_report.csv", "[subtotals] output on line 15"),
+     ("caesar.job", "caesar.job", "the job file")],
+    ids=["input", "definition", "output", "report", "job"],
 )
 def test_stats_json_may_not_name_a_file_of_the_job(workdir, capsys, job, target, named_by):
     _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n")
@@ -693,6 +695,8 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, top_lines, 
          "dedup.sheet is already named by definition on line 3"),
         ("compare.job", "output = diff.txt", "output = left.csv", "compare.job",
          "left.csv is already named by [compare] left on line 8"),
+        ("caesar.job", "output = caesar_out.csv", "output = caesar.job", "caesar.job",
+         "caesar.job is already named by the job file"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
          "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
@@ -705,7 +709,7 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, top_lines, 
          "pipeline-input", "pipeline-headings", "sort-input", "sort-headings",
          "compare-headings", "expected-headers-section", "pipeline-without-input",
          "sort-without-input", "output-over-input", "output-over-output",
-         "output-over-definition", "output-over-left"],
+         "output-over-definition", "output-over-left", "output-over-job"],
 )
 def test_check_and_the_command_reject_a_job_alike(workdir, capsys, edited, old, new, job, problem):
     text = _read(workdir, edited)
@@ -789,6 +793,26 @@ def test_eval_of_a_formula_nested_too_deep_exits_1(workdir, capsys):
 
 
 # --- start-up ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["-h"], ["run", "--help"], ["eval", "-h"], ["nope", "x.job"], ["run"],
+     ["--quiet"], ["--quiet", "run", "x.job"], ["run", "x.job", "--progress", "5"],
+     ["run", "x.job", "--progress", "many"], ["run", "x.job", "--stats-json", "s.json"],
+     ["sort", "x.job", "--bogus"], ["check", "x.job", "extra"], ["--", "check", "x.job"],
+     ["report", "x.job"], ["report", "x.job", "data.csv"], ["compare", "x.job"],
+     ["eval", "rules.sheet"], ["eval", "rules.sheet", "=1+1"], ["-1", "run", "x.job"]],
+)
+def test_the_invoked_command_s_parser_parses_like_the_full_one(capsys, argv):
+    def parse(parse_args):
+        try:
+            outcome = vars(parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        return outcome, capsys.readouterr()
+
+    assert parse(cli._parse_args) == parse(cli._build_parser().parse_args)
 
 
 def _python(*args, cwd=REPO_ROOT):

@@ -276,6 +276,26 @@ def test_relative_paths_resolve_against_job_directory(tmp_path):
     assert job.pipeline.output_path == str(nested / "out.csv")
 
 
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        (_minimal_job_text().replace("output = out.csv", "output = job.job"), 4,
+         "[pipeline] output"),
+        (_minimal_job_text("[sort]\noutput = job.job\n"), 6, "[sort] output"),
+        (_minimal_job_text("[subtotals]\noutput = ./job.job\njob = A : B\n"), 6,
+         "[subtotals] output"),
+    ],
+    ids=["pipeline", "sort", "subtotals"],
+)
+def test_an_output_may_not_replace_the_job_file(tmp_path, text, line, key):
+    _definition(tmp_path, _MINIMAL_SHEET)
+    path = _job(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        load_job(path)
+    assert str(err.value) == f"{path}:{line}: {key}: {path} is already named by the job file"
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_unknown_section(tmp_path):
     _definition(tmp_path, _MINIMAL_SHEET)
     with pytest.raises(UnknownSection):

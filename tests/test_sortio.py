@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridpipe.errors import SettingError, UnknownColumn
 from gridpipe.sortio import (
+    COLLATIONS,
     MERGE_FAN_IN,
     MissingColumn,
     SortKey,
@@ -427,3 +428,81 @@ def test_key_orders_like_the_three_item_key(tmp_path):
                 reverse=key.descending,
             )
         assert _read_lines(tmp_path / "out.csv") == [",".join(r) for r in expected], trial
+
+
+def _oracle_lines(rows, keys):
+    """Rows in the order of stable sorts by the three-item key, last key first."""
+    expected = list(rows)
+    for key in reversed(keys):
+        expected.sort(
+            key=lambda row: _three_item_key_element(row[key.column - 1], key.collation),
+            reverse=key.descending,
+        )
+    return [",".join(row) for row in expected]
+
+
+# First-key texts of every kind the block key path tells apart: digit runs
+# (float() reads them in C), other numbers, padded numbers, a digit run too
+# long for a float, non-ASCII digits, empty fields and texts.
+_KEY_TEXTS = st.sampled_from([
+    "0", "7", "07", "10", "12345678", "-3", "+4", "2.50", "1e3", "-0", " 7 ", "9" * 309,
+    "٣", "١٠", "", "  ", "ant", "Bee", "bee", "N/A", "-", "1e", "x1",
+])
+_KEY_SPECS = st.tuples(st.booleans(), st.sampled_from(COLLATIONS))
+
+
+@given(
+    pairs=st.lists(st.tuples(_KEY_TEXTS, _KEY_TEXTS), min_size=MERGE_FAN_IN + 6, max_size=130),
+    first=_KEY_SPECS,
+    second=st.none() | _KEY_SPECS,
+)
+@settings(max_examples=20, deadline=None)
+def test_every_budget_writes_the_three_item_key_order(tmp_path_factory, pairs, first, second):
+    rows = [[a, b, str(i)] for i, (a, b) in enumerate(pairs)]
+    keys = [SortKey(1, *first)] + ([] if second is None else [SortKey(2, *second)])
+    directory = tmp_path_factory.mktemp("budgets")
+    _write_rows(directory / "in.csv", rows)
+    expected = "".join(line + "\n" for line in _oracle_lines(rows, keys)).encode()
+    # The last budget spills more than MERGE_FAN_IN runs, so runs merge
+    # in a generation before the final merge; so do budgets 1 and 2.
+    for budget in (0, 1, 2, 7, len(rows) // (MERGE_FAN_IN + 1)):
+        spec = SortSpec(str(directory / "in.csv"), str(directory / "out.csv"), keys=keys,
+                        memory_budget_rows=budget, scratch_dir=str(directory))
+        assert sort_file(spec) == len(rows)
+        assert (directory / "out.csv").read_bytes() == expected, budget
+
+
+@pytest.mark.parametrize("budget", [0, 7])
+@pytest.mark.parametrize(
+    "columns, problem",
+    [([3, 2], "row 40: no column 3 for sort key"),  # both keys missing: the first one
+     ([2, 3], "row 40: no column 2 for sort key"),
+     ([1, 4], "row 30: no column 4 for sort key")],  # row 30 misses only the later key
+)
+def test_a_short_row_inside_a_block_names_its_row_and_first_missing_key(
+    tmp_path, budget, columns, problem
+):
+    rows = [[str(i % 5), "x", "y", str(i)] for i in range(1, 101)]
+    rows[29] = ["1", "x", "y"]
+    rows[39] = ["1"]
+    _write_rows(tmp_path / "in.csv", rows)
+    spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"),
+                    keys=[SortKey(column) for column in columns], memory_budget_rows=budget,
+                    scratch_dir=str(tmp_path))
+    with pytest.raises(MissingColumn) as err:
+        sort_file(spec)
+    assert str(err.value) == problem
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in.csv"]
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("key", ["5", "k"])
+def test_500_rows_with_one_key_keep_their_input_order_at_budget_7(tmp_path, key, descending):
+    # Ties cross block and run boundaries: the merge must take them in run order.
+    text = "".join(f"{key},{i}\n" for i in range(500))
+    (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+    spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"),
+                    keys=[SortKey(1, descending)], memory_budget_rows=7,
+                    scratch_dir=str(tmp_path))
+    assert sort_file(spec) == 500
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == text
