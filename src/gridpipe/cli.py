@@ -26,8 +26,49 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gridpipe",
+        description="Stream delimited records through a formula workbook.",
+    )
+    parser.add_argument("--quiet", action="store_true", help="suppress progress and warnings")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", help="sort (if configured), stream, report (if configured)")
+    run.add_argument("job", help="job file")
+    run.add_argument("--progress", type=int, default=10_000, metavar="N",
+                     help="progress line every N records (default 10000)")
+    run.add_argument("--stats-json", metavar="PATH",
+                     help="write run statistics as JSON")
+    run.set_defaults(handler=_cmd_run)
+
+    sort = sub.add_parser("sort", help="sort the job's input file")
+    sort.add_argument("job")
+    sort.set_defaults(handler=_cmd_sort)
+
+    report = sub.add_parser("report", help="subtotal a data file per the job's spec")
+    report.add_argument("job")
+    report.add_argument("data", help="delimited data file with a header row")
+    report.set_defaults(handler=_cmd_report)
+
+    compare = sub.add_parser("compare", help="diff the job's two sorted files")
+    compare.add_argument("job")
+    compare.set_defaults(handler=_cmd_compare)
+
+    check = sub.add_parser("check", help="validate the job and definition; touch no data")
+    check.add_argument("job")
+    check.set_defaults(handler=_cmd_check)
+
+    evaluate = sub.add_parser("eval", help="evaluate one formula against a definition")
+    evaluate.add_argument("definition")
+    evaluate.add_argument("formula", help='e.g. "=ARABIC(""MCDLIX"")"')
+    evaluate.set_defaults(handler=_cmd_eval)
+
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _build_parser().parse_args(argv)
     errors.printer = _ignore if args.quiet else _print_warning
     try:
         return args.handler(args)
@@ -152,73 +193,6 @@ def _cmd_eval(args) -> int:
         return EXIT_DATA
     print(render_value(result))
     return EXIT_OK
-
-
-# Each subcommand: its help, its handler and the arguments it takes.
-_COMMANDS = {
-    "run": ("sort (if configured), stream, report (if configured)", _cmd_run, [
-        (("job",), {"help": "job file"}),
-        (("--progress",), {"type": int, "default": 10_000, "metavar": "N",
-                           "help": "progress line every N records (default 10000)"}),
-        (("--stats-json",), {"metavar": "PATH", "help": "write run statistics as JSON"}),
-    ]),
-    "sort": ("sort the job's input file", _cmd_sort, [(("job",), {})]),
-    "report": ("subtotal a data file per the job's spec", _cmd_report, [
-        (("job",), {}),
-        (("data",), {"help": "delimited data file with a header row"}),
-    ]),
-    "compare": ("diff the job's two sorted files", _cmd_compare, [(("job",), {})]),
-    "check": ("validate the job and definition; touch no data", _cmd_check, [(("job",), {})]),
-    "eval": ("evaluate one formula against a definition", _cmd_eval, [
-        (("definition",), {}),
-        (("formula",), {"help": 'e.g. "=ARABIC(""MCDLIX"")"'}),
-    ]),
-}
-
-
-def _build_parser(commands=tuple(_COMMANDS), parser_class=argparse.ArgumentParser):
-    """The command line's parser, knowing the subcommands ``commands``."""
-    parser = parser_class(
-        prog="gridpipe",
-        description="Stream delimited records through a formula workbook.",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress progress and warnings")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_text, handler, arguments = _COMMANDS[name]
-        command = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            command.add_argument(*flags, **options)
-        command.set_defaults(handler=handler)
-    return parser
-
-
-class _WouldPrint(Exception):
-    """argparse was about to print help, usage or an error."""
-
-
-class _SilentParser(argparse.ArgumentParser):
-    # argparse prints help, and the usage line that begins every error
-    # message, through these two, before anything else.
-    def print_help(self, file=None):
-        raise _WouldPrint
-
-    def print_usage(self, file=None):
-        raise _WouldPrint
-
-
-def _parse_args(argv: list[str]):
-    """``argv`` parsed by a parser of the invoked subcommand alone, which
-    spares building the other five. Wherever argparse would print, the
-    full parser parses instead, so what is printed is always its own."""
-    # --quiet takes no value, so the first word that is no option names the command.
-    command = next((word for word in argv if not word.startswith("-")), None)
-    if command in _COMMANDS:
-        try:
-            return _build_parser((command,), _SilentParser).parse_args(argv)
-        except _WouldPrint:
-            pass
-    return _build_parser().parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ A merge takes one section at a time from at most MERGE_FAN_IN runs, a
 block of each at a time, and is stable: each step finds the first run
 whose current block ends with the smallest key, ``bound``, and takes
 that whole block, the keys up to ``bound`` from the runs before it and
-the keys below ``bound`` from the runs after it. The batch, joined in
+the keys below ``bound`` from the runs after it; a heap of the blocks'
+last keys names that run, and a heap of the runs' next keys the runs
+that give rows, so a step costs only those. The batch, joined in
 run order and sorted stably, is ``heapq.merge``'s next stretch, ties in
 run order, so the external path is byte-identical to the in-memory one.
 Each batch is written with one call. Memory is O(budget + MERGE_FAN_IN x
@@ -33,6 +35,7 @@ import shutil
 import tempfile
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress, islice
 from operator import itemgetter, not_
 
@@ -201,13 +204,41 @@ def _block_splitter(keys: list[SortKey]):
     return split
 
 
-def _missing_column(rows: list[list[str]], indices: list[int], rows_before: int):
-    """The ``MissingColumn`` of the first row of a block too short for a
-    key: it names that row and its first missing key column."""
+def _keyed_blocks(records, indices: list[int], spill_at: int | None):
+    """``(block, columns)`` for the records in blocks of at most
+    ``_BLOCK``, where ``columns`` holds each sort key's texts. With
+    ``spill_at``, a block ends where a chunk of that many rows does. A
+    row too short for a key is a ``MissingColumn``, met in a row-by-row
+    read's order: before a malformed record after it in the block."""
+    rows_read = 0
+    while True:
+        take = _BLOCK if spill_at is None else min(_BLOCK, spill_at - rows_read % spill_at)
+        block = []
+        try:
+            # extend keeps the records it took before one that failed.
+            block.extend(islice(records, take))
+        except DataError:
+            _key_columns(block, indices, rows_read)
+            raise
+        if not block:
+            return
+        yield block, _key_columns(block, indices, rows_read)
+        rows_read += len(block)
+
+
+def _key_columns(block: list, indices: list[int], rows_before: int) -> list[list[str]]:
+    """Each sort key's texts in a block of records. A row too short for a
+    key is a ``MissingColumn`` naming the block's first such row and its
+    first missing key column."""
+    rows = list(map(_second, block))
+    try:
+        return [list(map(itemgetter(index), rows)) for index in indices]
+    except IndexError:
+        pass
     for row_no, fields in enumerate(rows, start=rows_before + 1):
         for index in indices:
             if index >= len(fields):
-                return MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
+                raise MissingColumn(f"row {row_no}: no column {index + 1} for sort key")
     raise AssertionError("no short row in the block")
 
 
@@ -246,7 +277,6 @@ def sort_file(spec: SortSpec) -> int:
     # An empty file has no header line to resolve a key's name in, and no row to key.
     empty = spec.has_headings and header_raw is None
     indices = [] if empty else _resolve_key_columns(spec, header_fields)
-    columns_of = [itemgetter(index) for index in indices]
     split = _block_splitter(spec.keys)
     # The numbers section comes first, the texts section for a descending key.
     order = (1, 0) if spec.keys[0].descending else (0, 1)
@@ -254,13 +284,12 @@ def sort_file(spec: SortSpec) -> int:
     # A full chunk spills only when another row arrives, so the last
     # chunk always stays in memory; without a budget nothing spills.
     spill_at = spec.memory_budget_rows if spec.memory_budget_rows > 0 else None
-    take = _BLOCK if spill_at is None else min(_BLOCK, spill_at)
     scratch = None
     runs: list[str] = []
     chunk: tuple[list, list] = ([], [])
-    size = rows_read = 0
+    size = 0
     try:
-        while block := list(islice(records, take)):
+        for block, columns in _keyed_blocks(records, indices, spill_at):
             if size == spill_at:
                 if scratch is None:
                     scratch = tempfile.mkdtemp(prefix="gridsort-", dir=spec.scratch_dir)
@@ -270,18 +299,10 @@ def sort_file(spec: SortSpec) -> int:
                 runs.append(_write_run(path, ([chunk[s]] for s in order)))
                 chunk = ([], [])
                 size = 0
-            rows = list(map(_second, block))
-            try:
-                columns = [list(map(column_of, rows)) for column_of in columns_of]
-            except IndexError:
-                raise _missing_column(rows, indices, rows_read) from None
             numbers, texts = split(columns, list(map(_first, block)))
             chunk[0].extend(numbers)
             chunk[1].extend(texts)
             size += len(block)
-            rows_read += len(block)
-            if spill_at is not None:
-                take = min(_BLOCK, spill_at - size) or min(_BLOCK, spill_at)
         for section in chunk:
             section.sort(key=_first)
 
@@ -325,21 +346,31 @@ def _merge(runs: list):
     yields sorted batches which, one after the other, hold every pair in
     ``heapq.merge(key=...)``'s order, equal keys in run order."""
     sources, blocks, starts = [], [], []
+    ends, heads = [], []  # (last key of a run's block, run), (its next key, run)
     for run in runs:
         block = next(run, None)
         if block:
+            ends.append((block[-1][0], len(blocks)))
+            heads.append((block[0][0], len(blocks)))
             sources.append(run)
             blocks.append(block)
             starts.append(0)
-    while len(blocks) > 1:
-        lasts = [block[-1][0] for block in blocks]
+    heapify(ends)
+    heapify(heads)
+    while len(ends) > 1:
         # The first run whose block ends lowest: nothing after its block
         # can come before it, in this run or, at an equal key, in a later one.
-        m = min(range(len(lasts)), key=lasts.__getitem__)
-        bound = lasts[m]
+        bound, m = ends[0]
+        # The runs with a key up to bound before m, or below it after m:
+        # in (key, run) order, below (bound, m + 1). Only they give rows.
+        limit = (bound, m + 1)
+        taken = []
+        while heads and heads[0] < limit:
+            taken.append(heappop(heads)[1])
+        taken.sort()
         batch = []
-        for i, block in enumerate(blocks):
-            start = starts[i]
+        for i in taken:
+            block, start = blocks[i], starts[i]
             if i < m:
                 end = bisect_right(block, bound, start, key=_first)
             elif i > m:
@@ -347,19 +378,25 @@ def _merge(runs: list):
             else:
                 end = len(block)
             batch += block[start:end]
-            starts[i] = end
+            if i != m:
+                # Only run m's block is used up: every other block ends above
+                # bound, or at bound in a later run, which keeps its rows at bound.
+                starts[i] = end
+                heappush(heads, (block[end][0], i))
         batch.sort(key=_first)
         yield batch
-        # Only run m's block is used up: every other block ends above
-        # bound, or at bound in a later run, which keeps its rows at bound.
         block = next(sources[m], None)
         if block:
             blocks[m], starts[m] = block, 0
+            heapreplace(ends, (block[-1][0], m))
+            heappush(heads, (block[0][0], m))
         else:
-            del sources[m], blocks[m], starts[m]
-    if blocks:
-        yield blocks[0][starts[0]:]
-        yield from sources[0]
+            blocks[m] = None
+            heappop(ends)
+    if ends:
+        i = ends[0][1]
+        yield blocks[i][starts[i]:]
+        yield from sources[i]
 
 
 def _write_run(path: str, sections) -> str:

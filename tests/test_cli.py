@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridpipe import cli
 from gridpipe.cli import _write_subtotals, main
 from gridpipe.config import load_definition, load_job, render_definition
 from gridpipe.csvio import read_records
@@ -793,26 +792,6 @@ def test_eval_of_a_formula_nested_too_deep_exits_1(workdir, capsys):
 
 
 # --- start-up ------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["--help"], ["-h"], ["run", "--help"], ["eval", "-h"], ["nope", "x.job"], ["run"],
-     ["--quiet"], ["--quiet", "run", "x.job"], ["run", "x.job", "--progress", "5"],
-     ["run", "x.job", "--progress", "many"], ["run", "x.job", "--stats-json", "s.json"],
-     ["sort", "x.job", "--bogus"], ["check", "x.job", "extra"], ["--", "check", "x.job"],
-     ["report", "x.job"], ["report", "x.job", "data.csv"], ["compare", "x.job"],
-     ["eval", "rules.sheet"], ["eval", "rules.sheet", "=1+1"], ["-1", "run", "x.job"]],
-)
-def test_the_invoked_command_s_parser_parses_like_the_full_one(capsys, argv):
-    def parse(parse_args):
-        try:
-            outcome = vars(parse_args(argv))
-        except SystemExit as exc:
-            outcome = exc.code
-        return outcome, capsys.readouterr()
-
-    assert parse(cli._parse_args) == parse(cli._build_parser().parse_args)
 
 
 def _python(*args, cwd=REPO_ROOT):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridpipe.errors import SettingError, UnknownColumn
+from gridpipe.errors import DataError, SettingError, UnknownColumn
 from gridpipe.sortio import (
     COLLATIONS,
     MERGE_FAN_IN,
@@ -492,6 +492,30 @@ def test_a_short_row_inside_a_block_names_its_row_and_first_missing_key(
     with pytest.raises(MissingColumn) as err:
         sort_file(spec)
     assert str(err.value) == problem
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in.csv"]
+
+
+@pytest.mark.parametrize("budget", [0, 7])
+@pytest.mark.parametrize("short, malformed", [(30, 35), (35, 30)])
+def test_of_a_short_row_and_a_malformed_record_in_one_block_the_first_is_reported(
+    tmp_path, budget, short, malformed
+):
+    # Rows 29-35 share a block at either budget; a row-by-row read meets
+    # the earlier of the two problems first.
+    lines = [f"{i % 5},x,{i}" for i in range(1, 101)]
+    lines[short - 1] = "1"
+    lines[malformed - 1] = '1,"x"y,z'
+    (tmp_path / "in.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"),
+                    keys=[SortKey(2)], memory_budget_rows=budget, scratch_dir=str(tmp_path))
+    with pytest.raises(DataError) as err:
+        sort_file(spec)
+    if short < malformed:
+        assert err.type is MissingColumn
+        assert str(err.value) == f"row {short}: no column 2 for sort key"
+    else:
+        assert err.type is DataError
+        assert str(err.value).startswith(f"{tmp_path / 'in.csv'} line {malformed}: ")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["in.csv"]
 
 
