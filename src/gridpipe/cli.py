@@ -16,7 +16,7 @@ from .csvio import atomic_output, read_fields
 from .engine import recalculate
 from .errors import ConfigError, DataError
 from .pipeline import run_pipeline, compare_files
-from .report import parse_job_line, render_report, subtotal, translation_table
+from .report import Subtotals, parse_job_lines, render_report, subtotal
 from .sortio import sort_file
 from .values import CellError, render_value
 
@@ -111,7 +111,8 @@ def _cmd_run(args) -> int:
             print(f"sorted {rows} rows into {job.sort.output_path}", file=sys.stderr)
 
     progress = 0 if args.quiet else max(args.progress, 0)
-    stats = run_pipeline(spec, job.workbook, progress_every=progress)
+    report = None if job.subtotals is None else Subtotals(job.subtotals.job_lines)
+    stats = run_pipeline(spec, job.workbook, progress_every=progress, report=report)
     if not args.quiet:
         print(
             f"read {stats.records_read}, wrote {stats.records_written}, "
@@ -124,20 +125,20 @@ def _cmd_run(args) -> int:
             json.dump(stats.as_dict(), handle, indent=2)
             handle.write("\n")
 
-    if job.subtotals is not None:
-        _write_subtotals(job, spec.output_path)
+    if report is not None:  # the run filled its tables as it wrote
+        _write_tables(job.subtotals, report.tables(spec.output_path))
     return EXIT_OK
 
 
 def _write_subtotals(job, data_path: str) -> None:
-    sub = job.subtotals
     records = read_fields(data_path)
     head = next(records, None)
     if head is None:
         raise DataError(f"{data_path}: no header row to aggregate against")
-    translation = translation_table(head)
-    jobs = [parse_job_line(line, translation) for line in sub.job_lines]
-    tables = subtotal(records, jobs)
+    _write_tables(job.subtotals, subtotal(records, parse_job_lines(job.subtotals.job_lines, head)))
+
+
+def _write_tables(sub, tables) -> None:
     text = "\n".join(render_report(table, sub.format) for table in tables)
     if sub.output_path:
         with atomic_output(sub.output_path) as handle:

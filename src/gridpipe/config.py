@@ -42,8 +42,7 @@ from .csvio import read_records
 from .errors import ConfigError, SettingError, check_choices, warn
 from .formula import decode_string, parse_formula, render_formula, token_kind
 from .pipeline import CompareSpec, PipelineSpec, compare_cells, run_cells, validate_headers
-from .report import (REPORT_FORMATS, BadControlTable, parse_job_line, split_job_line,
-                     translation_table)
+from .report import REPORT_FORMATS, BadControlTable, parse_job_lines, split_job_line
 from .sortio import SortKey, SortSpec, _resolve_key_columns, parse_sort_key
 from .values import Blank, parse_number, render_number
 from .workbook import CellAddress, Workbook, normalized_range, parse_a1
@@ -241,7 +240,7 @@ class JobSubtotals:
 
     def __init__(self, job_lines: list[str], output_path: str | None = None,
                  format: str = "csv"):
-        self.job_lines = job_lines  # parsed by report.parse_job_line against the data's headers
+        self.job_lines = job_lines  # parsed by report.parse_job_lines against the data's headers
         self.output_path = output_path
         self.format = format  # REPORT_FORMATS
         check_choices(self, format=REPORT_FORMATS)
@@ -478,9 +477,7 @@ def load_job(path) -> JobConfig:
     if header and sort is not None:
         _resolve_key_columns(sort, header)
     if header and subtotals is not None:
-        translation = translation_table(header)
-        for line in subtotals.job_lines:
-            parse_job_line(line, translation)
+        parse_job_lines(subtotals.job_lines, header)
 
     return JobConfig(
         job_path=path,

@@ -15,13 +15,13 @@ import io
 import os
 from contextlib import contextmanager
 from functools import partial
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Iterator
 
 from .errors import DataError
 
-__all__ = ["read_records", "read_fields", "open_fields", "parse_line", "encode_record",
-           "atomic_output"]
+__all__ = ["read_records", "read_fields", "open_fields", "malformed", "parse_line",
+           "encode_record", "atomic_output"]
 
 csv.field_size_limit(2**31 - 1)  # not the stdlib's 128 KiB: see read_records
 _reader = partial(csv.reader, strict=True)
@@ -54,8 +54,14 @@ def read_records(path) -> Iterator[tuple[str, list[str]]]:
                 yield raw, fields or [""]
         except csv.Error as exc:
             line = reader.line_num
-            start = line - len(consumed) + 1
-            raise DataError(f"{path} line {line}: {exc} (record from line {start})") from None
+            raise malformed(path, exc, line, line - len(consumed) + 1) from None
+
+
+def malformed(path, exc: csv.Error, line: int, start: int) -> DataError:
+    """The error for a record of ``path`` that ``csv.reader`` rejects with
+    ``exc``: it names the physical line where parsing stopped and the
+    line where the record began."""
+    return DataError(f"{path} line {line}: {exc} (record from line {start})")
 
 
 @contextmanager
@@ -64,21 +70,27 @@ def open_fields(path, head: bool = False):
     ``(first, records)``. With ``head``, ``first`` is the first record as
     ``read_records`` gives it, or None for an empty file; without, None.
     ``records`` is the ``csv.reader`` over the records after it, so an
-    empty line comes as ``[]``, where ``read_records`` gives ``[""]``.
-    A malformed record, read here or in the block, raises the
-    ``DataError`` that ``read_records`` raises for it.
+    empty line comes as ``[]``, where ``read_records`` gives ``[""]``,
+    and its ``line_num`` counts the file's physical lines from the
+    first. A malformed record, read here or in the block, raises the
+    ``DataError`` that ``read_records`` raises for it; a caller that
+    catches the reader's ``csv.Error`` itself may read on from the next
+    physical line.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
-            first = None
+            first, lines = None, []
             if head:
-                lines: list[str] = []
                 fields = next(_reader(filterfalse(lines.append, handle)), None)
                 if fields is not None:
                     first = "".join(lines).rstrip("\r\n"), fields or [""]
-            # A reader takes no line past the record it returns, so this
-            # one starts where the first one stopped.
-            yield first, _reader(handle)
+            # A reader takes no line past the record it returns. This one
+            # reads the first record's lines again, so that its line_num
+            # counts them, then the rest of the file.
+            records = _reader(chain(lines, handle) if lines else handle)
+            if lines:
+                next(records)
+            yield first, records
             return
         except csv.Error:
             pass

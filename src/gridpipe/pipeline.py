@@ -14,21 +14,25 @@ fields to the input range if their number differs, (3) computes, as
 locals, the cells downstream of the input and carry-forward cells that
 the output and skip cells read, (4) consults the skip cell, and (5) for
 a kept record tests each value that can be an error, joins the output
-line, writes it and copies it into the carry-forward cells. A record's
-``DataError`` ends the run, or under ``skip-and-log`` is counted and
-logged. Cross-row rules (duplicate detection) fall out of the
-carry-forward mechanism. Also hosts the sorted-file comparison loop,
-which drives a status cell through a compiled plan in Python.
+line, writes it, adds it to the run's subtotal report, if any, and
+copies it into the carry-forward cells. A record's ``DataError`` ends
+the run, or under ``skip-and-log`` is counted and logged, as is a
+malformed record there. Cross-row rules (duplicate detection) fall out
+of the carry-forward mechanism. Also hosts the sorted-file comparison
+loop, which drives a status cell through a compiled plan in Python.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from csv import Error as CsvError
 
-from .csvio import atomic_output, encode_record, open_fields, parse_line, read_records
+from .csvio import atomic_output, encode_record, malformed, open_fields, parse_line, read_records
 from .engine import compile_constants, compile_plan, inline_plan
 from .errors import ConfigError, DataError, check_choices, warn
+from .functions import NUMBER
+from .report import Subtotals
 from .values import CellError, render_value
 from .workbook import CellRange, Workbook
 
@@ -238,6 +242,7 @@ def run_pipeline(
     wb: Workbook,
     progress_every: int = 0,
     progress_stream=None,
+    report: Subtotals | None = None,
 ) -> RunStats:
     """Stream the input file through the workbook into the output file.
 
@@ -246,6 +251,11 @@ def run_pipeline(
     output and skip cells hold the last record's values and the other
     formula cells are stale, or never evaluated if the run did not need
     them; ``recalculate(wb)`` refreshes them.
+
+    With a ``report``, its jobs resolve against the header line and each
+    written record is added to its tables as it is written, as if the
+    output file were read back: ``report.tables`` gives them, or raises
+    what stopped them.
     """
     started = time.perf_counter()
     input_range, skip_key, payload_keys, carry_keys = run_cells(wb)
@@ -274,10 +284,12 @@ def run_pipeline(
                 validate_headers(names, spec.expected_headers)
             header_width = len(names)
             out.write(raw + "\n")
-        source = _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
-                              progress_every)
+            if report is not None:
+                report.resolve(names)
+        source, report_names = _loop_source(wb, emitter, lines, spec, observed, carry_keys,
+                                            header_width, progress_every, report)
         stream = emitter.define("stream", "record loop", source, values=wb.values,
-                                progress=progress, **_LOOP_NAMES)
+                                progress=progress, **_LOOP_NAMES, **report_names)
         counts = stream(records, out.write)
 
     (stats.records_read, stats.records_written, stats.records_skipped,
@@ -291,22 +303,26 @@ def run_pipeline(
 
 # What the record loop calls besides the plan's names, ``values`` and ``progress``.
 _LOOP_NAMES = {"DataError": DataError, "RecordError": RecordError, "_fit_fields": _fit_fields,
-               "_check_readback": _check_readback, "encode_record": encode_record, "warn": warn}
+               "_check_readback": _check_readback, "encode_record": encode_record, "warn": warn,
+               "CsvError": CsvError, "malformed": malformed, "parse_line": parse_line}
 
 
 def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
-                 progress_every) -> str:
+                 progress_every, report) -> tuple[str, dict]:
     """The source of ``stream(records, write)``, the run's record loop
-    around the plan's ``lines``; it returns the four counts of ``RunStats``.
+    around the plan's ``lines``, which returns the four counts of
+    ``RunStats``, and the names it reads for the ``report``.
 
     Per field list: the width check, the plan, the skip test, an error
     test for each observed value that can be an error, the line (each
     value rendered unless its kind is text) and its read-back test, the
-    write and the carry-forward update. Under ``skip-and-log`` one
-    ``try`` per record counts and logs a record's ``DataError``. The
-    carry-forward cells no range reads are locals of the loop; it writes
-    them, and the last record's fields and observed values, back to
-    ``values`` at the end.
+    write, the report's accumulation (once its jobs are resolved) and
+    the carry-forward update. Under ``skip-and-log`` one ``try`` per
+    record counts and logs a record's ``DataError``, and a malformed
+    record is counted and logged as the reader rejects it; the reader
+    goes on at the next physical line. The carry-forward cells no range
+    reads are locals of the loop; it writes them, and the last record's
+    fields and observed values, back to ``values`` at the end.
     """
     operand, fields, carry_locals = emitter.operand, emitter.fields, emitter.carry
     skip_key = next((key for key, role in observed.items() if role == "skip cell"), None)
@@ -334,6 +350,21 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
                  f"if line.count(',') != {len(payload) - 1} or {suspect}:",
                  f"    line = encode_record(({joined}))"]
     kept += ['write(line + "\\n")', "written += 1"]
+    names = {}
+    if report is not None and report.jobs is not None:
+        # The report's columns are the texts the line reads back as; a
+        # number is added as it is, not parsed back from its text.
+        numbers = {i: emitter.locals[key] for i, key in enumerate(payload)
+                   if emitter.kinds.get(key) is NUMBER}
+        if len(payload) > 1:
+            columns = texts
+        else:  # the fields of the line, padded to the columns the jobs read
+            columns = [f"cols[{i}]" for i in range(report.reach)]
+            kept += ["cols = line.split(',') if '\"' not in line else parse_line(line)[0]",
+                     f"if len(cols) < {report.reach}:",
+                     f"    cols += [''] * ({report.reach} - len(cols))"]
+        accumulate, names = report.code(columns, numbers, "written")
+        kept += accumulate
     # A carry-forward cell takes the line, or its payload cell's text.
     carried = ["line"] if len(carry_keys) == 1 else texts if carry_keys else []
     for key, text in zip(carry_keys, carried):
@@ -351,12 +382,27 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
         body += [f'if {flag} is True or {flag}.__class__ is str and {flag}.upper() == "SKIP":',
                  "    skipped += 1",
                  "else:", *(f"    {text}" for text in kept)]
-    if spec.on_record_error == "skip-and-log":  # else a record's error ends the run
+    tick = [f"if not read % {progress_every}: progress(read)"] if progress_every else []
+    if spec.on_record_error == "fail-fast":  # a record's error ends the run
+        loop = ["for row in records:", *(f"    {text}" for text in ["read += 1", *body, *tick])]
+    else:
         body = ["try:", *(f"    {text}" for text in body), "except DataError as exc:",
                 "    errored += 1", '    warn(f"{exc} (record skipped)")']
-    loop = ["for row in records:", "    read += 1", *(f"    {text}" for text in body)]
-    if progress_every:
-        loop.append(f"    if not read % {progress_every}: progress(read)")
+        path = emitter.const(spec.input_path)
+        # ``ended``: the physical line where the last record read ended.
+        loop = ["ended = records.line_num",
+                "while True:",
+                "    try:",
+                "        for row in records:",
+                *(f"            {text}" for text in
+                  ["read += 1", *body, *tick, "ended = records.line_num"]),
+                "        break",
+                "    except CsvError as exc:",
+                *(f"        {text}" for text in
+                  ["read += 1", "errored += 1",
+                   f'warn(f"{{malformed({path}, exc, records.line_num, ended + 1)}} '
+                   '(record skipped)")',
+                   "ended = records.line_num", *tick])]
     if carry_locals:
         loop = ["try:", *(f"    {text}" for text in loop), "finally:", "    if written:",
                 *(f"        values[{key!r}] = {emitter.locals[key]}" for key in carry_locals)]
@@ -370,7 +416,7 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
               f"if {first} is not None:",
               *(f"    values[{key!r}] = {operand(key)}" for key in [*fields, *observed]),
               "return read, written, skipped, errored"]
-    return "def stream(records, write):\n" + "".join(f"    {text}\n" for text in source)
+    return "def stream(records, write):\n" + "".join(f"    {text}\n" for text in source), names
 
 
 class CompareReport:

@@ -2,12 +2,15 @@
 
 Each subtotal job names measure columns and group-by columns; the
 report holds one row per distinct group-key tuple, ordered
-lexicographically so output diffs are deterministic.
+lexicographically so output diffs are deterministic. One piece of
+generated code adds a record to every job's groups: ``subtotal`` runs
+it over a file's field lists, and a run splices it into its own record
+loop (``Subtotals``), so it reports what it writes without reading it
+back.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable
 
 from .csvio import encode_record
@@ -23,6 +26,8 @@ __all__ = [
     "NonNumericMeasure",
     "split_job_line",
     "parse_job_line",
+    "parse_job_lines",
+    "Subtotals",
     "aggregate",
     "subtotal",
     "render_report",
@@ -155,54 +160,121 @@ def parse_job_line(text: str, translation: dict[str, int]) -> SubtotalJob:
     return make_job(measures, group_by, translation, aggregate_kind)
 
 
+def parse_job_lines(lines: list[str], header: list[str]) -> list[SubtotalJob]:
+    """The jobs of ``lines``, their columns resolved against ``header``."""
+    translation = translation_table(header)
+    return [parse_job_line(line, translation) for line in lines]
+
+
+class Subtotals:
+    """Subtotal jobs and their group tables, which generated code
+    (``code``) fills a record at a time. ``subtotal`` runs that code
+    over a file's field lists; a run splices it into its record loop,
+    after resolving the job lines against the header line it reads."""
+
+    __slots__ = ("job_lines", "jobs", "reach", "groups", "failure")
+
+    def __init__(self, job_lines: list[str] = ()):
+        self.job_lines = job_lines
+        self.jobs: list[SubtotalJob] | None = None  # until they are resolved
+        self.failure: NonNumericMeasure | None = None  # the first one met
+
+    def resolve(self, header: list[str]) -> None:
+        self.start(parse_job_lines(self.job_lines, header))
+
+    def start(self, jobs: list[SubtotalJob]) -> None:
+        self.jobs = jobs
+        self.reach = 1 + max((i for job in jobs for i in job.group_indices + job.measure_indices),
+                             default=-1)  # how many columns the jobs read
+        self.groups: list[dict] = [{} for _ in jobs]  # per job, group key -> totals
+
+    def code(self, texts: list[str], numbers: dict[int, str], index: str):
+        """Statements that add one record to each job's groups, and the
+        names they read.
+
+        ``texts[i]`` is code for the text of column ``i``; a column past
+        them reads as blank. ``numbers[i]``, where given, is code for the
+        float whose ``render_number`` text column ``i`` holds: it is added
+        as it is, since ``parse_number`` would give it back exactly, and it
+        is never blank. ``index`` is code for the record's 1-based index. A
+        blank measure is neither counted nor summed; a non-numeric one
+        calls ``fail(index, column, text)``, which notes the first for
+        ``tables`` to raise: within a record, the first job's first.
+        """
+        names: dict = {"parse_number": parse_number, "fail": self._fail}
+        lines = []
+        for j, (job, found) in enumerate(zip(self.jobs, self.groups)):
+            names[f"groups{j}"] = found
+            keys = [texts[i] if i < len(texts) else "''" for i in job.group_indices]
+            key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
+            lines += [f"key = {key}",
+                      f"totals = groups{j}.get(key)",
+                      "if totals is None:",
+                      f"    totals = groups{j}[key] = {[0.0] * len(job.measure_indices)}"]
+            for slot, i in enumerate(job.measure_indices):
+                if i in numbers:
+                    added = "1.0" if job.aggregate == "count" else numbers[i]
+                    lines.append(f"totals[{slot}] += {added}")
+                elif i >= len(texts):
+                    continue  # blank
+                elif job.aggregate == "count":
+                    lines += [f"if {texts[i]}.strip():", f"    totals[{slot}] += 1.0"]
+                else:
+                    lines += [f"number = parse_number({texts[i]})",
+                              "if number is not None:",
+                              f"    totals[{slot}] += number",
+                              f"elif {texts[i]}.strip():",
+                              f"    fail({index}, {job.measures[slot]!r}, {texts[i]})"]
+        return lines, names
+
+    def _fail(self, index: int, column: str, text: str) -> None:
+        if self.failure is None:
+            self.failure = NonNumericMeasure(index, column, text)
+
+    def tables(self, data_path=None) -> list[ReportTable]:
+        """One table per job, its rows in key order; or the error that
+        stopped the report: ``data_path`` had no header line, or a
+        measure was not numeric."""
+        if self.jobs is None:
+            raise DataError(f"{data_path}: no header row to aggregate against")
+        if self.failure is not None:
+            raise self.failure
+        tables = []
+        for job, groups in zip(self.jobs, self.groups):
+            rows = sorted(groups.items())
+            if len(job.group_indices) == 1:  # the key was the bare field
+                rows = [((key,), totals) for key, totals in rows]
+            labels = [f"{job.aggregate.capitalize()} of {m}" for m in job.measures]
+            tables.append(ReportTable(list(job.group_by), labels, rows))
+        return tables
+
+
+def _raise_non_numeric(index: int, column: str, text: str):
+    raise NonNumericMeasure(index, column, text)
+
+
 def subtotal(records: Iterable[list[str]], jobs: list[SubtotalJob]) -> list[ReportTable]:
     """One table per job from a single pass over ``records``.
 
     ``records`` may be a one-shot iterator: each record feeds every
     job's group accumulator and is then dropped, so memory is O(groups).
-    Aggregates accumulate in input order. A non-numeric measure raises
-    at the first record that holds one (within it, the first job, then
-    the first measure).
+    A short record reads as blank past its end. Aggregates accumulate
+    in input order. A non-numeric measure raises at the first record
+    that holds one (within it, the first job, then the first measure).
     """
-    accumulators: list[dict] = [{} for _ in jobs]
-    # Per job: its group key getter, (slot, column) per measure, whether
-    # it counts rather than sums, its groups and its measure names.
-    plans = [
-        (itemgetter(*job.group_indices), list(enumerate(job.measure_indices)),
-         job.aggregate == "count", groups, job.measures)
-        for job, groups in zip(jobs, accumulators)
-    ]
-    # A short record reads as blank past its end, so pad it to the
-    # furthest column any job reads.
-    reach = 1 + max((i for job in jobs for i in job.group_indices + job.measure_indices),
-                    default=-1)
-    for record_index, fields in enumerate(records, start=1):
-        if len(fields) < reach:
-            fields = fields + [""] * (reach - len(fields))
-        for key_of, measures, counting, groups, names in plans:
-            key = key_of(fields)
-            totals = groups.get(key)
-            if totals is None:
-                totals = groups[key] = [0.0] * len(measures)
-            for slot, column_index in measures:
-                text = fields[column_index]
-                if not text.strip():
-                    continue  # blank fields are neither counted nor summed
-                if counting:
-                    totals[slot] += 1.0
-                    continue
-                number = parse_number(text)
-                if number is None:
-                    raise NonNumericMeasure(record_index, names[slot], text)
-                totals[slot] += number
-    tables = []
-    for job, groups in zip(jobs, accumulators):
-        rows = sorted(groups.items())
-        if len(job.group_indices) == 1:  # itemgetter gave the bare field
-            rows = [((key,), totals) for key, totals in rows]
-        labels = [f"{job.aggregate.capitalize()} of {m}" for m in job.measures]
-        tables.append(ReportTable(list(job.group_by), labels, rows))
-    return tables
+    report = Subtotals()
+    report.start(jobs)
+    width = report.reach
+    lines, names = report.code([f"fields[{i}]" for i in range(width)], {}, "index")
+    source = ["def accumulate(records):",
+              "    for index, fields in enumerate(records, 1):",
+              f"        if len(fields) < {width}:",
+              f"            fields = fields + [''] * ({width} - len(fields))",
+              *(f"        {line}" for line in lines)]
+    namespace = {**names, "fail": _raise_non_numeric}
+    exec(compile("\n".join(source) + "\n", "<subtotal loop>", "exec"), namespace)
+    namespace["accumulate"](records)
+    return report.tables()
 
 
 def aggregate(records: list[list[str]], job: SubtotalJob) -> ReportTable:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -13,11 +15,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gridpipe import csvio
 from gridpipe.cli import _write_subtotals, main
 from gridpipe.config import load_definition, load_job, render_definition
-from gridpipe.csvio import read_records
+from gridpipe.csvio import encode_record, read_records
 from gridpipe.functions import roman_text
 from gridpipe.report import aggregate, parse_job_line, render_report, translation_table
 
@@ -224,12 +227,44 @@ def test_run_keeps_every_record_after_a_stray_quote(workdir, capsys):
     [('1,"ab"c,Purple,I\n2,Belt,Tan,V\n', 2, 2), ('1,"Toga\nPurple,I\n2,Belt,Tan,V\n', 4, 2)],
 )
 def test_run_stops_on_a_malformed_record_naming_its_line(workdir, capsys, mode, bad, line, start):
+    # Under skip-and-log the record is logged with the same text, and
+    # the run goes on at the next physical line: after the one-line bad
+    # record, record 2 is kept; a quote left open takes the rest of the
+    # file into one errored record.
+    kept = ["2,Belt,Tan,5"] if line == start else []
     _write(workdir, "caesar_in.csv", "Id,Item,Colour,Number\n" + bad)
-    assert main(["--quiet", "run", _job_with(workdir, "caesar.job", f"on-error = {mode}")]) == 2
+    job = _job_with(workdir, "caesar.job", f"on-error = {mode}")
+    if mode == "fail-fast":
+        assert main(["--quiet", "run", job]) == 2
+    else:
+        assert main(["run", job, "--progress", "0", "--stats-json", str(workdir / "s.json")]) == 0
     err = capsys.readouterr().err
     assert f"caesar_in.csv line {line}:" in err
     assert f"(record from line {start})" in err
-    assert not list(workdir.glob("caesar_out*"))
+    if mode == "fail-fast":
+        assert not list(workdir.glob("caesar_out*"))
+    else:
+        assert f"(record from line {start}) (record skipped)\n" in err
+        assert _read(workdir, "caesar_out.csv").splitlines()[1:] == kept
+        stats = json.loads(_read(workdir, "s.json"))
+        assert [stats[key] for key in ("records_read", "records_written", "records_errored")] == [
+            1 + len(kept), len(kept), 1,
+        ]
+
+
+def test_skip_and_log_counts_malformed_records_in_progress(workdir, capsys):
+    # Four records, the 2nd and 3rd malformed: a progress line every 2
+    # records read, as for records that read cleanly.
+    _write(workdir, "caesar_in.csv",
+           'Id,Item,Colour,Number\n1,Toga,Red,I\n2,"a"b,x,X\n3,"c"d,y,V\n4,Belt,Gold,MM\n')
+    job = _job_with(workdir, "caesar.job", "on-error = skip-and-log")
+    assert main(["run", job, "--progress", "2"]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("records processed")] == [
+        "records processed: 2", "records processed: 4",
+    ]
+    assert "(record from line 4) (record skipped)" in err
+    assert "read 4, wrote 2, skipped 0, errored 2 " in err
 
 
 def test_run_reads_a_quoted_field_without_its_quotes(workdir):
@@ -371,6 +406,128 @@ def test_the_store_chain_connects_its_stages(tmp_path_factory, rows):
     (workdir / "store_report.csv").unlink()
     assert main(["--quiet", "report", job, str(workdir / "store_out.csv")]) == 0
     assert (workdir / "store_report.csv").read_bytes() == report
+
+
+def _store_rows(*rows):
+    return "Id,Item,Colour,Number\n" + "".join(f"{row}\n" for row in rows)
+
+
+def test_run_reads_its_output_no_more_to_report_it(workdir, monkeypatch):
+    # The run adds each record to the report as it writes it.
+    _write(workdir, "store_raw.csv", _store_rows("2,Toga,Purple,XLI", "1,Toga,Purple,MCDLIX",
+                                                 "3,Belt,Tan,V", "3,Belt,Tan,V"))
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(csvio, "read_fields", no_read)
+    monkeypatch.setattr("gridpipe.cli.read_fields", no_read)
+    assert main(["--quiet", "run", str(workdir / "store.job")]) == 0
+    assert _read(workdir, "store_report.csv") == (
+        "Item,Colour,Sum of Number\nBelt,Tan,5\nToga,Purple,1500\n"
+    )
+
+
+def test_a_non_numeric_measure_fails_the_report_after_the_run_is_written(workdir, capsys):
+    _write(workdir, "store.job", _read(workdir, "store.job").replace(
+        "job = Number : Item, Colour", "job = Number : Item, Colour\njob = Id : Item"))
+    _write(workdir, "store_raw.csv", _store_rows("1,Toga,Purple,I", "2b,Belt,Tan,V"))
+    job, stats = str(workdir / "store.job"), str(workdir / "stats.json")
+    assert main(["--quiet", "run", job, "--stats-json", stats]) == 2
+    message = "error: record 2: column 'Id' is not numeric: '2b'\n"
+    assert capsys.readouterr().err == message
+    assert _read(workdir, "store_out.csv") == _store_rows("1,Toga,Purple,1", "2b,Belt,Tan,5")
+    assert json.loads(_read(workdir, "stats.json"))["records_written"] == 2
+    assert not (workdir / "store_report.csv").exists()
+    assert main(["--quiet", "report", job, str(workdir / "store_out.csv")]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_a_run_over_an_empty_input_has_no_header_to_report_against(workdir, capsys):
+    _write(workdir, "store_raw.csv", "")
+    job, stats = str(workdir / "store.job"), str(workdir / "stats.json")
+    assert main(["--quiet", "run", job, "--stats-json", stats]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'store_out.csv'}: no header row to aggregate against\n"
+    )
+    assert _read(workdir, "store_out.csv") == ""
+    assert (workdir / "stats.json").exists()
+    assert not (workdir / "store_report.csv").exists()
+
+
+# Payload formulas over the input cells A2:D2 by the kind of value they
+# give: numbers (negative zero, 1e22 and more, 2**53 + 2 and more,
+# fractions), texts, booleans, and either a number or a text.
+_PAYLOAD = [
+    "=LEN(B2)*-0.25", "=LEN(C2)*1E22", "=9007199254740994+LEN(D2)", "=LEN(B2)/3",
+    "=B2", "=C2", "=D2", "=A2&D2",
+    "=LEN(B2)>2", "=B2=C2",
+    "=IF(LEN(B2)>1,B2,LEN(C2)/4)",
+]
+# A one-cell payload may also join the fields into a line of its own.
+_LINE_PAYLOAD = ['=A2&","&B2&","&C2&","&D2', '=B2&","&D2']
+_FIELD = st.one_of(
+    st.sampled_from([" 7 ", "1e3", "-0", "", " ", "x", "1,5", 'a"b', '"q"', "l\nb", "2.5"]),
+    st.text(alphabet='a1 ,"\n-.e', max_size=4),
+)
+_NAMES = ["Id", "Item", "Colour", "Number"]
+
+
+@st.composite
+def _job_line(draw):
+    names = draw(st.permutations(_NAMES))
+    split = draw(st.integers(1, 2))
+    groups = draw(st.integers(1, 2))
+    aggregate = draw(st.sampled_from(["", "sum ", "count "]))
+    return f"{aggregate}{', '.join(names[:split])} : {', '.join(names[split:split + groups])}"
+
+
+def _run_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(
+    payload=st.one_of(st.lists(st.sampled_from(_PAYLOAD), min_size=1, max_size=4),
+                      st.sampled_from(_LINE_PAYLOAD).map(lambda formula: [formula])),
+    rows=st.lists(st.tuples(_FIELD, _FIELD, _FIELD, _FIELD), max_size=8),
+    job_lines=st.lists(_job_line(), min_size=1, max_size=3),
+    mode=st.sampled_from(["fail-fast", "skip-and-log"]),
+    form=st.sampled_from(["csv", "aligned-text"]),
+)
+# A record the run logs and skips is no record of the output: the
+# non-numeric measure after it is in output record 1.
+@example(payload=['=A2&","&B2&","&C2&","&D2'], rows=[("1", "1,5", "a", "2"), ("2", "b", "c", "x")],
+         job_lines=["Number : Item"], mode="skip-and-log", form="csv")
+@settings(max_examples=150, deadline=None)
+def test_a_run_s_report_is_the_report_of_its_output(tmp_path_factory, payload, rows, job_lines,
+                                                     mode, form):
+    # Columns past a payload narrower than the header read as blank.
+    workdir = tmp_path_factory.mktemp("fused")
+    cells = [f"cell {chr(ord('H') + i)}2 = {formula}" for i, formula in enumerate(payload)]
+    last = chr(ord("H") + len(payload) - 1)
+    _write(workdir, "gen.sheet", "[sheet Main]\n" + "\n".join(cells) + "\n[names]\n"
+           f"InputCells = Main!A2:D2\nOutputCells = Main!H2:{last}2\n")
+    _write(workdir, "gen.job", "format = 1\ndefinition = gen.sheet\ninput = in.csv\n"
+           f"[pipeline]\noutput = out.csv\non-error = {mode}\n"
+           f"[subtotals]\noutput = report.csv\nformat = {form}\n"
+           + "".join(f"job = {line}\n" for line in job_lines))
+    (workdir / "in.csv").write_bytes(_store_rows(*map(encode_record, rows)).encode())
+    job, report = str(workdir / "gen.job"), workdir / "report.csv"
+
+    def written():
+        return report.read_bytes() if report.exists() else None
+
+    ran = _run_main(["--quiet", "run", job])
+    if not (workdir / "out.csv").exists():  # a record stopped the run, and with it the report
+        assert ran[0] == 2 and written() is None
+        return
+    fused = written()
+    report.unlink(missing_ok=True)
+    assert _run_main(["--quiet", "report", job, str(workdir / "out.csv")]) == ran
+    assert written() == fused
 
 
 # --- sort / report / compare ------------------------------------------------------

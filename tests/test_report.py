@@ -7,6 +7,7 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gridpipe.errors import ConfigError, UnknownColumn
 from gridpipe.report import (
@@ -19,6 +20,7 @@ from gridpipe.report import (
     subtotal,
     translation_table,
 )
+from gridpipe.values import parse_number, render_number
 
 HEADERS = ["Id", "Item", "Colour", "Number", "Amount"]
 TRANSLATION = translation_table(HEADERS)
@@ -189,6 +191,28 @@ def test_subtotal_reports_first_non_numeric_measure_in_input_order():
     with pytest.raises(NonNumericMeasure) as err:
         subtotal(iter(records), jobs)
     assert (err.value.record_index, err.value.column) == (1, "Amount")
+
+
+def test_subtotal_stops_reading_at_the_first_non_numeric_measure():
+    def records():
+        yield ["1", "Toga", "Red", "x", "0"]
+        raise AssertionError("read past the record that stops the report")
+
+    with pytest.raises(NonNumericMeasure) as err:
+        subtotal(records(), [_job()])
+    assert (err.value.record_index, err.value.column) == (1, "Number")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(1e22)
+@example(float(2**53 + 2))
+@example(5e-324)
+@example(-1.7976931348623157e308)
+def test_a_rendered_number_parses_back_to_the_same_float(value):
+    # A run adds a number cell's float to its report as it is, where a
+    # report of the output file parses the rendered text: the two agree.
+    assert parse_number(render_number(value)) == value
 
 
 # --- rendering ----------------------------------------------------------------------
