@@ -194,9 +194,10 @@ def _fit_fields(fields: list[str], width: int, policy: str, record_no: int) -> l
     return fields[:width]
 
 
-def _check_readback(line: str, width: int | None, where: str) -> None:
-    """Raise ``RecordError``, naming ``where``, unless ``line`` reads back as
-    one record of 1 or ``width`` fields (any number if ``width`` is None)."""
+def _check_readback(line: str, width: int | None, where: str) -> list[str]:
+    """The fields ``line`` reads back as; a ``RecordError``, naming
+    ``where``, unless they are one record of 1 or ``width`` fields (any
+    number if ``width`` is None)."""
     if '"' in line:
         try:
             records = parse_line(line)
@@ -204,13 +205,14 @@ def _check_readback(line: str, width: int | None, where: str) -> None:
             raise RecordError(f"{where} does not read back: {exc}") from None
         if len(records) != 1:
             raise RecordError(f"{where} reads back as {len(records)} records")
-        count = len(records[0])
+        fields = records[0]
     elif "\n" in line or "\r" in line:
         raise RecordError(f"{where} holds a line break outside quotes")
     else:
-        count = line.count(",") + 1
-    if width is not None and count not in (1, width):
-        raise RecordError(f"{where} reads back as {count} fields, the header has {width}")
+        fields = line.split(",")
+    if width is not None and len(fields) not in (1, width):
+        raise RecordError(f"{where} reads back as {len(fields)} fields, the header has {width}")
+    return fields
 
 
 def run_cells(wb: Workbook):
@@ -304,7 +306,7 @@ def run_pipeline(
 # What the record loop calls besides the plan's names, ``values`` and ``progress``.
 _LOOP_NAMES = {"DataError": DataError, "RecordError": RecordError, "_fit_fields": _fit_fields,
                "_check_readback": _check_readback, "encode_record": encode_record, "warn": warn,
-               "CsvError": CsvError, "malformed": malformed, "parse_line": parse_line}
+               "CsvError": CsvError, "malformed": malformed}
 
 
 def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
@@ -328,6 +330,7 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
     skip_key = next((key for key, role in observed.items() if role == "skip cell"), None)
     payload = [key for key in observed if key != skip_key]
     suspect = "'\"' in line or '\\n' in line or '\\r' in line"  # a line that may need quoting
+    reporting = report is not None and report.jobs is not None
 
     kept = []  # the code for a record the skip cell keeps
     for key, role in observed.items():
@@ -340,8 +343,11 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
         if header_width is not None:  # without quotes or line breaks, its commas tell its width
             suspect += f" or line.count(',') not in (0, {header_width - 1})"
         name = emitter.const(f"output cell {wb.cell_name(payload[0])}")
-        kept += [f"if {suspect}:",
-                 f'    _check_readback(line, {header_width}, f"record {{read}}: {{{name}}}")']
+        check = f'_check_readback(line, {header_width}, f"record {{read}}: {{{name}}}")'
+        if reporting:  # the report reads the fields the check parsed
+            kept += [f"if {suspect}:", f"    cols = {check}", "else:", "    cols = line.split(',')"]
+        else:
+            kept += [f"if {suspect}:", f"    {check}"]
     else:
         texts = [f"r{i}" for i in range(len(payload))]
         kept += [f"{text} = {emitter.text_of(key)}" for text, key in zip(texts, payload)]
@@ -351,7 +357,7 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
                  f"    line = encode_record(({joined}))"]
     kept += ['write(line + "\\n")', "written += 1"]
     names = {}
-    if report is not None and report.jobs is not None:
+    if reporting:
         # The report's columns are the texts the line reads back as; a
         # number is added as it is, not parsed back from its text.
         numbers = {i: emitter.locals[key] for i, key in enumerate(payload)
@@ -360,8 +366,7 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
             columns = texts
         else:  # the fields of the line, padded to the columns the jobs read
             columns = [f"cols[{i}]" for i in range(report.reach)]
-            kept += ["cols = line.split(',') if '\"' not in line else parse_line(line)[0]",
-                     f"if len(cols) < {report.reach}:",
+            kept += [f"if len(cols) < {report.reach}:",
                      f"    cols += [''] * ({report.reach} - len(cols))"]
         accumulate, names = report.code(columns, numbers, "written")
         kept += accumulate
@@ -426,9 +431,6 @@ class CompareReport:
         self.left_only: list[str] = []
         self.right_only: list[str] = []
         self.matches = 0
-
-    def is_empty(self) -> bool:
-        return not self.left_only and not self.right_only
 
     def lines(self):
         for raw in self.left_only:

@@ -12,20 +12,15 @@ spilled, when the next row arrives, as a run of pickled blocks holding
 one section after the other. The last chunk is never written: it is the
 last run of the final merge, and with nothing spilled its only run.
 
-A merge takes one section at a time from at most MERGE_FAN_IN runs, a
-block of each at a time, and is stable: each step finds the first run
-whose current block ends with the smallest key, ``bound``, and takes
-that whole block, the keys up to ``bound`` from the runs before it and
-the keys below ``bound`` from the runs after it; a heap of the blocks'
-last keys names that run, and a heap of the runs' next keys the runs
-that give rows, so a step costs only those. The batch, joined in
-run order and sorted stably, is ``heapq.merge``'s next stretch, ties in
-run order, so the external path is byte-identical to the in-memory one.
-Each batch is written with one call. Memory is O(budget + MERGE_FAN_IN x
-block). Because every sort is stable, sorting by the last key, then the
-next, up to the first, gives exactly the composite multi-key order --
-which is also how more keys than a sort dialog allows can be applied by
-hand.
+A merge takes one section at a time from at most MERGE_FAN_IN runs and
+is ``heapq.merge`` over their pairs, keyed by the pair's key: equal keys
+leave in run order, and the chunk is the last run, so the external path
+is byte-identical to the in-memory one. The merged pairs are regrouped
+into blocks of ``_BLOCK``, and each block is written with one call.
+Memory is O(budget + MERGE_FAN_IN x block). Because every sort is
+stable, sorting by the last key, then the next, up to the first, gives
+exactly the composite multi-key order -- which is also how more keys
+than a sort dialog allows can be applied by hand.
 """
 
 from __future__ import annotations
@@ -33,10 +28,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
-from heapq import heapify, heappop, heappush, heapreplace
-from itertools import compress, islice
+from heapq import merge
+from itertools import chain, compress, islice
 from operator import itemgetter, not_
 
 from .csvio import atomic_output, read_records
@@ -342,61 +336,13 @@ def sort_file(spec: SortSpec) -> int:
 
 
 def _merge(runs: list):
-    """Merge ``runs``, iterators of sorted blocks of ``(key, raw)`` pairs:
-    yields sorted batches which, one after the other, hold every pair in
-    ``heapq.merge(key=...)``'s order, equal keys in run order."""
-    sources, blocks, starts = [], [], []
-    ends, heads = [], []  # (last key of a run's block, run), (its next key, run)
-    for run in runs:
-        block = next(run, None)
-        if block:
-            ends.append((block[-1][0], len(blocks)))
-            heads.append((block[0][0], len(blocks)))
-            sources.append(run)
-            blocks.append(block)
-            starts.append(0)
-    heapify(ends)
-    heapify(heads)
-    while len(ends) > 1:
-        # The first run whose block ends lowest: nothing after its block
-        # can come before it, in this run or, at an equal key, in a later one.
-        bound, m = ends[0]
-        # The runs with a key up to bound before m, or below it after m:
-        # in (key, run) order, below (bound, m + 1). Only they give rows.
-        limit = (bound, m + 1)
-        taken = []
-        while heads and heads[0] < limit:
-            taken.append(heappop(heads)[1])
-        taken.sort()
-        batch = []
-        for i in taken:
-            block, start = blocks[i], starts[i]
-            if i < m:
-                end = bisect_right(block, bound, start, key=_first)
-            elif i > m:
-                end = bisect_left(block, bound, start, key=_first)
-            else:
-                end = len(block)
-            batch += block[start:end]
-            if i != m:
-                # Only run m's block is used up: every other block ends above
-                # bound, or at bound in a later run, which keeps its rows at bound.
-                starts[i] = end
-                heappush(heads, (block[end][0], i))
-        batch.sort(key=_first)
-        yield batch
-        block = next(sources[m], None)
-        if block:
-            blocks[m], starts[m] = block, 0
-            heapreplace(ends, (block[-1][0], m))
-            heappush(heads, (block[0][0], m))
-        else:
-            blocks[m] = None
-            heappop(ends)
-    if ends:
-        i = ends[0][1]
-        yield blocks[i][starts[i]:]
-        yield from sources[i]
+    """Merge ``runs``, iterators of sorted blocks of ``(key, raw)`` pairs,
+    into blocks of at most ``_BLOCK`` pairs in key order, equal keys in
+    run order (``heapq.merge`` is stable). A lone run is returned as it is."""
+    if len(runs) == 1:
+        return runs[0]
+    pairs = merge(*map(chain.from_iterable, runs), key=_first)
+    return iter(lambda: list(islice(pairs, _BLOCK)), [])
 
 
 def _write_run(path: str, sections) -> str:

@@ -530,6 +530,31 @@ def test_a_run_s_report_is_the_report_of_its_output(tmp_path_factory, payload, r
     assert written() == fused
 
 
+def test_a_quoted_one_cell_line_is_parsed_once_for_its_check_and_its_report(workdir,
+                                                                            monkeypatch):
+    # The read-back check parses the line, and the report reads the
+    # fields it parsed: no line is parsed twice.
+    _write(workdir, "gen.sheet", '[sheet Main]\ncell H2 = =A2&","""&B2&""","&C2&","&D2\n'
+           "[names]\nInputCells = Main!A2:D2\nOutputCells = Main!H2:H2\n")
+    _write(workdir, "gen.job", "format = 1\ndefinition = gen.sheet\ninput = in.csv\n"
+           "[pipeline]\noutput = out.csv\n[subtotals]\noutput = report.csv\njob = Number : Item\n")
+    _write(workdir, "in.csv", _store_rows("1,Toga,Red,2", "2,Belt,Tan,3", "3,Toga,Red,4"))
+    parsed = []
+    reader = csvio._reader
+
+    def counting_reader(source, *args, **kwargs):
+        if isinstance(source, io.StringIO):  # a line, not a file
+            parsed.append(source.getvalue())
+        return reader(source, *args, **kwargs)
+
+    monkeypatch.setattr(csvio, "_reader", counting_reader)
+    assert main(["--quiet", "run", str(workdir / "gen.job")]) == 0
+    lines = ['1,"Toga",Red,2', '2,"Belt",Tan,3', '3,"Toga",Red,4']
+    assert parsed == [line + "\n" for line in lines]
+    assert _read(workdir, "out.csv") == _store_rows(*lines)
+    assert _read(workdir, "report.csv") == "Item,Sum of Number\nBelt,3\nToga,6\n"
+
+
 # --- sort / report / compare ------------------------------------------------------
 
 

@@ -794,7 +794,7 @@ def test_compare_identical_files(workdir):
     report = compare_files(
         CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv")), wb
     )
-    assert report.is_empty()
+    assert report.left_only == report.right_only == []
     assert report.matches == 2
 
 
@@ -879,7 +879,8 @@ def test_compare_with_headings_skips_first_lines(workdir):
         ),
         wb,
     )
-    assert report.is_empty() and report.matches == 1
+    assert report.left_only == report.right_only == []
+    assert report.matches == 1
 
 
 def test_compare_leaves_the_last_pair_in_its_cells(workdir):

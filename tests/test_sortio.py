@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridpipe import sortio
 from gridpipe.errors import DataError, SettingError, UnknownColumn
 from gridpipe.sortio import (
     COLLATIONS,
@@ -315,6 +318,69 @@ def test_failed_sort_leaves_no_files_and_unspilled_sort_no_scratch(tmp_path):
         # A sort that spilled would fail: this directory does not exist.
         spec.scratch_dir = str(tmp_path / "absent")
         assert sort_file(spec) == len(rows)
+
+
+class _FullAfterOneWrite:
+    """An output handle whose disk fills after its first write."""
+
+    def __init__(self, handle, error):
+        self.handle, self.error, self.writes = handle, error, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise self.error
+        return self.handle.write(text)
+
+
+@pytest.mark.parametrize("fault", ["run read", "output write"])
+@pytest.mark.parametrize("budget", [7, 400 // 65])
+def test_a_sort_failing_mid_merge_leaves_nothing_behind(tmp_path, monkeypatch, fault, budget):
+    # 400 rows spill 57 runs at budget 7, merged once into the output,
+    # and 66 at budget 6, more than MERGE_FAN_IN: a generation merges first.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    _write_rows(tmp_path / "in.csv", [[str(i % 37), str(i)] for i in range(400)])
+    (tmp_path / "out.csv").write_text("previous\n", encoding="utf-8")
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(sortio, "open", tracking_open, raising=False)
+    if fault == "run read":
+        sections = sortio._run_section
+
+        def failing_section(handle):
+            for block in sections(handle):
+                yield block
+                raise full
+
+        monkeypatch.setattr(sortio, "_run_section", failing_section)
+    else:
+        output = sortio.atomic_output
+
+        @contextlib.contextmanager
+        def failing_output(path):
+            with output(path) as handle:
+                opened.append(handle)
+                yield _FullAfterOneWrite(handle, full)
+
+        monkeypatch.setattr(sortio, "atomic_output", failing_output)
+    spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"),
+                    memory_budget_rows=budget, scratch_dir=str(scratch))
+    with pytest.raises(OSError) as failure:
+        sort_file(spec)
+    assert failure.value is full
+    names = [os.path.basename(handle.name) for handle in opened]
+    assert any(name.startswith("merge-") for name in names) == (budget < 7)
+    assert all(handle.closed for handle in opened)
+    assert list(scratch.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "scratch"]
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "previous\n"
 
 
 def test_importing_the_cli_does_not_load_pickle():
