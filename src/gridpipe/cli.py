@@ -13,7 +13,7 @@ import sys
 
 from . import config as config_mod, errors
 from .csvio import atomic_output, read_fields
-from .engine import recalculate
+from .engine import evaluate_source, recalculate
 from .errors import ConfigError, DataError
 from .pipeline import run_pipeline, compare_files
 from .report import Subtotals, parse_job_lines, render_report, subtotal
@@ -186,8 +186,6 @@ def _cmd_check(args) -> int:
 def _cmd_eval(args) -> int:
     wb = config_mod.load_definition(args.definition)
     recalculate(wb)
-    from .engine import evaluate_source
-
     result = evaluate_source(wb, args.formula)
     if result.__class__ is CellError:
         print(result.code)

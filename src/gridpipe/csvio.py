@@ -4,8 +4,10 @@ record gridpipe reads, from a file or a line, goes through ``_reader``.
 ``read_records`` yields ``(raw, fields)`` so callers that must preserve
 records byte-for-byte (sorting, comparison) can write the original text
 back out; ``read_fields`` and ``open_fields`` give the same fields
-without building that text. Output always uses LF line endings and UTF-8, and reaches its path
-only once it is complete (``atomic_output``).
+without building that text. A malformed record is named in the pass that
+reads it, by ``malformed`` from the reader's ``line_num``. Output is
+UTF-8 with LF line endings, and reaches its path only once it is
+complete (``atomic_output``).
 """
 
 from __future__ import annotations
@@ -72,33 +74,27 @@ def open_fields(path, head: bool = False):
     ``records`` is the ``csv.reader`` over the records after it, so an
     empty line comes as ``[]``, where ``read_records`` gives ``[""]``,
     and its ``line_num`` counts the file's physical lines from the
-    first. A malformed record, read here or in the block, raises the
-    ``DataError`` that ``read_records`` raises for it; a caller that
-    catches the reader's ``csv.Error`` itself may read on from the next
-    physical line.
+    first. The reader raises ``csv.Error`` for a malformed record; its
+    caller names it with ``malformed`` from ``line_num`` and may read on
+    from the next physical line. A malformed first record is named here.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        try:
-            first, lines = None, []
-            if head:
-                fields = next(_reader(filterfalse(lines.append, handle)), None)
-                if fields is not None:
-                    first = "".join(lines).rstrip("\r\n"), fields or [""]
-            # A reader takes no line past the record it returns. This one
-            # reads the first record's lines again, so that its line_num
-            # counts them, then the rest of the file.
-            records = _reader(chain(lines, handle) if lines else handle)
-            if lines:
-                next(records)
-            yield first, records
-            return
-        except csv.Error:
-            pass
-    # Only read_records knows where the bad record began: read the file
-    # again, so that the good records pay nothing for that.
-    for _ in read_records(path):
-        pass
-    raise DataError(f"{path} changed while it was read")
+        first, lines = None, []
+        if head:
+            reader = _reader(filterfalse(lines.append, handle))
+            try:
+                fields = next(reader, None)
+            except csv.Error as exc:
+                raise malformed(path, exc, reader.line_num, 1) from None
+            if fields is not None:
+                first = "".join(lines).rstrip("\r\n"), fields or [""]
+        # A reader takes no line past the record it returns. This one
+        # reads the first record's lines again, so that its line_num
+        # counts them, then the rest of the file.
+        records = _reader(chain(lines, handle) if lines else handle)
+        if lines:
+            next(records)
+        yield first, records
 
 
 def read_fields(path) -> Iterator[list[str]]:
@@ -106,8 +102,13 @@ def read_fields(path) -> Iterator[list[str]]:
     raise its ``DataError`` for a malformed record, without building any
     record's raw text."""
     with open_fields(path) as (_, records):
-        for fields in records:
-            yield fields or [""]
+        ended = 0  # the physical line where the last record read ended
+        try:
+            for fields in records:
+                yield fields or [""]
+                ended = records.line_num
+        except csv.Error as exc:
+            raise malformed(path, exc, records.line_num, ended + 1) from None
 
 
 def parse_line(line: str) -> list[list[str]]:

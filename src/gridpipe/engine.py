@@ -52,7 +52,7 @@ from .values import (
     render_value,
     to_boolean,
 )
-from .workbook import CellAddress, Workbook
+from .workbook import MAX_COLS, MAX_ROWS, CellAddress, Workbook
 
 __all__ = [
     "DependencyGraph",
@@ -249,7 +249,7 @@ class _Emitter:
             return (self.const(v) if kind is _ANY else repr(v)), kind
 
         if cls is CellRef:
-            if not (1 <= node.row <= wb.max_rows and 1 <= node.col <= wb.max_cols):
+            if not (1 <= node.row <= MAX_ROWS and 1 <= node.col <= MAX_COLS):
                 return self.fail(REF_ERROR)
             return self.read((sheet, node.row, node.col))
 

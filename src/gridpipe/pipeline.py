@@ -15,11 +15,12 @@ locals, the cells downstream of the input and carry-forward cells that
 the output and skip cells read, (4) consults the skip cell, and (5) for
 a kept record tests each value that can be an error, joins the output
 line, writes it, adds it to the run's subtotal report, if any, and
-copies it into the carry-forward cells. A record's ``DataError`` ends
-the run, or under ``skip-and-log`` is counted and logged, as is a
-malformed record there. Cross-row rules (duplicate detection) fall out
-of the carry-forward mechanism. Also hosts the sorted-file comparison
-loop, which drives a status cell through a compiled plan in Python.
+copies it into the carry-forward cells. A malformed record, named as it
+is read, or a record's ``DataError`` ends the run, or under
+``skip-and-log`` is counted and logged: one loop serves both. Cross-row
+rules (duplicate detection) fall out of the carry-forward mechanism.
+Also hosts the sorted-file comparison loop, which drives a status cell
+through a compiled plan in Python.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "run_pipeline",
     "validate_headers",
     "compare_files",
-    "report_progress",
 ]
 
 FIELD_COUNT_POLICIES = ("strict", "pad-truncate")
@@ -150,12 +150,6 @@ def validate_headers(found: list[str], expected: list[str]) -> None:
     )
 
 
-def report_progress(stats: RunStats, every_n: int, stream=None) -> None:
-    """Emit a progress line when the record count hits a multiple of n."""
-    if every_n and stats.records_read % every_n == 0:
-        print(f"records processed: {stats.records_read}", file=stream or sys.stderr)
-
-
 def _range_for(wb: Workbook, name: str) -> CellRange:
     if not wb.has_name(name):
         raise ConfigError(f"the definition does not define {name!r}")
@@ -243,7 +237,6 @@ def run_pipeline(
     spec: PipelineSpec,
     wb: Workbook,
     progress_every: int = 0,
-    progress_stream=None,
     report: Subtotals | None = None,
 ) -> RunStats:
     """Stream the input file through the workbook into the output file.
@@ -252,7 +245,8 @@ def run_pipeline(
     cells read (``plan_cells`` in the stats). Afterwards the input,
     output and skip cells hold the last record's values and the other
     formula cells are stale, or never evaluated if the run did not need
-    them; ``recalculate(wb)`` refreshes them.
+    them; ``recalculate(wb)`` refreshes them. With ``progress_every``, a
+    ``records processed: N`` line goes to stderr every N records read.
 
     With a ``report``, its jobs resolve against the header line and each
     written record is added to its tables as it is written, as if the
@@ -272,11 +266,6 @@ def run_pipeline(
     carry_locals = [key for key in carry_keys if wb.values.get(key).__class__ is not CellError]
     cells, lines, emitter = inline_plan(wb, carry_keys, observed, fields, carry_locals)
     stats = RunStats(plan_cells=[wb.cell_name(key) for key in cells])
-
-    def progress(read):
-        stats.records_read = read
-        report_progress(stats, progress_every, progress_stream)
-
     with (atomic_output(spec.output_path) as out,
           open_fields(spec.input_path, spec.has_headings) as (head, records)):
         header_width = len(spec.expected_headers) if spec.expected_headers else None
@@ -291,7 +280,7 @@ def run_pipeline(
         source, report_names = _loop_source(wb, emitter, lines, spec, observed, carry_keys,
                                             header_width, progress_every, report)
         stream = emitter.define("stream", "record loop", source, values=wb.values,
-                                progress=progress, **_LOOP_NAMES, **report_names)
+                                **_LOOP_NAMES, **report_names)
         counts = stream(records, out.write)
 
     (stats.records_read, stats.records_written, stats.records_skipped,
@@ -303,10 +292,14 @@ def run_pipeline(
     return stats
 
 
-# What the record loop calls besides the plan's names, ``values`` and ``progress``.
+def _progress(read: int) -> None:
+    print(f"records processed: {read}", file=sys.stderr)
+
+
+# What the record loop calls besides the plan's names and ``values``.
 _LOOP_NAMES = {"DataError": DataError, "RecordError": RecordError, "_fit_fields": _fit_fields,
                "_check_readback": _check_readback, "encode_record": encode_record, "warn": warn,
-               "CsvError": CsvError, "malformed": malformed}
+               "CsvError": CsvError, "malformed": malformed, "progress": _progress}
 
 
 def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
@@ -319,12 +312,14 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
     test for each observed value that can be an error, the line (each
     value rendered unless its kind is text) and its read-back test, the
     write, the report's accumulation (once its jobs are resolved) and
-    the carry-forward update. Under ``skip-and-log`` one ``try`` per
-    record counts and logs a record's ``DataError``, and a malformed
-    record is counted and logged as the reader rejects it; the reader
-    goes on at the next physical line. The carry-forward cells no range
-    reads are locals of the loop; it writes them, and the last record's
-    fields and observed values, back to ``values`` at the end.
+    the carry-forward update. One loop serves both policies and notes
+    where each record ended, so a record the reader rejects is named with
+    ``malformed`` in the same pass. Under ``skip-and-log`` that error is
+    counted and logged and the reader goes on at the next physical line,
+    as one ``try`` per record counts and logs a record's ``DataError``.
+    The carry-forward cells no range reads are locals of the loop; it
+    writes them, and the last record's fields and observed values, back
+    to ``values`` at the end.
     """
     operand, fields, carry_locals = emitter.operand, emitter.fields, emitter.carry
     skip_key = next((key for key, role in observed.items() if role == "skip cell"), None)
@@ -388,26 +383,24 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
                  "    skipped += 1",
                  "else:", *(f"    {text}" for text in kept)]
     tick = [f"if not read % {progress_every}: progress(read)"] if progress_every else []
+    # ``ended``: the physical line where the last record read ended.
+    error = f"malformed({emitter.const(spec.input_path)}, exc, records.line_num, ended + 1)"
     if spec.on_record_error == "fail-fast":  # a record's error ends the run
-        loop = ["for row in records:", *(f"    {text}" for text in ["read += 1", *body, *tick])]
-    else:
+        rejected = [f"raise {error} from None"]
+    else:  # counted and logged; the reader goes on at the next physical line
         body = ["try:", *(f"    {text}" for text in body), "except DataError as exc:",
                 "    errored += 1", '    warn(f"{exc} (record skipped)")']
-        path = emitter.const(spec.input_path)
-        # ``ended``: the physical line where the last record read ended.
-        loop = ["ended = records.line_num",
-                "while True:",
-                "    try:",
-                "        for row in records:",
-                *(f"            {text}" for text in
-                  ["read += 1", *body, *tick, "ended = records.line_num"]),
-                "        break",
-                "    except CsvError as exc:",
-                *(f"        {text}" for text in
-                  ["read += 1", "errored += 1",
-                   f'warn(f"{{malformed({path}, exc, records.line_num, ended + 1)}} '
-                   '(record skipped)")',
-                   "ended = records.line_num", *tick])]
+        rejected = ["read += 1", "errored += 1", f'warn(f"{{{error}}} (record skipped)")',
+                    "ended = records.line_num", *tick]
+    loop = ["ended = records.line_num",
+            "while True:",
+            "    try:",
+            "        for row in records:",
+            *(f"            {text}" for text in
+              ["read += 1", *body, *tick, "ended = records.line_num"]),
+            "        break",
+            "    except CsvError as exc:",
+            *(f"        {text}" for text in rejected)]
     if carry_locals:
         loop = ["try:", *(f"    {text}" for text in loop), "finally:", "    if written:",
                 *(f"        values[{key!r}] = {emitter.locals[key]}" for key in carry_locals)]

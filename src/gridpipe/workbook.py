@@ -164,9 +164,7 @@ class Workbook:
     value writes do not touch it.
     """
 
-    def __init__(self, max_rows: int = MAX_ROWS, max_cols: int = MAX_COLS):
-        self.max_rows = max_rows
-        self.max_cols = max_cols
+    def __init__(self):
         self._sheet_names: dict[str, str] = {}  # upper -> display
         self._formulas: dict[tuple, FormulaAst] = {}
         self._literals: dict[tuple, CellValue] = {}
@@ -198,7 +196,7 @@ class Workbook:
         return f"{self.sheet_display_name(key[0])}!{format_a1(key[1], key[2])}"
 
     def _check_bounds(self, addr: CellAddress) -> None:
-        if not (1 <= addr.row <= self.max_rows and 1 <= addr.col <= self.max_cols):
+        if not (1 <= addr.row <= MAX_ROWS and 1 <= addr.col <= MAX_COLS):
             raise BadAddress(f"address out of bounds: {addr}")
 
     def set_cell(self, addr: CellAddress, content) -> None:
@@ -254,7 +252,7 @@ class Workbook:
         if key in self._names:
             raise DuplicateName(f"name already defined: {name!r}")
         for corner in (cells.start, cells.end):
-            if not (1 <= corner.row <= self.max_rows and 1 <= corner.col <= self.max_cols):
+            if not (1 <= corner.row <= MAX_ROWS and 1 <= corner.col <= MAX_COLS):
                 raise NameOutOfBounds(f"named range out of bounds: {name} = {cells}")
         self.add_sheet(cells.start.sheet)
         self._names[key] = NamedRange(name, cells)

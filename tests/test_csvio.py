@@ -8,7 +8,8 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridpipe.csvio import encode_record, open_fields, parse_line, read_fields, read_records
+from gridpipe.csvio import (encode_record, malformed, open_fields, parse_line, read_fields,
+                             read_records)
 from gridpipe.errors import DataError
 
 
@@ -103,13 +104,20 @@ def _csv_module_records(text: str):
 def _open_fields(path):
     """``open_fields`` with its first record, whose raw text must be the
     one ``read_records`` gives, then the field lists after it, where an
-    empty line, ``[]``, is one empty field."""
+    empty line, ``[]``, is one empty field. A malformed record is named
+    as the run's record loop names it: from the reader's ``line_num`` and
+    the line after the last record read."""
     with open_fields(path, head=True) as (first, records):
         if first is not None:
             assert first == next(read_records(path))
             yield first[1]
-        for fields in records:
-            yield fields or [""]
+        ended = records.line_num
+        try:
+            for fields in records:
+                yield fields or [""]
+                ended = records.line_num
+        except csv.Error as exc:
+            raise malformed(path, exc, records.line_num, ended + 1) from None
 
 
 # Each reader's field lists: read_records', and the fields-only readers'.

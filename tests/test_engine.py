@@ -421,8 +421,9 @@ def test_multi_cell_name_acts_as_range():
 def test_formula_reading_out_of_bounds_cell_is_ref_error():
     from gridpipe.values import REF_ERROR
 
-    wb = Workbook(max_rows=10, max_cols=10)
-    assert evaluate_source(wb, "=Z99") == REF_ERROR
+    wb = Workbook()
+    assert evaluate_source(wb, "=A1048577") == REF_ERROR
+    assert evaluate_source(wb, "=XFE1") == REF_ERROR
 
 
 def test_wrong_arity_is_value_error():

@@ -3,7 +3,7 @@ the sorted-file comparison."""
 
 from __future__ import annotations
 
-import io
+import builtins
 import logging
 import random
 
@@ -29,7 +29,6 @@ from gridpipe.pipeline import (
     RunStats,
     StatusCellError,
     compare_files,
-    report_progress,
     run_pipeline,
     validate_headers,
 )
@@ -714,6 +713,62 @@ def test_the_record_loop_matches_a_reference_built_from_public_calls(
     assert cells(wb, "CarryForward") == cells(reference, "CarryForward")
 
 
+# --- malformed records -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", RECORD_ERROR_POLICIES)
+@pytest.mark.parametrize("bad, line", [('2,"bo"lt,x,X\n', 3), ('2,"bolt,x,X\n3,Belt,Gold,MM\n', 4)],
+                         ids=["one-line", "open-to-eof"])
+def test_a_malformed_record_is_named_from_one_read_of_the_input(workdir, monkeypatch, mode,
+                                                                bad, line):
+    # The loop names the record from the reader's line count as it reads:
+    # the input is never opened a second time to find where it began.
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,I\n" + bad)
+    path = str(workdir / "in.csv")
+    with pytest.raises(DataError) as by_read_records:
+        list(read_records(path))
+    expected = str(by_read_records.value)
+    assert expected.startswith(f"{path} line {line}: ")
+    assert expected.endswith("(record from line 3)")
+    opened, logged = [], []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(errors, "printer", logged.append)
+    spec = _spec(workdir, on_record_error=mode)
+    if mode == "fail-fast":
+        with pytest.raises(DataError) as caught:
+            run_pipeline(spec, _caesar(workdir))
+        assert str(caught.value) == expected
+        assert not (workdir / "out.csv").exists()
+    else:
+        stats = run_pipeline(spec, _caesar(workdir))
+        assert logged == [f"{expected} (record skipped)"]
+        assert (stats.records_read, stats.records_errored) == (2, 1)
+    assert len(opened) == 1
+
+
+@pytest.mark.parametrize("mode", RECORD_ERROR_POLICIES)
+@pytest.mark.parametrize("header, line", [('Id,"It"em,Colour,Number\n', 1),
+                                          ('Id,"Item,Colour,Number\n', 2)],
+                         ids=["one-line", "open-to-eof"])
+def test_a_malformed_header_record_stops_the_run_under_either_policy(workdir, mode, header,
+                                                                     line):
+    _write(workdir, header + "1,Toga,Purple,I\n")
+    spec = _spec(workdir, has_headings=True, on_record_error=mode)
+    with pytest.raises(DataError) as caught:
+        run_pipeline(spec, _caesar(workdir))
+    assert str(caught.value).startswith(f"{workdir / 'in.csv'} line {line}: ")
+    assert str(caught.value).endswith("(record from line 1)")
+    assert not (workdir / "out.csv").exists()
+    assert not list(workdir.glob("*.tmp"))
+
+
 # --- validate_headers -------------------------------------------------------------
 
 
@@ -756,31 +811,20 @@ def test_validate_headers_is_case_insensitive():
 # --- progress ----------------------------------------------------------------------
 
 
-def test_report_progress_lines():
-    stream = io.StringIO()
-    for n in (1, 2, 3):
-        report_progress(RunStats(records_read=n), 1, stream)
-    assert stream.getvalue().splitlines() == [
-        "records processed: 1",
-        "records processed: 2",
-        "records processed: 3",
-    ]
-    stream = io.StringIO()
-    for n in range(1, 25001):
-        if n % 10000 == 0:
-            report_progress(RunStats(records_read=n), 10000, stream)
-    assert len(stream.getvalue().splitlines()) == 2
-
-
-def test_pipeline_emits_progress_to_stream(workdir):
+def test_pipeline_emits_progress_to_stream(workdir, capsys):
     _write(workdir, "h\na\nb\nc\n")
     wb = Workbook()
     wb.set_cell(_addr("B2"), parse_formula("=A2"))
     wb.define_name("InputCells", _rng("A2", "A2"))
     wb.define_name("OutputCells", _rng("B2", "B2"))
-    stream = io.StringIO()
-    run_pipeline(_spec(workdir), wb, progress_every=1, progress_stream=stream)
-    assert len(stream.getvalue().splitlines()) == 3
+    run_pipeline(_spec(workdir), wb, progress_every=1)
+    assert capsys.readouterr().err.splitlines() == [
+        "records processed: 1",
+        "records processed: 2",
+        "records processed: 3",
+    ]
+    run_pipeline(_spec(workdir), wb, progress_every=2)
+    assert capsys.readouterr().err.splitlines() == ["records processed: 2"]
 
 
 # --- compare_files -------------------------------------------------------------------

@@ -11,6 +11,8 @@ from hypothesis import example, given, strategies as st
 from gridpipe.formula import LexError, parse_formula, tokenize
 from gridpipe.values import BLANK
 from gridpipe.workbook import (
+    MAX_COLS,
+    MAX_ROWS,
     BadAddress,
     BadName,
     CellAddress,
@@ -90,18 +92,19 @@ def test_untouched_cell_is_blank():
 
 
 def test_out_of_bounds_address_rejected():
-    wb = Workbook(max_rows=100, max_cols=10)
+    wb = Workbook()
     with pytest.raises(BadAddress):
-        wb.set_cell(CellAddress("Main", 101, 1), 1.0)
+        wb.set_cell(CellAddress("Main", MAX_ROWS + 1, 1), 1.0)
     with pytest.raises(BadAddress):
-        wb.get_value(CellAddress("Main", 1, 11))
+        wb.get_value(CellAddress("Main", 1, MAX_COLS + 1))
 
 
-def test_grid_ceiling_is_configurable_upward():
-    wb = Workbook(max_rows=10_000_000, max_cols=20_000)
-    addr = CellAddress("Main", 5_000_000, 18_000)
+def test_grid_ceiling_is_the_spreadsheet_grid():
+    wb = Workbook()
+    addr = CellAddress("Main", MAX_ROWS, MAX_COLS)
     wb.set_cell(addr, 1.0)
     assert wb.get_value(addr) == 1.0
+    assert format_a1(MAX_ROWS, MAX_COLS) == "XFD1048576"
 
 
 def test_sparse_storage_for_far_corner():
@@ -171,9 +174,9 @@ def test_names_and_addresses_are_read_as_a_formula_reads_them(word):
 def test_name_out_of_bounds():
     from gridpipe.workbook import NameOutOfBounds
 
-    wb = Workbook(max_rows=10, max_cols=10)
+    wb = Workbook()
     with pytest.raises(NameOutOfBounds):
-        wb.define_name("Far", _rng("A1", "A11"))
+        wb.define_name("Far", _rng("A1", "A1048577"))
 
 
 def test_normalized_range_sorts_corners():
