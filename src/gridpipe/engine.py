@@ -1,30 +1,29 @@
 """Dependency graph construction and deterministic recalculation.
 
-Every evaluation -- ``recalculate``, a comparison's per-pair step,
-``evaluate_source`` -- runs a *plan*: formula cells in topological
-order, compiled into one generated function ``run(values, row=())``
-over the workbook's value dict; a streaming run takes the same code as
-statements (``inline_plan``) inside the record loop it generates. In
-it each plan cell and each field of ``row`` is a local, a precedent
-outside the plan is one ``values.get``, and operator and function
-implementations are constants called directly, or direct code where an
-operand's kind (text, bool, number) is known. ``IF`` is an
+Every evaluation runs a *plan*: formula cells in topological order as
+generated code over the workbook's value dict. ``recalculate``,
+``compile_constants`` and ``evaluate_source`` compile it into one
+function ``run(values, row=())``; the record loops of ``run`` and
+``compare`` take it as statements (``inline_plan``) inside the loop they
+generate. In it each plan cell and each field of ``row`` is a local, a
+precedent outside the plan is one ``values.get``, and operator and
+function implementations are constants called directly, or direct code
+where an operand's kind (text, bool, number) is known. ``IF`` is an
 ``if``/``else``: its condition, then only the branch taken. Every value
 read or computed that can be an error is checked, and an error breaks
-out of its cell where the formula first meets it, left to right. It returns the observed values as a tuple and
-writes only the cells a range or a later generated function reads. A
-plan of more than ``_CHUNK`` cells is several functions: the last one
-calls those before it.
+out of its cell where the formula first meets it, left to right. The
+plans of ``recalculate`` and ``compile_constants`` write every cell; a
+record loop's plan writes only those a range or a later generated
+function reads. A plan of more than ``_CHUNK`` cells is several
+functions: the last one calls those before it.
 
-A plan is pruned by demand: cells downstream of the dirty cells and the
-fields and upstream of an observed cell. ``recalculate`` observes none
-(``observed=None``) and writes every affected cell, so it keeps
-full-downstream semantics; a streaming run observes its output cells
-only. Before it streams, ``compile_constants`` evaluates once the cells
-its plan reads that no record changes; every other cell stays stale, or
-never evaluated, until the next ``recalculate(wb)``.
-Plans depend only on the structure and are cached, and a run compiles
-its loop once, so nothing is rebuilt per record.
+A record loop's plan is pruned by demand: cells downstream of the fields
+and upstream of the output, skip or status cells. ``recalculate``
+evaluates every cell downstream of its dirty cells, and caches its plan
+per dirty set. Before a loop starts, ``compile_constants`` evaluates once
+the cells its plan reads that no record changes; every other cell stays
+stale, or never evaluated, until the next ``recalculate(wb)``. A loop is
+compiled once per call, so nothing is rebuilt per record.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "CycleError",
     "UnknownNameError",
     "build_graph",
-    "compile_plan",
     "inline_plan",
     "compile_constants",
     "recalculate",
@@ -345,12 +343,12 @@ class _Emitter:
         exec(compile(source, f"<{label}>", "exec"), namespace)
         return namespace[name]
 
-    def function(self, label: str, top, before, observed):
+    def function(self, label: str, before=(), observed=()):
         """Compile the cells emitted so far into ``run(values, row=())``,
-        which runs ``statements(top, before)`` and returns the
+        which runs ``statements((), before)`` and returns the
         ``observed`` values as a tuple."""
         returns = "".join(f"{self.operand(key)}, " for key in observed)
-        body = ["get = values.get", *self.statements(top, before), f"return ({returns})"]
+        body = ["get = values.get", *self.statements((), before), f"return ({returns})"]
         source = "def run(values, row=()):\n" + "".join(f"    {text}\n" for text in body)
         return self.define("run", label, source)
 
@@ -363,7 +361,7 @@ def _key_rows(sheet, row1, col1, row2, col2):
 
 
 # The formula cells one evaluation computes, in topological order, and
-# ``run(values, row=())`` evaluating them and returning the observed values.
+# ``run(values)`` evaluating them and writing each to ``values``.
 Plan = namedtuple("Plan", ["cells", "run"])
 
 
@@ -373,7 +371,7 @@ def evaluate_source(workbook: Workbook, source: str, sheet: str | None = None) -
     key = ((sheet or workbook.default_sheet()).upper(), 0, 0)
     emitter = _Emitter(workbook)
     emitter.cell(key, ast, write=False)
-    return emitter.function("formula", (), (), (key,))(workbook.values)[0]
+    return emitter.function("formula", observed=(key,))(workbook.values)[0]
 
 
 # --- Dependency graph --------------------------------------------------------
@@ -389,19 +387,17 @@ class DependencyGraph:
         self.block_reads: set[tuple] = set()  # keys some formula reads through a range
         self.topo_index: dict[tuple, int] = {}
         self.version = -1
-        self._plans: dict[tuple, Plan] = {}
+        self._plans: dict[frozenset | None, Plan] = {}
 
-    def plan(self, wb: Workbook, dirty: frozenset | None, observed=None, fields=()) -> Plan:
-        """The compiled plan for a dirty set (None: every formula cell)
-        and ``fields``, pruned to cells upstream of ``observed``. With
-        ``observed=None`` it writes every affected cell and returns ()."""
-        cache_key = (dirty, observed, fields)
-        cached = self._plans.get(cache_key)
+    def plan(self, wb: Workbook, dirty: frozenset | None) -> Plan:
+        """The compiled plan writing every formula cell downstream of
+        ``dirty`` (None: every formula cell)."""
+        cached = self._plans.get(dirty)
         if cached is not None:
             return cached
-        plan = self.compile(wb, self.affected(dirty, observed, fields), observed, fields)
+        plan = self.compile(wb, self.affected(dirty))
         if len(self._plans) < 64:
-            self._plans[cache_key] = plan
+            self._plans[dirty] = plan
         return plan
 
     def affected(self, dirty: frozenset | None, observed=None, fields=()) -> set:
@@ -420,12 +416,11 @@ class DependencyGraph:
         wanted = set(observed)
         return _closure(wanted, self.precedents) | wanted
 
-    def compile(self, wb: Workbook, cells: set, observed=None, fields=()) -> Plan:
-        """The formula ``cells`` as one plan, run in topological order.
-        With ``observed=None`` it writes every cell and returns ()."""
-        cells, emitter, top, before = self.emit(wb, cells, observed, fields)
-        label = f"plan cells {len(before) * _CHUNK}+"
-        return Plan(cells, emitter.function(label, top, before, observed or ()))
+    def compile(self, wb: Workbook, cells: set) -> Plan:
+        """The formula ``cells`` as one plan, run in topological order,
+        writing every cell."""
+        cells, emitter, _, before = self.emit(wb, cells)
+        return Plan(cells, emitter.function(f"plan cells {len(before) * _CHUNK}+", before))
 
     def emit(self, wb: Workbook, cells: set, observed=None, fields=(), carry=()):
         """The formula ``cells`` in topological order, the emitter of the
@@ -459,7 +454,7 @@ class DependencyGraph:
             for key in cells[start : start + _CHUNK]:
                 emitter.cell(key, wb._formulas[key], key in writes)
             if start // _CHUNK < last:
-                before.append(emitter.function(f"plan cells {start}+", (), (), ()))
+                before.append(emitter.function(f"plan cells {start}+"))
         return cells, emitter, top, before
 
 
@@ -545,27 +540,17 @@ def build_graph(wb: Workbook) -> DependencyGraph:
     return graph
 
 
-def compile_plan(wb: Workbook, dirty, observed, fields=()) -> Plan:
-    """The formula cells downstream of the ``dirty`` and ``fields`` keys
-    and upstream of the ``observed`` keys, as ``run(values, row=())``.
-
-    ``row`` holds the texts of the ``fields`` (literal keys), which are
-    not read from ``values``. ``run`` returns the observed values in
-    order and writes a cell to ``values`` only where a range or a later
-    generated function reads it.
-    """
-    return _current_graph(wb).plan(wb, frozenset(dirty), tuple(observed), tuple(fields))
-
-
 def inline_plan(wb: Workbook, dirty, observed, fields=(), carry=()):
-    """The plan ``compile_plan`` builds, as code for a function the caller
-    writes around it. Returns ``(cells, lines, emitter)``: the formula
-    cells, the plan's statements (see ``_Emitter.statements``) and their
-    emitter. It gives the code for each key's value (``operand``), says
-    whether that can be an error, and compiles the caller's source with
-    the names the statements use (``define``). Its ``carry`` keys are
-    locals the caller sets before the statements run, to values that are
-    never errors; the other ``carry`` keys are read from ``values``.
+    """The formula cells downstream of the ``dirty`` and ``fields`` keys
+    and upstream of the ``observed`` keys, as code for a function the
+    caller writes around it. Returns ``(cells, lines, emitter)``: the
+    cells, the plan's statements (see ``_Emitter.statements``), which
+    take the ``fields``' texts from ``row``, and their emitter. It gives
+    the code for each key's value (``operand``), says whether that can be
+    an error, and compiles the caller's source with the names the
+    statements use (``define``). Its ``carry`` keys are locals the caller
+    sets before the statements run, to values that are never errors; the
+    other ``carry`` keys are read from ``values``.
     """
     graph = _current_graph(wb)
     observed, fields = tuple(observed), tuple(fields)

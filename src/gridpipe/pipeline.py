@@ -19,8 +19,8 @@ copies it into the carry-forward cells. A malformed record, named as it
 is read, or a record's ``DataError`` ends the run, or under
 ``skip-and-log`` is counted and logged: one loop serves both. Cross-row
 rules (duplicate detection) fall out of the carry-forward mechanism.
-Also hosts the sorted-file comparison loop, which drives a status cell
-through a compiled plan in Python.
+A comparison compiles one function the same way, ``merge``: the loop
+over a pair of sorted files with the status cell's plan inline.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import time
 from csv import Error as CsvError
 
 from .csvio import atomic_output, encode_record, malformed, open_fields, parse_line, read_records
-from .engine import compile_constants, compile_plan, inline_plan
+from .engine import compile_constants, inline_plan
 from .errors import ConfigError, DataError, check_choices, warn
 from .functions import NUMBER
 from .report import Subtotals
-from .values import CellError, render_value
+from .values import CellError
 from .workbook import CellRange, Workbook
 
 __all__ = [
@@ -286,9 +286,9 @@ def run_pipeline(
     (stats.records_read, stats.records_written, stats.records_skipped,
      stats.records_errored) = counts
     stats.elapsed = time.perf_counter() - started
-    assert stats.records_read == (
-        stats.records_written + stats.records_skipped + stats.records_errored
-    ), "record conservation violated"
+    if counts[0] != sum(counts[1:]):
+        raise RuntimeError("record conservation violated: read {}, written {}, "
+                           "skipped {}, errored {}".format(*counts))
     return stats
 
 
@@ -457,55 +457,68 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     left_range, right_range, status_key = compare_cells(wb)
     fields = [*left_range.keys(), *right_range.keys()]
     compile_constants(wb, fields, [status_key]).run(wb.values)
-    run, values = compile_plan(wb, [], [status_key], fields).run, wb.values
-    left_width, right_width = left_range.size(), right_range.size()
-    name = wb.cell_name(status_key)
-    row = out = ()
+    _, lines, emitter = inline_plan(wb, [], [status_key], fields)
+    source = _merge_source(wb, emitter, lines, left_range.size(), status_key)
+    merge = emitter.define("merge", "compare loop", source, values=wb.values,
+                           _fit_fields=_fit_fields, StatusCellError=StatusCellError)
 
-    left_records = read_records(spec.left_path)
-    right_records = read_records(spec.right_path)
+    lefts, rights = read_records(spec.left_path), read_records(spec.right_path)
     if spec.has_headings:
-        next(left_records, None)
-        next(right_records, None)
-
+        next(lefts, None)
+        next(rights, None)
     report = CompareReport()
-    left = next(left_records, None)
-    right = next(right_records, None)
-    index = 0
-    while left is not None and right is not None:
-        index += 1
-        row = (_fit_fields(left[1], left_width, "pad-truncate", index)
-               + _fit_fields(right[1], right_width, "pad-truncate", index))
-        (status,) = out = run(values, row)
-        if status.__class__ is CellError:
-            raise StatusCellError(f"record pair {index}: status cell {name} is {status.code}")
-        verdict = render_value(status).strip().upper()
-        if verdict == "LEFT":
-            report.left_only.append(left[0])
-            left = next(left_records, None)
-        elif verdict == "RIGHT":
-            report.right_only.append(right[0])
-            right = next(right_records, None)
-        elif verdict == "MATCH":
-            report.matches += 1
-            left = next(left_records, None)
-            right = next(right_records, None)
-        else:
-            raise StatusCellError(
-                f"record pair {index}: status cell returned {verdict!r}, "
-                "expected LEFT, RIGHT, or MATCH"
-            )
-    values.update(zip(fields, row))  # the last pair's fields and status
-    values.update(zip([status_key], out))
-    while left is not None:
-        report.left_only.append(left[0])
-        left = next(left_records, None)
-    while right is not None:
-        report.right_only.append(right[0])
-        right = next(right_records, None)
+    report.matches = merge(lefts, rights, report.left_only, report.right_only)
 
     if spec.output_path:
         with atomic_output(spec.output_path) as out:
             for line in report.lines():
                 out.write(line + "\n")
     return report
+
+
+def _merge_source(wb, emitter, lines, left_width, status_key) -> str:
+    """The source of ``merge(lefts, rights, left_only, right_only)``, the
+    comparison's loop over record pairs, numbered from 1, around the
+    status plan's ``lines``; it returns the number of matches. Each side
+    is fitted to its range (pad-truncate), the status is tested for an
+    error if it can be one, and its text, stripped and upper-cased, is the
+    verdict. Afterwards the last pair's fields and status, if a pair was
+    evaluated, are written back to ``values``."""
+    status, name = emitter.operand(status_key), emitter.const(wb.cell_name(status_key))
+    sides = (("left", left_width), ("right", len(emitter.fields) - left_width))
+    body = ["index += 1",
+            "row = " + " + ".join(f"({side}[1] if len({side}[1]) == {width} else "
+                                  f"_fit_fields({side}[1], {width}, 'pad-truncate', index))"
+                                  for side, width in sides),
+            *lines]
+    if emitter.can_fail(status_key):
+        body.append(f"if {status}.__class__ is CellError: raise StatusCellError("
+                    f'f"record pair {{index}}: status cell {{{name}}} is {{{status}.code}}")')
+    body += [f"verdict = {emitter.text_of(status_key)}.strip().upper()",
+             'if verdict == "LEFT":',
+             "    left_only.append(left[0])",
+             "    left = next(lefts, None)",
+             'elif verdict == "RIGHT":',
+             "    right_only.append(right[0])",
+             "    right = next(rights, None)",
+             'elif verdict == "MATCH":',
+             "    matches += 1",
+             "    left = next(lefts, None)",
+             "    right = next(rights, None)",
+             "else:",
+             '    raise StatusCellError(f"record pair {index}: status cell returned {verdict!r}, "',
+             '                          "expected LEFT, RIGHT, or MATCH")']
+    source = ["get = values.get",
+              "matches = index = 0",
+              "left, right = next(lefts, None), next(rights, None)",
+              "while left is not None and right is not None:",
+              *(f"    {text}" for text in body)]
+    for side, _ in sides:  # each side's tail is one-sided
+        source += [f"if {side} is not None:", f"    {side}_only.append({side}[0])",
+                   f"    {side}_only.extend(raw for raw, _ in {side}s)"]
+    source += ["if index:",
+               *(f"    values[{key!r}] = {emitter.operand(key)}"
+                 for key in [*emitter.fields, status_key]),
+               "return matches"]
+    return ("def merge(lefts, rights, left_only, right_only):\n"
+            + "".join(f"    {text}\n" for text in source))

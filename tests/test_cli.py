@@ -690,6 +690,16 @@ def test_compare_command(workdir, capsys):
     assert "left-only 1" in capsys.readouterr().err
 
 
+def test_a_compare_whose_status_cell_errs_exits_2_and_writes_no_diff(workdir, capsys):
+    sheet = _read(workdir, "compare.sheet").replace('=IF(A2=F2,"MATCH"', '=IF(A2=F2,1/0')
+    _write(workdir, "compare.sheet", sheet)
+    _write(workdir, "left.csv", "1,a\n")
+    _write(workdir, "right.csv", "1,b\n")
+    assert main(["compare", str(workdir / "compare.job")]) == 2
+    assert capsys.readouterr().err == "error: record pair 1: status cell Main!K2 is #DIV/0!\n"
+    assert not (workdir / "diff.txt").exists()
+
+
 # --- check --------------------------------------------------------------------------
 
 

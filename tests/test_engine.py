@@ -11,10 +11,11 @@ from gridpipe.config import load_definition
 from gridpipe.engine import (
     _CHUNK,
     CycleError,
+    Plan,
     UnknownNameError,
     build_graph,
-    compile_plan,
     evaluate_source,
+    inline_plan,
     recalculate,
 )
 from gridpipe.formula import ParseError, parse_formula
@@ -170,6 +171,22 @@ def _keys(wb, *names):
     return [key for name in names for key in wb.resolve_name(name).keys()]
 
 
+def _run_of(emitter, lines, observed):
+    """A plan's statements ``lines`` wrapped into ``run(values, row=())``,
+    which returns the ``observed`` values as a tuple."""
+    returns = "".join(f"{emitter.operand(key)}, " for key in observed)
+    body = ["get = values.get", *lines, f"return ({returns})"]
+    source = "def run(values, row=()):\n" + "".join(f"    {text}\n" for text in body)
+    return emitter.define("run", "test plan", source)
+
+
+def _compile(wb, dirty, observed, fields=()):
+    """The plan ``inline_plan`` gives, the code the record loops of
+    ``run`` and ``compare`` execute, as a function ``run(values, row)``."""
+    cells, lines, emitter = inline_plan(wb, dirty, observed, fields)
+    return Plan(cells, _run_of(emitter, lines, observed))
+
+
 @pytest.mark.parametrize(
     "sheet,dirty,observed,cells",
     [
@@ -185,7 +202,7 @@ def _keys(wb, *names):
 )
 def test_fixture_plans_hold_only_observed_work(sheet, dirty, observed, cells):
     wb = load_definition(f"{FIXTURES}/{sheet}")
-    plan = compile_plan(wb, _keys(wb, *dirty), _keys(wb, *observed))
+    plan = _compile(wb, _keys(wb, *dirty), _keys(wb, *observed))
     assert sorted(format_a1(row, col) for _, row, col in plan.cells) == cells
 
 
@@ -195,7 +212,7 @@ def test_pruned_plan_writes_back_only_observed_cells():
     stale = {a1: wb.get_value(_addr(a1)) for a1 in ("F2", "F10")}
     wb.write_range(wb.resolve_name("InputCells"), [["1", "Toga", "Purple", "MCDLIX"]])
     observed = _keys(wb, "OutputCells")
-    out = compile_plan(wb, _keys(wb, "InputCells"), observed).run(wb.values)
+    out = _compile(wb, _keys(wb, "InputCells"), observed).run(wb.values)
     wb.values.update(zip(observed, out))
     assert wb.get_value(_addr("H2")) == "1,Toga,Purple,1459"
     # F2 is evaluated but not observed, F10 is not evaluated: both stale
@@ -220,7 +237,7 @@ def test_ranges_over_unobserved_plan_cells_read_fresh_values():
     recalculate(wb)
     wb.set_cell(_addr("A1"), 5.0)
     observed = [_addr(a1).key() for a1 in ("C1", "C2", "C3")]
-    out = compile_plan(wb, [_addr("A1").key()], observed).run(wb.values)
+    out = _compile(wb, [_addr("A1").key()], observed).run(wb.values)
     wb.values.update(zip(observed, out))
     assert [wb.get_value(_addr(a1)) for a1 in ("C1", "C2", "C3")] == [10.0, 22.0, NA_ERROR]
 
@@ -231,7 +248,7 @@ def _pruned_step_matches_full_recalculation(rng, max_cells=50):
     dirty = wbgen.mutate_literals(rng, wb, literals, count=rng.randint(1, 4))
     formulas = sorted(wb._formulas)
     observed = rng.sample(formulas, rng.randint(0, len(formulas)))
-    out = compile_plan(wb, [addr.key() for addr in dirty], observed).run(wb.values)
+    out = _compile(wb, [addr.key() for addr in dirty], observed).run(wb.values)
     wb.values.update(zip(observed, out))
     got = wbgen.snapshot(wb)
     recalculate(wb)  # depends on the literals alone, so it can run after
@@ -255,9 +272,9 @@ def test_plans_spanning_several_generated_functions_agree_with_full():
 
 
 def test_every_plan_returns_its_observed_values_and_writes_only_hand_overs():
-    # One plan contract with or without fields: ``run`` returns the
-    # observed values and writes a cell only where a later generated
-    # function reads it; ``recalculate`` (observed=None) writes every cell.
+    # A record loop's plan gives the observed values and writes a cell
+    # only where a later generated function reads it; ``recalculate``
+    # writes every cell.
     cells = {"A1": 3.0}
     for row in range(2, 13):
         cells[f"A{row}"] = f"=A{row - 1}+1" if row % 2 else f'=LEN(A{row - 1}&"x")'
@@ -266,7 +283,7 @@ def test_every_plan_returns_its_observed_values_and_writes_only_hand_overs():
     wb = _sheet(cells)
     observed = sorted(wb._formulas) + [_addr("A1").key(), _addr("Z9").key()]
     random.Random(0).shuffle(observed)
-    plan = compile_plan(wb, [_addr("A1").key()], observed)
+    plan = _compile(wb, [_addr("A1").key()], observed)
     assert len(plan.cells) > 2 * _CHUNK
     out = plan.run(wb.values)
     last_chunk = plan.cells[(len(plan.cells) - 1) // _CHUNK * _CHUNK :]
@@ -389,7 +406,7 @@ def test_compare_status_cell_compiles_if_as_control_flow():
     from gridpipe.functions import if_
 
     wb = load_definition(f"{FIXTURES}/compare.sheet")
-    plan = compile_plan(wb, [], _keys(wb, "Status"), _keys(wb, "LeftCells", "RightCells"))
+    plan = _compile(wb, [], _keys(wb, "Status"), _keys(wb, "LeftCells", "RightCells"))
     assert [name for name, value in plan.run.__globals__.items() if value is if_] == []
     assert plan.run(wb.values, ["9", "", "", "", "10", "", "", ""]) == ("RIGHT",)
 
@@ -459,7 +476,7 @@ def _record_step_matches_full_recalculation(rng, max_cells=50):
     cells = sorted(wb._formulas) + sorted(wb._literals)
     observed = rng.sample(cells, rng.randint(0, len(cells)))
     before = wbgen.snapshot(wb)
-    out = compile_plan(wb, [], observed, fields).run(wb.values, row)
+    out = _compile(wb, [], observed, fields).run(wb.values, row)
     written = {k: v for k, v in wbgen.snapshot(wb).items() if before.get(k) != v}
     wb.values.update(zip(fields, row))  # the pipeline's write-back
     wb.values.update(zip(observed, out))
@@ -496,7 +513,7 @@ def _step_values(cells: dict, fields: dict, observed: list):
     recalculate(wb)
     keys = [_addr(a1).key() for a1 in observed]
     row = list(fields.values())
-    out = compile_plan(wb, [], keys, [_addr(a1).key() for a1 in fields]).run(wb.values, row)
+    out = _compile(wb, [], keys, [_addr(a1).key() for a1 in fields]).run(wb.values, row)
     for a1, text in fields.items():
         wb.set_cell(_addr(a1), text)
     recalculate(wb)
@@ -620,8 +637,10 @@ def test_typed_code_agrees_with_the_eager_implementations():
             values.append(value)
         source = f"={texts[0]}&{texts[1]}" if name == "&" else f"={name}({','.join(texts)})"
         wb.set_cell(_addr("A3"), parse_formula(source))
-        plan = build_graph(wb).plan(wb, None, (("MAIN", 3, 1),), tuple(fields))
-        (got,) = plan.run(wb.values, row)
+        graph, observed, fields = build_graph(wb), (("MAIN", 3, 1),), tuple(fields)
+        _, emitter, top, before = graph.emit(wb, graph.affected(None, observed, fields),
+                                             observed, fields)
+        (got,) = _run_of(emitter, emitter.statements(top, before), observed)(wb.values, row)
         want = _eager(name, values)
         assert (got.__class__, repr(got)) == (want.__class__, repr(want)), (case, source, values)
 
@@ -645,7 +664,7 @@ def test_the_skip_cell_reads_its_carried_id_once_and_checks_no_boolean(monkeypat
     monkeypatch.setattr(engine_mod, "compile", spy, raising=False)
     wb = load_definition(f"{FIXTURES}/dedup.sheet")
     input_range, skip, _, carry = run_cells(wb)
-    plan = compile_plan(wb, carry, (skip,), tuple(input_range.keys()))
+    plan = _compile(wb, carry, (skip,), tuple(input_range.keys()))
     (source,) = sources
     assert source.count("get(('MAIN', 2, 13), BLANK)") == 1
     assert source.count("CellError") == 1  # the check of that read

@@ -32,7 +32,8 @@ from gridpipe.pipeline import (
     run_pipeline,
     validate_headers,
 )
-from gridpipe.workbook import CellRange, Workbook, parse_a1
+from gridpipe.engine import _CHUNK
+from gridpipe.workbook import CellRange, Workbook, format_a1, parse_a1
 
 
 def _addr(a1, sheet="Main"):
@@ -935,3 +936,134 @@ def test_compare_leaves_the_last_pair_in_its_cells(workdir):
     assert wb.read_range(wb.resolve_name("LeftCells")) == [["3", "b", "", ""]]
     assert wb.read_range(wb.resolve_name("RightCells")) == [["3", "", "", ""]]
     assert wb.get_value(_addr("K2")) == "MATCH"
+
+
+def _status_workbook(status, left_width=1, right_width=1, cells=None):
+    """A comparison over LeftCells from A2 and RightCells from F2, of the
+    given widths, with ``status`` in the Status cell K2 and ``cells``
+    (A1 -> formula) beside it."""
+    wb = Workbook()
+    for a1, source in {**(cells or {}), "K2": status}.items():
+        wb.set_cell(_addr(a1), parse_formula(source))
+    wb.define_name("LeftCells", _rng("A2", format_a1(2, left_width)))
+    wb.define_name("RightCells", _rng("F2", format_a1(2, 5 + right_width)))
+    wb.define_name("Status", _rng("K2", "K2"))
+    return wb
+
+
+def _compare(workdir, wb, left, right, **kw):
+    """The one-sided records and the matches of comparing ``left`` with
+    ``right``; the diff file must hold the report's lines."""
+    _write(workdir, left, "left.csv")
+    _write(workdir, right, "right.csv")
+    spec = CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv"),
+                       output_path=str(workdir / "diff.txt"), **kw)
+    report = compare_files(spec, wb)
+    assert (workdir / "diff.txt").read_text() == "".join(line + "\n" for line in report.lines())
+    return report.left_only, report.right_only, report.matches
+
+
+@pytest.mark.parametrize("status,left,pair", [
+    ("=1/0", "1\n2\n", 1),  # a constant, outside the plan
+    ("=A2/0", "1\n2\n", 1),
+    ('=IF(A2="3",1/0,IF(A2<F2,"LEFT",IF(A2>F2,"RIGHT","MATCH")))', "1\n2\n3\n", 3),
+])
+def test_a_status_cell_holding_an_error_names_the_pair(workdir, status, left, pair):
+    with pytest.raises(StatusCellError) as err:
+        _compare(workdir, _status_workbook(status), left, "2\n3\n")
+    assert str(err.value) == f"record pair {pair}: status cell Main!K2 is #DIV/0!"
+    assert not (workdir / "diff.txt").exists()
+
+
+@pytest.mark.parametrize("status,text", [("=TRUE", "TRUE"), ("=1", "1"), ("=A2=F2", "TRUE"),
+                                         ("=LEN(A2)", "1"), ("=Z9", "")])
+def test_a_status_that_is_no_side_is_rejected_as_its_text(workdir, status, text):
+    with pytest.raises(StatusCellError) as err:
+        _compare(workdir, _status_workbook(status), "1\n", "1\n")
+    assert str(err.value) == (
+        f"record pair 1: status cell returned {text!r}, expected LEFT, RIGHT, or MATCH"
+    )
+
+
+def test_a_padded_lower_case_verdict_is_accepted(workdir):
+    wb = _status_workbook('=IF(A2<F2," left ",IF(A2>F2,"right ","Match"))')
+    assert _compare(workdir, wb, "1\n2\n4\n", "2\n3\n4\n5\n") == (["1"], ["3", "5"], 2)
+
+
+def test_a_status_plan_of_several_generated_functions_compares(workdir):
+    # Twelve cells between the fields and the status: more than _CHUNK,
+    # so the status plan's last function calls those before it, which
+    # read the fields.
+    cells = {"B1": '=A2&""', "G1": '=F2&""'}
+    for row in range(2, 7):
+        cells[f"B{row}"] = f'=B{row - 1}&""'
+        cells[f"G{row}"] = f'=G{row - 1}&""'
+    wb = _status_workbook('=IF(B6=G6,"MATCH",IF(B6<G6,"LEFT","RIGHT"))', cells=cells)
+    assert len(wb._formulas) > 1.5 * _CHUNK
+    report = _compare(workdir, wb, "1\n3\n4\n6\n", "2\n3\n5\n6\n7\n")
+    assert report == (["1", "4"], ["2", "5", "7"], 2)
+    # the last pair evaluated, 6 against 6, is left in the cells
+    assert [wb.get_value(_addr(a1)) for a1 in ("A2", "F2", "K2")] == ["6", "6", "MATCH"]
+
+
+def test_short_and_long_records_are_fitted_for_the_status_and_reported_as_read(workdir):
+    # The status compares each side's first and fourth fields: a short
+    # record is padded with empty fields and a long one truncated, on
+    # either side, and a one-sided record is reported as written.
+    wb = _status_workbook(
+        '=IF(A2&"|"&D2=F2&"|"&I2,"MATCH",IF(A2&"|"&D2<F2&"|"&I2,"LEFT","RIGHT"))', 4, 4
+    )
+    left = '1,a\n2,a,b,c,d,e\n"3,x",y,z\n4,p,q,r,s\n\n'
+    right = '1\n2,p,q,c,extra\n"3,x","y",,w\n4,,,r\n'
+    assert _compare(workdir, wb, left, right) == (['"3,x",y,z', ""], ['"3,x","y",,w'], 3)
+    # the last pair, fitted: "4,p,q,r,s" against "4,,,r"
+    assert wb.read_range(wb.resolve_name("LeftCells")) == [["4", "p", "q", "r"]]
+    assert wb.read_range(wb.resolve_name("RightCells")) == [["4", "", "", "r"]]
+    assert wb.get_value(_addr("K2")) == "MATCH"
+
+
+@pytest.mark.parametrize("left,right,expected", [
+    ("", "1\n2\n", ([], ["1", "2"], 0)),
+    ("1\n2\n", "", (["1", "2"], [], 0)),
+    ("", "", ([], [], 0)),
+])
+def test_an_empty_side_is_all_one_sided_and_evaluates_no_pair(workdir, left, right, expected):
+    wb = load_definition(workdir / "compare.sheet")
+    before = dict(wb.values)
+    assert _compare(workdir, wb, left, right) == expected
+    assert wb.values == before
+
+
+@pytest.mark.parametrize("left,right,expected", [
+    ("Id\n", "Id\n", ([], [], 0)),
+    ("Id\n", "Id\n1,a\n", ([], ["1,a"], 0)),
+    ("Id\n1,a\n", "Id\n", (["1,a"], [], 0)),
+    ("", "Id\n1,a\n", ([], ["1,a"], 0)),
+])
+def test_header_only_files_compare_with_headings(workdir, left, right, expected):
+    wb = load_definition(workdir / "compare.sheet")
+    before = dict(wb.values)
+    assert _compare(workdir, wb, left, right, has_headings=True) == expected
+    assert wb.values == before
+
+
+def test_a_miscounting_record_loop_is_an_error_not_an_assertion(workdir, monkeypatch):
+    # The run checks that every record read was written, skipped or
+    # errored with an explicit test, which ``python -O`` keeps.
+    import gridpipe.pipeline as pipeline
+
+    loop_source = pipeline._loop_source
+
+    def miscounting(*args):
+        source, names = loop_source(*args)
+        ending = "return read, written, skipped, errored\n"
+        assert source.endswith(ending)
+        return source.replace(ending, "return read, written - 1, skipped, errored\n"), names
+
+    monkeypatch.setattr(pipeline, "_loop_source", miscounting)
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,I\n2,Belt,Tan,V\n")
+    with pytest.raises(RuntimeError) as err:
+        run_pipeline(_spec(workdir), _caesar(workdir))
+    assert str(err.value) == (
+        "record conservation violated: read 2, written 1, skipped 0, errored 0"
+    )
