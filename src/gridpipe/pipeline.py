@@ -156,8 +156,10 @@ def _range_for(wb: Workbook, name: str) -> CellRange:
     return wb.resolve_name(name)
 
 
-def _record_range(wb: Workbook, name: str, what: str) -> CellRange:
-    """The named range records are written to; it must hold no formula."""
+def _record_range(wb: Workbook, name: str, what: str, beside=None) -> CellRange:
+    """The named range records are written to; it must hold no formula,
+    nor share a cell with ``beside``, the ``(what, range)`` the command
+    writes its other records to."""
     rng = _range_for(wb, name)
     for addr in rng.addresses():
         if wb.formula_at(addr) is not None:
@@ -165,6 +167,11 @@ def _record_range(wb: Workbook, name: str, what: str) -> CellRange:
                 f"{what} range {rng} overlaps formula cell {addr}; "
                 "writing records there would destroy the rule"
             )
+    if beside is not None and not set(rng.keys()).isdisjoint(beside[1].keys()):
+        raise ConfigError(
+            f"{what} range {rng} overlaps {beside[0]} range {beside[1]}; "
+            "a record written to one would overwrite the other's"
+        )
     return rng
 
 
@@ -224,7 +231,8 @@ def run_cells(wb: Workbook):
 
     carry_keys: list = []
     if wb.has_name("CarryForward"):
-        carry_keys = list(_record_range(wb, "CarryForward", "carry-forward").keys())
+        carry_range = _record_range(wb, "CarryForward", "carry-forward", ("input", input_range))
+        carry_keys = list(carry_range.keys())
         if len(carry_keys) not in (1, len(payload_keys)):
             raise ConfigError(
                 f"carry-forward range holds {len(carry_keys)} cells; "
@@ -436,11 +444,9 @@ def compare_cells(wb: Workbook):
     """The checks ``compare_files`` makes before it streams, which the job
     loader makes too. Reads no data and compiles nothing; returns
     ``(left_range, right_range, status_key)``."""
-    return (
-        _record_range(wb, "LeftCells", "left"),
-        _record_range(wb, "RightCells", "right"),
-        _single_cell(wb, "Status", "status"),
-    )
+    left_range = _record_range(wb, "LeftCells", "left")
+    right_range = _record_range(wb, "RightCells", "right", ("left", left_range))
+    return left_range, right_range, _single_cell(wb, "Status", "status")
 
 
 def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:

@@ -10,25 +10,26 @@ keys follow the scalar in a tuple. Each section collects ``(key, raw)``
 pairs in a chunk; with a memory budget, a full chunk is sorted and
 spilled, when the next row arrives, as a run of pickled blocks holding
 one section after the other. The last chunk is never written: it is the
-last run of the final merge, and with nothing spilled its only run.
+last run of the final merge, and with nothing spilled its only run. A
+merge generation's runs share one unnamed scratch file, and a run is the
+offset of its next block there; the system removes the file when it is
+closed or its process dies, even by SIGKILL.
 
 A merge takes one section at a time from at most MERGE_FAN_IN runs and
 is ``heapq.merge`` over their pairs, keyed by the pair's key: equal keys
 leave in run order, and the chunk is the last run, so the external path
 is byte-identical to the in-memory one. The merged pairs are regrouped
-into blocks of ``_BLOCK``, and each block is written with one call.
-Memory is O(budget + MERGE_FAN_IN x block). Because every sort is
-stable, sorting by the last key, then the next, up to the first, gives
-exactly the composite multi-key order -- which is also how more keys
-than a sort dialog allows can be applied by hand.
+into blocks of ``_BLOCK``, and each block is written with one call. While
+MERGE_FAN_IN runs or more remain, a generation merges them into a new
+file and closes the old one. Memory is O(budget + MERGE_FAN_IN x block).
+Because every sort is stable, sorting by the last key, then the next,
+up to the first, gives exactly the composite multi-key order -- which is
+also how more keys than a sort dialog allows can be applied by hand.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import tempfile
-from contextlib import ExitStack
 from heapq import merge
 from itertools import chain, compress, islice
 from operator import itemgetter, not_
@@ -257,9 +258,9 @@ def sort_file(spec: SortSpec) -> int:
     """Sort a delimited file per the spec; returns the data row count.
 
     Synchronous: when it returns the output file is complete. With a
-    memory budget the input is cut into sorted runs which are merged a
-    bounded number at a time, so the row budget is honoured and file
-    handles stay bounded.
+    memory budget, sorted runs of at most that many rows are merged at
+    most MERGE_FAN_IN at a time, each generation's in one unnamed file
+    in ``scratch_dir``.
     """
     records = read_records(spec.input_path)
     header_raw = None
@@ -278,19 +279,18 @@ def sort_file(spec: SortSpec) -> int:
     # A full chunk spills only when another row arrives, so the last
     # chunk always stays in memory; without a budget nothing spills.
     spill_at = spec.memory_budget_rows if spec.memory_budget_rows > 0 else None
-    scratch = None
-    runs: list[str] = []
+    scratch = None  # the current generation's file, made by the first spill
+    runs: list[list[int]] = []  # each run's cursor in it
     chunk: tuple[list, list] = ([], [])
     size = 0
     try:
         for block, columns in _keyed_blocks(records, indices, spill_at):
             if size == spill_at:
                 if scratch is None:
-                    scratch = tempfile.mkdtemp(prefix="gridsort-", dir=spec.scratch_dir)
+                    scratch = tempfile.TemporaryFile(dir=spec.scratch_dir)
                 for section in chunk:
                     section.sort(key=_first)
-                path = os.path.join(scratch, f"run-{len(runs):06d}")
-                runs.append(_write_run(path, ([chunk[s]] for s in order)))
+                runs.append(_write_run(scratch, ([chunk[s]] for s in order)))
                 chunk = ([], [])
                 size = 0
             numbers, texts = split(columns, list(map(_first, block)))
@@ -302,37 +302,30 @@ def sort_file(spec: SortSpec) -> int:
 
         # Merge at most MERGE_FAN_IN runs at a time until the spilled
         # runs and the last chunk can stream straight into the output.
-        generation = 0
         while len(runs) >= MERGE_FAN_IN:
-            generation += 1
-            groups = [runs[i : i + MERGE_FAN_IN] for i in range(0, len(runs), MERGE_FAN_IN)]
-            runs = []
-            for group in groups:
-                path = os.path.join(scratch, f"merge-{generation}-{len(runs):06d}")
-                with ExitStack() as stack:
-                    handles = [stack.enter_context(open(done, "rb")) for done in group]
-                    sections = (_merge(list(map(_run_section, handles))) for _ in order)
-                    runs.append(_write_run(path, sections))
-                for done in group:
-                    os.remove(done)
+            source, scratch = scratch, tempfile.TemporaryFile(dir=spec.scratch_dir)
+            with source:  # closing the old generation's file frees its space
+                groups = [runs[i : i + MERGE_FAN_IN] for i in range(0, len(runs), MERGE_FAN_IN)]
+                runs = []
+                for group in groups:
+                    sections = (_merge([_run_section(source, c) for c in group]) for _ in order)
+                    runs.append(_write_run(scratch, sections))
 
         # The chunk merges last, so equal keys keep their input order.
         count = 0
-        with ExitStack() as stack:
-            handles = [stack.enter_context(open(path, "rb")) for path in runs]
-            out = stack.enter_context(atomic_output(spec.output_path))
+        with atomic_output(spec.output_path) as out:
             if header_raw is not None:
                 out.write(header_raw + "\n")
             for s in order:
                 pairs = chunk[s]
                 blocks = (pairs[i : i + _BLOCK] for i in range(0, len(pairs), _BLOCK))
-                for batch in _merge([*map(_run_section, handles), blocks]):
+                for batch in _merge([*(_run_section(scratch, c) for c in runs), blocks]):
                     out.write("\n".join(map(_second, batch)) + "\n")
                     count += len(batch)
         return count
     finally:
         if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
+            scratch.close()
 
 
 def _merge(runs: list):
@@ -345,24 +338,30 @@ def _merge(runs: list):
     return iter(lambda: list(islice(pairs, _BLOCK)), [])
 
 
-def _write_run(path: str, sections) -> str:
-    """Store ``sections``, each an iterable of sorted pair batches, at
-    ``path`` as pickled blocks of at most ``_BLOCK`` pairs, each section
-    ended by an empty block; returns the path."""
+def _write_run(handle, sections) -> list[int]:
+    """Append ``sections``, each an iterable of sorted pair batches, to
+    ``handle`` as pickled blocks of at most ``_BLOCK`` pairs, each section
+    ended by an empty block; returns the run's cursor, ``[offset]``."""
     import pickle  # importing it raises peak RSS: only a sort that spills pays
 
-    with open(path, "wb") as handle:
-        for batches in sections:
-            for batch in batches:
-                for start in range(0, len(batch), _BLOCK):
-                    pickle.dump(batch[start : start + _BLOCK], handle, pickle.HIGHEST_PROTOCOL)
-            pickle.dump([], handle, pickle.HIGHEST_PROTOCOL)
-    return path
+    cursor = [handle.tell()]
+    for batches in sections:
+        for batch in batches:
+            for start in range(0, len(batch), _BLOCK):
+                pickle.dump(batch[start : start + _BLOCK], handle, pickle.HIGHEST_PROTOCOL)
+        pickle.dump([], handle, pickle.HIGHEST_PROTOCOL)
+    return cursor
 
 
-def _run_section(handle):
-    """The blocks of the next section of a run file ``_write_run`` wrote."""
+def _run_section(handle, cursor: list[int]):
+    """The blocks of a run's next section in ``handle``, a file its
+    generation's runs share; reading a block moves ``cursor`` past it."""
     import pickle
 
-    while block := pickle.load(handle):
+    while True:
+        handle.seek(cursor[0])
+        block = pickle.load(handle)
+        cursor[0] = handle.tell()
+        if not block:
+            return
         yield block

@@ -796,6 +796,14 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, top_lines, 
          "[compare] status cell 'Status' must be a single cell"),
         ("compare.sheet", "[names]", "cell B2 = =A2\n[names]", "compare.job",
          "[compare] left range Main!A2:D2 overlaps formula cell Main!B2"),
+        # Record ranges of one command share no cell: one record would
+        # overwrite the other before any formula reads it.
+        ("compare.sheet", "RightCells = Main!F2:I2", "RightCells = Main!C2:F2", "compare.job",
+         "[compare] right range Main!C2:F2 overlaps left range Main!A2:D2; "
+         "a record written to one would overwrite the other's"),
+        ("dedup.sheet", "CarryForward = Main!M2:P2", "CarryForward = Main!A2:D2", "dedup.job",
+         "[pipeline] carry-forward range Main!A2:D2 overlaps input range Main!A2:D2; "
+         "a record written to one would overwrite the other's"),
         ("store.job", "job = Number : Item, Colour", "job = sum : Item", "store.job",
          "[subtotals] job: subtotal measures is empty"),
         ("store.job", "store_raw.csv\n\n[sort]\noutput = store_sorted.csv\nkey = 1 asc\n",
@@ -890,7 +898,8 @@ def test_check_rejects_a_sort_key_that_sort_rejects(workdir, capsys, top_lines, 
          "caesar.job is already named by the job file"),
     ],
     ids=["skip-2-cells", "carry-2-cells", "formula-in-input", "output-only-skip",
-         "status-2-cells", "formula-in-left", "subtotal-without-measures", "unknown-sort-key",
+         "status-2-cells", "formula-in-left", "right-over-left", "carry-over-input",
+         "subtotal-without-measures", "unknown-sort-key",
          "unknown-sort-key-in-input", "unknown-subtotal-column", "subtotals-without-header",
          "header-mismatch", "removed-header-key", "header-mismatch-before-run-sorts",
          "header-mismatch-before-sort", "no-input-cells", "no-output-cells", "no-left-cells",

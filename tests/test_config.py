@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -453,6 +454,23 @@ def test_store_job_fixture_loads(workdir):
     assert job.sort is not None and job.pipeline is not None
     assert job.subtotals.job_lines == ["Number : Item, Colour"]
     assert run_cells(job.workbook)[1] == _addr("G2").key()  # the Skip cell
+
+
+@pytest.mark.parametrize(
+    "sheet, old, new, job, problem",
+    [("compare.sheet", "RightCells = Main!F2:I2", "RightCells = Main!C2:F2", "compare.job",
+      "right range Main!C2:F2 overlaps left range Main!A2:D2"),
+     ("dedup.sheet", "CarryForward = Main!M2:P2", "CarryForward = Main!B2:E2", "dedup.job",
+      "carry-forward range Main!B2:E2 overlaps input range Main!A2:D2")],
+    ids=["right-over-left", "carry-over-input"],
+)
+def test_record_ranges_of_one_command_may_not_share_a_cell(workdir, sheet, old, new, job,
+                                                           problem):
+    text = (workdir / sheet).read_text(encoding="utf-8")
+    assert old in text
+    (workdir / sheet).write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        load_job(workdir / job)
 
 
 # --- read-once guarantee ---------------------------------------------------------

@@ -6,8 +6,10 @@ import contextlib
 import errno
 import os
 import random
+import signal
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -320,6 +322,78 @@ def test_failed_sort_leaves_no_files_and_unspilled_sort_no_scratch(tmp_path):
         assert sort_file(spec) == len(rows)
 
 
+def _track_scratch_files(monkeypatch) -> list:
+    """The scratch files sorts make from now on, as they make them."""
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def tracking_temporary_file(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", tracking_temporary_file)
+    return made
+
+
+def test_a_spilling_sort_makes_one_unnamed_scratch_file_per_generation(tmp_path, monkeypatch):
+    # 5,000 rows at budget 16 spill 312 runs into one file, and one
+    # generation merges them into a second, 5 runs, before the output.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    _write_rows(tmp_path / "in.csv", [[str(i * 7919 % 5000), str(i)] for i in range(5000)])
+    spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "mem.csv"))
+    sort_file(spec)
+    scratch_files = _track_scratch_files(monkeypatch)
+    listings = []
+    sections = sortio._run_section
+
+    def listing_section(*args):
+        if not listings:
+            listings.append(sorted(path.name for path in scratch.iterdir()))
+        yield from sections(*args)
+
+    monkeypatch.setattr(sortio, "_run_section", listing_section)
+    spec.output_path = str(tmp_path / "ext.csv")
+    spec.memory_budget_rows = 16
+    spec.scratch_dir = str(scratch)
+    assert sort_file(spec) == 5000
+    assert listings == [[]]  # no scratch file has a name, even while the sort reads it
+    assert len(scratch_files) == 2
+    assert all(handle.closed for handle in scratch_files)
+    assert list(scratch.iterdir()) == []
+    assert (tmp_path / "ext.csv").read_bytes() == (tmp_path / "mem.csv").read_bytes()
+
+
+_KILLED_AFTER_ONE_RUN = """
+import os, signal, sys
+from gridpipe import sortio
+
+write_run = sortio._write_run
+
+def write_run_and_die(*args):
+    write_run(*args)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+sortio._write_run = write_run_and_die
+source, target, scratch = sys.argv[1:]
+sortio.sort_file(sortio.SortSpec(source, target, memory_budget_rows=1250, scratch_dir=scratch))
+"""
+
+
+def test_a_sort_killed_after_its_first_spill_leaves_nothing_behind(tmp_path):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    _write_rows(tmp_path / "in.csv", [[str(i * 7919 % 10_000), str(i)] for i in range(10_000)])
+    killed = subprocess.run(
+        [sys.executable, "-c", _KILLED_AFTER_ONE_RUN, str(tmp_path / "in.csv"),
+         str(tmp_path / "out.csv"), str(scratch)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert killed.returncode == -signal.SIGKILL
+    assert list(scratch.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "scratch"]
+
+
 class _FullAfterOneWrite:
     """An output handle whose disk fills after its first write."""
 
@@ -343,19 +417,13 @@ def test_a_sort_failing_mid_merge_leaves_nothing_behind(tmp_path, monkeypatch, f
     _write_rows(tmp_path / "in.csv", [[str(i % 37), str(i)] for i in range(400)])
     (tmp_path / "out.csv").write_text("previous\n", encoding="utf-8")
     full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    scratch_files = _track_scratch_files(monkeypatch)
     opened = []
-
-    def tracking_open(*args, **kwargs):
-        handle = open(*args, **kwargs)
-        opened.append(handle)
-        return handle
-
-    monkeypatch.setattr(sortio, "open", tracking_open, raising=False)
     if fault == "run read":
         sections = sortio._run_section
 
-        def failing_section(handle):
-            for block in sections(handle):
+        def failing_section(handle, cursor):
+            for block in sections(handle, cursor):
                 yield block
                 raise full
 
@@ -375,9 +443,9 @@ def test_a_sort_failing_mid_merge_leaves_nothing_behind(tmp_path, monkeypatch, f
     with pytest.raises(OSError) as failure:
         sort_file(spec)
     assert failure.value is full
-    names = [os.path.basename(handle.name) for handle in opened]
-    assert any(name.startswith("merge-") for name in names) == (budget < 7)
-    assert all(handle.closed for handle in opened)
+    # The spill's file, and at budget 6 the generation's.
+    assert len(scratch_files) == (2 if budget < 7 else 1)
+    assert all(handle.closed for handle in scratch_files + opened)
     assert list(scratch.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "scratch"]
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "previous\n"
