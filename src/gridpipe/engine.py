@@ -1,27 +1,27 @@
 """Dependency graph construction and deterministic recalculation.
 
 Every evaluation runs a *plan*: formula cells in topological order as
-generated code over the workbook's value dict. ``recalculate``,
-``compile_constants`` and ``evaluate_source`` compile it into one
-function ``run(values, row=())``; the record loops of ``run`` and
-``compare`` take it as statements (``inline_plan``) inside the loop they
-generate. In it each plan cell and each field of ``row`` is a local, a
-precedent outside the plan is one ``values.get``, and operator and
+generated code over the workbook's value dict. ``recalculate`` and
+``evaluate_source`` compile it into one function ``run(values,
+row=())``; the record loops of ``run`` and ``compare`` take it as
+statements (``inline_plan``) inside the loop they generate. In it each
+plan cell and each field of ``row`` is a local, a precedent outside the
+plan is read from ``values`` where a formula reads it, and operator and
 function implementations are constants called directly, or direct code
 where an operand's kind (text, bool, number) is known. ``IF`` is an
 ``if``/``else``: its condition, then only the branch taken. Every value
 read or computed that can be an error is checked, and an error breaks
-out of its cell where the formula first meets it, left to right. The
-plans of ``recalculate`` and ``compile_constants`` write every cell; a
-record loop's plan writes only those a range or a later generated
-function reads. A plan of more than ``_CHUNK`` cells is several
-functions: the last one calls those before it.
+out of its cell where the formula first meets it, left to right.
+``recalculate``'s plans write every cell; a record loop's plan writes
+only those a range or a later generated function reads. A plan of more
+than ``_CHUNK`` cells is several functions: the last one calls those
+before it.
 
 A record loop's plan is pruned by demand: cells downstream of the fields
 and upstream of the output, skip or status cells. ``recalculate``
 evaluates every cell downstream of its dirty cells, and caches its plan
-per dirty set. Before a loop starts, ``compile_constants`` evaluates once
-the cells its plan reads that no record changes; every other cell stays
+per dirty set. Before a loop starts, ``inline_plan`` evaluates once the
+cells its plan reads that no record changes; every other cell stays
 stale, or never evaluated, until the next ``recalculate(wb)``. A loop is
 compiled once per call, so nothing is rebuilt per record.
 """
@@ -60,7 +60,6 @@ __all__ = [
     "UnknownNameError",
     "build_graph",
     "inline_plan",
-    "compile_constants",
     "recalculate",
     "evaluate_source",
 ]
@@ -167,7 +166,6 @@ class _Emitter:
     def cell(self, key: tuple, ast, write: bool) -> None:
         target = self.target = f"c{len(self.locals)}"
         self.breaks = False
-        self.reads: dict[tuple, str] = {}  # a key read and checked here -> its local
         self.lines.append("while True:")
         operand, kind = self.expr(ast, key[0])
         if kind is _RANGE:  # a bare range is no cell value
@@ -183,14 +181,12 @@ class _Emitter:
             self.lines.append(f"values[{key!r}] = {target}")
 
     def read(self, key: tuple):
+        """A cell's value, checked where it is referenced if it can be an error."""
         local = self.locals.get(key)
-        if local is None:  # read once, checked, then reused where that read has run
-            if key not in self.reads:
-                self.reads[key] = self.temp(f"get({key!r}, BLANK)")
-            return self.reads[key], _ANY
-        if key in self.fails and key not in self.reads:  # checked once, as a read is
+        if local is None:
+            return self.temp(f"get({key!r}, BLANK)"), _ANY
+        if key in self.fails:
             self.check(local)
-            self.reads[key] = local
         return local, self.kinds[key]
 
     def if_else(self, args, sheet: str):
@@ -205,9 +201,7 @@ class _Emitter:
         self.temps += 1
         otherwise = args[2] if len(args) > 2 else None  # a missing branch gives FALSE
         kinds = []
-        reads = self.reads  # a branch reuses the reads before it, not the other's
         for head, arg in (f"if {condition}:", args[1]), ("else:", otherwise):
-            self.reads = dict(reads)
             self.emit(head)
             self.indent += "    "
             operand, kind = ("False", BOOL) if arg is None else self.expr(arg, sheet)
@@ -217,7 +211,6 @@ class _Emitter:
                 self.emit(f"{result} = {operand}")
             self.indent = self.indent[:-4]
             kinds.append(kind)
-        self.reads = reads
         return result, kinds[0] if kinds[0] is kinds[1] else _ANY
 
     def binary(self, op: str, left, left_kind, right, right_kind):
@@ -400,16 +393,10 @@ class DependencyGraph:
             self._plans[dirty] = plan
         return plan
 
-    def affected(self, dirty: frozenset | None, observed=None, fields=()) -> set:
-        """The formula cells a plan evaluates: downstream of the ``dirty``
-        and ``fields`` keys (every one for ``dirty=None``) and, unless
-        ``observed`` is None, upstream of the ``observed`` keys."""
-        affected = (
-            set(self.order) if dirty is None else _closure(dirty.union(fields), self.dependents)
-        )
-        if observed is not None:
-            affected &= self.upstream(observed)
-        return affected
+    def affected(self, dirty: frozenset | None) -> set:
+        """The formula cells downstream of the ``dirty`` keys (every one
+        for ``dirty=None``)."""
+        return set(self.order) if dirty is None else _closure(dirty, self.dependents)
 
     def upstream(self, observed) -> set:
         """The ``observed`` keys and every key they read, directly or not."""
@@ -427,9 +414,10 @@ class DependencyGraph:
         last chunk of them (at most ``_CHUNK``), the ``fields`` a range
         reads and the functions that compute the chunks before it.
 
-        Each ``carry`` key that no range reads is a local of the emitter,
-        if one chunk holds every cell; its value is the caller's to set,
-        and is never an error.
+        Each ``carry`` key is a local of the emitter, whose value the
+        caller sets, unless a range reads it, the cells span several
+        chunks, or its value is an error now: the caller sets it only to
+        values that are never errors.
         """
         if observed is None:
             writes = set(cells)
@@ -447,7 +435,8 @@ class DependencyGraph:
             if any(chunk_of.get(d, -1) > chunk_of[key] for d in self.dependents.get(key, ()))
         }
         top = [key for key in fields if key in self.block_reads]
-        carry = [] if last else [k for k in carry if k not in self.block_reads and k not in fields]
+        carry = [] if last else [k for k in carry if k not in self.block_reads
+                                 and wb.values.get(k).__class__ is not CellError]
         before = []
         for start in range(0, max(len(cells), 1), _CHUNK):
             emitter = _Emitter(wb, fields, carry)
@@ -540,33 +529,29 @@ def build_graph(wb: Workbook) -> DependencyGraph:
     return graph
 
 
-def inline_plan(wb: Workbook, dirty, observed, fields=(), carry=()):
-    """The formula cells downstream of the ``dirty`` and ``fields`` keys
+def inline_plan(wb: Workbook, observed, fields=(), carry=()):
+    """The formula cells downstream of the ``fields`` and ``carry`` keys
     and upstream of the ``observed`` keys, as code for a function the
-    caller writes around it. Returns ``(cells, lines, emitter)``: the
-    cells, the plan's statements (see ``_Emitter.statements``), which
-    take the ``fields``' texts from ``row``, and their emitter. It gives
-    the code for each key's value (``operand``), says whether that can be
-    an error, and compiles the caller's source with the names the
-    statements use (``define``). Its ``carry`` keys are locals the caller
-    sets before the statements run, to values that are never errors; the
-    other ``carry`` keys are read from ``values``.
+    caller writes around it, once the cells upstream of ``observed`` that
+    neither feeds are evaluated into ``values``. Returns ``(cells, lines,
+    emitter)``: the cells, the plan's statements (see
+    ``_Emitter.statements``), which take the ``fields``' texts from
+    ``row``, and their emitter. It gives the code for each key's value
+    (``operand``), says whether that can be an error, and compiles the
+    caller's source with the names the statements use (``define``). Its
+    ``carry`` keys (see ``DependencyGraph.emit``) are locals the caller
+    sets before the statements run; the other carry keys are read from
+    ``values``.
     """
     graph = _current_graph(wb)
     observed, fields = tuple(observed), tuple(fields)
-    cells = graph.affected(frozenset(dirty), observed, fields)
-    cells, emitter, top, before = graph.emit(wb, cells, observed, fields, carry)
+    upstream = graph.upstream(observed)
+    fed = graph.affected(frozenset(fields).union(carry))
+    constants = (upstream - fed) & graph.precedents.keys()
+    if constants:
+        graph.compile(wb, constants).run(wb.values)
+    cells, emitter, top, before = graph.emit(wb, fed & upstream, observed, fields, carry)
     return cells, emitter.statements(top, before), emitter
-
-
-def compile_constants(wb: Workbook, streamed, observed) -> Plan:
-    """The formula cells upstream of (or among) the ``observed`` keys that
-    no ``streamed`` key feeds, as ``run(values)`` writing each to
-    ``values``: what a stream reads but never changes, evaluated once
-    before it starts."""
-    graph = _current_graph(wb)
-    cells = graph.upstream(observed) - _closure(streamed, graph.dependents)
-    return graph.compile(wb, cells & graph.precedents.keys())
 
 
 def _current_graph(wb: Workbook) -> DependencyGraph:

@@ -30,11 +30,11 @@ import time
 from csv import Error as CsvError
 
 from .csvio import atomic_output, encode_record, malformed, open_fields, parse_line, read_records
-from .engine import compile_constants, inline_plan
+from .engine import inline_plan
 from .errors import ConfigError, DataError, check_choices, warn
 from .functions import NUMBER
 from .report import Subtotals
-from .values import CellError
+from .values import BLANK
 from .workbook import CellRange, Workbook
 
 __all__ = [
@@ -250,11 +250,14 @@ def run_pipeline(
     """Stream the input file through the workbook into the output file.
 
     Each record evaluates only the formula cells the output and skip
-    cells read (``plan_cells`` in the stats). Afterwards the input,
-    output and skip cells hold the last record's values and the other
-    formula cells are stale, or never evaluated if the run did not need
-    them; ``recalculate(wb)`` refreshes them. With ``progress_every``, a
-    ``records processed: N`` line goes to stderr every N records read.
+    cells read (``plan_cells`` in the stats). The carry-forward cells
+    start from the definition's literals, so two runs of one workbook
+    agree. Afterwards the input, output and skip cells hold the last
+    record's values, the carry-forward cells the last kept record's, and
+    the other formula cells are stale, or never evaluated if the run did
+    not need them; ``recalculate(wb)`` refreshes them. With
+    ``progress_every``, a ``records processed: N`` line goes to stderr
+    every N records read.
 
     With a ``report``, its jobs resolve against the header line and each
     written record is added to its tables as it is written, as if the
@@ -266,13 +269,9 @@ def run_pipeline(
     observed = dict.fromkeys(payload_keys, "output cell")
     if skip_key is not None:
         observed = {skip_key: "skip cell", **observed}
-    fields = list(input_range.keys())
-    # cells the plan reads but no record changes are computed once
-    compile_constants(wb, fields + carry_keys, observed).run(wb.values)
-    # A carry-forward cell is a local of the loop unless it holds an error
-    # now: the loop writes only texts there, so the local is never one.
-    carry_locals = [key for key in carry_keys if wb.values.get(key).__class__ is not CellError]
-    cells, lines, emitter = inline_plan(wb, carry_keys, observed, fields, carry_locals)
+    for key in carry_keys:  # from the definition, not from an earlier run
+        wb.values[key] = wb._literals.get(key, BLANK)
+    cells, lines, emitter = inline_plan(wb, observed, input_range.keys(), carry_keys)
     stats = RunStats(plan_cells=[wb.cell_name(key) for key in cells])
     with (atomic_output(spec.output_path) as out,
           open_fields(spec.input_path, spec.has_headings) as (head, records)):
@@ -325,9 +324,9 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
     ``malformed`` in the same pass. Under ``skip-and-log`` that error is
     counted and logged and the reader goes on at the next physical line,
     as one ``try`` per record counts and logs a record's ``DataError``.
-    The carry-forward cells no range reads are locals of the loop; it
-    writes them, and the last record's fields and observed values, back
-    to ``values`` at the end.
+    The carry-forward cells the plan takes as locals (``emitter.carry``)
+    are locals of the loop; it writes them, and the last record's fields
+    and observed values, back to ``values`` at the end.
     """
     operand, fields, carry_locals = emitter.operand, emitter.fields, emitter.carry
     skip_key = next((key for key, role in observed.items() if role == "skip cell"), None)
@@ -461,9 +460,7 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     until ``recalculate(wb)``.
     """
     left_range, right_range, status_key = compare_cells(wb)
-    fields = [*left_range.keys(), *right_range.keys()]
-    compile_constants(wb, fields, [status_key]).run(wb.values)
-    _, lines, emitter = inline_plan(wb, [], [status_key], fields)
+    _, lines, emitter = inline_plan(wb, [status_key], [*left_range.keys(), *right_range.keys()])
     source = _merge_source(wb, emitter, lines, left_range.size(), status_key)
     merge = emitter.define("merge", "compare loop", source, values=wb.values,
                            _fit_fields=_fit_fields, StatusCellError=StatusCellError)

@@ -180,11 +180,14 @@ def _run_of(emitter, lines, observed):
     return emitter.define("run", "test plan", source)
 
 
-def _compile(wb, dirty, observed, fields=()):
+def _compile(wb, carry, observed, fields=()):
     """The plan ``inline_plan`` gives, the code the record loops of
-    ``run`` and ``compare`` execute, as a function ``run(values, row)``."""
-    cells, lines, emitter = inline_plan(wb, dirty, observed, fields)
-    return Plan(cells, _run_of(emitter, lines, observed))
+    ``run`` and ``compare`` execute, as a function ``run(values, row)``.
+    Its carry locals take their values from ``values`` before the
+    statements, as the run's loop does before its first record."""
+    cells, lines, emitter = inline_plan(wb, observed, fields, carry)
+    prologue = [f"{emitter.locals[key]} = get({key!r}, BLANK)" for key in emitter.carry]
+    return Plan(cells, _run_of(emitter, prologue + lines, observed))
 
 
 @pytest.mark.parametrize(
@@ -638,50 +641,50 @@ def test_typed_code_agrees_with_the_eager_implementations():
         source = f"={texts[0]}&{texts[1]}" if name == "&" else f"={name}({','.join(texts)})"
         wb.set_cell(_addr("A3"), parse_formula(source))
         graph, observed, fields = build_graph(wb), (("MAIN", 3, 1),), tuple(fields)
-        _, emitter, top, before = graph.emit(wb, graph.affected(None, observed, fields),
-                                             observed, fields)
+        cells = graph.affected(None) & graph.upstream(observed)
+        _, emitter, top, before = graph.emit(wb, cells, observed, fields)
         (got,) = _run_of(emitter, emitter.statements(top, before), observed)(wb.values, row)
         want = _eager(name, values)
         assert (got.__class__, repr(got)) == (want.__class__, repr(want)), (case, source, values)
 
 
-def test_the_skip_cell_reads_its_carried_id_once_and_checks_no_boolean(monkeypatch):
-    # dedup.sheet's G2 is =IF(ISBLANK(M2),FALSE,EXACT(A2,M2)). M2 lies
-    # outside the plan: it is read and checked once, before the IF, and
-    # that read is reused in the branch. ISBLANK and EXACT give no error,
-    # so nothing checks their results.
-    import builtins
-
-    import gridpipe.engine as engine_mod
+def test_the_skip_cell_reads_its_carried_id_once_and_checks_no_boolean():
+    # dedup.sheet's G2 is =IF(ISBLANK(M2),FALSE,EXACT(A2,M2)). M2 is a
+    # carry-forward cell, a local the loop sets once, to a text or blank:
+    # the statements neither read it from ``values`` nor check it.
+    # ISBLANK and EXACT give no error, so nothing checks their results.
     from gridpipe.pipeline import run_cells
 
-    sources = []
-
-    def spy(source, *args):
-        sources.append(source)
-        return builtins.compile(source, *args)
-
-    monkeypatch.setattr(engine_mod, "compile", spy, raising=False)
     wb = load_definition(f"{FIXTURES}/dedup.sheet")
     input_range, skip, _, carry = run_cells(wb)
-    plan = _compile(wb, carry, (skip,), tuple(input_range.keys()))
-    (source,) = sources
-    assert source.count("get(('MAIN', 2, 13), BLANK)") == 1
-    assert source.count("CellError") == 1  # the check of that read
+    fields, m2, row = tuple(input_range.keys()), ("MAIN", 2, 13), ("1", "Toga", "Purple", "I")
+    _, lines, emitter = inline_plan(wb, (skip,), fields, carry)
+    assert m2 in emitter.carry
+    assert "get(" not in "".join(lines) and "CellError" not in "".join(lines)
     values = dict(wb.values)
-    assert plan.run(values, ("1", "Toga", "Purple", "I")) == (False,)
-    values[("MAIN", 2, 13)] = "1"
-    assert plan.run(values, ("1", "Toga", "Purple", "I")) == (True,)
+    plan = _compile(wb, carry, (skip,), fields)
+    assert plan.run(values, row) == (False,)
+    values[m2] = "1"
+    assert plan.run(values, row) == (True,)
+    # A carry cell holding an error now is no local: each of the two
+    # references reads it from ``values`` and checks it.
+    wb.set_cell(_addr("M2"), NA_ERROR)
+    _, lines, emitter = inline_plan(wb, (skip,), fields, carry)
+    assert m2 not in emitter.carry
+    statements = "\n".join(lines)
+    assert statements.count("get(('MAIN', 2, 13), BLANK)") == 2
+    assert statements.count("CellError") == 2
+    assert _compile(wb, carry, (skip,), fields).run(wb.values, row) == (NA_ERROR,)
 
 
 @pytest.mark.parametrize(
     "source, condition, expected",
     [
-        # B1 is read before the IF and reused in both branches.
+        # B1 is read where each reference is, before the IF and in
+        # the branch taken.
         ('=B1&IF(A1,B1,B1&"!")', True, "xx"),
         ('=B1&IF(A1,B1,B1&"!")', False, "xx!"),
-        # A read inside one branch serves neither the other branch nor
-        # what follows the IF.
+        # A read inside one branch is made again after the IF.
         ('=IF(A1,B1,"n")&B1', True, "xx"),
         ('=IF(A1,B1,"n")&B1', False, "nx"),
         ('=IF(A1,B1,B1&"!")&IF(NOT(A1),B1,"y")', False, "x!x"),

@@ -201,6 +201,30 @@ def test_run_reads_formula_constants_outside_the_stream(workdir, output):
     assert _output(workdir) == "n,roman\n2\n0.5\n"
 
 
+def test_a_loop_compiles_a_constants_function_only_where_it_has_constants(workdir, monkeypatch):
+    import gridpipe.engine as engine
+
+    sources = []
+    monkeypatch.setattr(
+        engine, "compile", lambda source, *args: sources.append(source) or builtins.compile(source, *args),
+        raising=False,
+    )
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n")
+    run_pipeline(_spec(workdir), _caesar(workdir))
+    assert [source.split("(")[0] for source in sources] == ["def stream"]
+    sources.clear()
+    _write(workdir, "1\n", "left.csv")
+    _write(workdir, "2\n", "right.csv")
+    compare_files(CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv")),
+                  load_definition(workdir / "compare.sheet"))
+    assert [source.split("(")[0] for source in sources] == ["def merge"]
+    sources.clear()
+    _write(workdir, "n,roman\n1,MM\n")
+    run_pipeline(_spec(workdir), _constant_workbook("=ARABIC(B2)/Z1"))
+    constants, stream = sources
+    assert "('MAIN', 1, 26)" in constants and stream.startswith("def stream(")
+
+
 def test_run_leaves_the_workings_it_does_not_need_unevaluated(workdir):
     _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n")
     wb = _caesar(workdir)
@@ -502,6 +526,29 @@ def test_carry_forward_holds_last_kept_record(workdir):
     run_pipeline(_spec(workdir), wb)
     carried = wb.read_range(wb.resolve_name("CarryForward"))
     assert carried == [["1", "Toga", "Purple", "1459"]]
+
+
+@pytest.mark.parametrize(
+    "skip",
+    ["=IF(ISBLANK(M2),FALSE,EXACT(A2,M2))",
+     "=IF(COUNT(M2:M2)>0,FALSE,IF(ISBLANK(M2),FALSE,EXACT(A2,M2)))"],
+    ids=["carry-local", "carry-read-by-a-range"],
+)
+def test_two_runs_of_one_workbook_both_write_the_record(workdir, skip):
+    # The second run starts its carry-forward cells from the definition,
+    # not from the first run's last kept record, whether M2 is a local of
+    # the loop or, read by a range, goes through ``values``.
+    sheet = (workdir / "dedup.sheet").read_text(encoding="utf-8")
+    _write(workdir, sheet.replace("cell G2 = =IF(ISBLANK(M2),FALSE,EXACT(A2,M2))",
+                                  f"cell G2 = {skip}"), "dedup.sheet")
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,I\n")
+    wb = load_definition(workdir / "dedup.sheet")
+    outputs = []
+    for _ in range(2):
+        stats = run_pipeline(_spec(workdir), wb)
+        outputs.append((_output(workdir), stats.records_written, stats.records_skipped))
+    assert outputs == [("Id,Item,Colour,Number\n1,Toga,Purple,1\n", 1, 0)] * 2
+    assert wb.read_range(wb.resolve_name("CarryForward")) == [["1", "Toga", "Purple", "1"]]
 
 
 def test_single_cell_carry_forward_receives_joined_record(workdir):
