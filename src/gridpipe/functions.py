@@ -283,45 +283,38 @@ def len_(args):
     return float(len(render_value(args[0])))
 
 
-def _text_and_count(args):
-    """LEFT/RIGHT arguments: the text, and the count (default 1)."""
-    return render_value(args[0]), to_number(args[1]) if len(args) > 1 else 1.0
+def _whole(value, least: int):
+    """A count argument: the whole number ``value`` reads as, if it is at
+    least ``least``; else #VALUE!."""
+    n = to_number(value)
+    if n.__class__ is CellError:
+        return n
+    return int(n) if n >= least and n.is_integer() else VALUE_ERROR
 
 
 @_register("LEFT", 1, 2, (SCALAR, SCALAR))
 def left(args):
-    t, n = _text_and_count(args)
-    if n.__class__ is CellError:
-        return n
-    if n < 0 or not n.is_integer():
-        return VALUE_ERROR
-    return t[: int(n)]
+    n = _whole(args[1], 0) if len(args) > 1 else 1
+    return n if n.__class__ is CellError else render_value(args[0])[:n]
 
 
 @_register("RIGHT", 1, 2, (SCALAR, SCALAR))
 def right(args):
-    t, n = _text_and_count(args)
+    n = _whole(args[1], 0) if len(args) > 1 else 1
     if n.__class__ is CellError:
         return n
-    if n < 0 or not n.is_integer():
-        return VALUE_ERROR
-    k = int(n)
-    return t[-k:] if k else ""
+    return render_value(args[0])[-n:] if n else ""
 
 
 @_register("MID", 3, 3, (SCALAR, SCALAR, SCALAR))
 def mid(args):
-    t = render_value(args[0])
-    start = to_number(args[1])
+    start = _whole(args[1], 1)
     if start.__class__ is CellError:
         return start
-    length = to_number(args[2])
+    length = _whole(args[2], 0)
     if length.__class__ is CellError:
         return length
-    if start < 1 or length < 0 or not start.is_integer() or not length.is_integer():
-        return VALUE_ERROR
-    begin = int(start) - 1
-    return t[begin : begin + int(length)]
+    return render_value(args[0])[start - 1 : start - 1 + length]
 
 
 @_register("SUBSTITUTE", 3, 4, (SCALAR, SCALAR, SCALAR, SCALAR))
@@ -331,15 +324,13 @@ def substitute(args):
     new = render_value(args[2])
     if len(args) == 3:
         return t.replace(old, new) if old else t
-    instance = to_number(args[3])
+    instance = _whole(args[3], 1)
     if instance.__class__ is CellError:
         return instance
-    if instance < 1 or not instance.is_integer():
-        return VALUE_ERROR
     if not old:
         return t
     index = -1
-    for _ in range(int(instance)):
+    for _ in range(instance):
         index = t.find(old, index + 1)
         if index < 0:
             return t

@@ -125,12 +125,6 @@ class RunStats:
         """The statistics by name, in the order ``__slots__`` lists them."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def __eq__(self, other):
-        if other.__class__ is not RunStats:
-            return NotImplemented
-        counts = self.__slots__[:-1]  # plan_cells is not compared
-        return [getattr(self, n) for n in counts] == [getattr(other, n) for n in counts]
-
 
 def validate_headers(found: list[str], expected: list[str]) -> None:
     """Positional, case-insensitive header comparison that ignores

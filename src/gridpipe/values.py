@@ -172,59 +172,25 @@ def _finite(value: float) -> CellValue:
     return value if math.isfinite(value) else NUM_ERROR
 
 
-def add(a: CellValue, b: CellValue) -> CellValue:
-    x = to_number(a)
-    if x.__class__ is CellError:
-        return x
-    y = to_number(b)
-    if y.__class__ is CellError:
-        return y
-    return _finite(x + y)
+def _numeric(op):
+    """A binary operator on numbers: each operand goes through
+    ``to_number``, the left operand's error first, then ``op(x, y)``."""
+
+    def run(a: CellValue, b: CellValue) -> CellValue:
+        x = to_number(a)
+        if x.__class__ is CellError:
+            return x
+        y = to_number(b)
+        if y.__class__ is CellError:
+            return y
+        return op(x, y)
+
+    return run
 
 
-def subtract(a: CellValue, b: CellValue) -> CellValue:
-    x = to_number(a)
-    if x.__class__ is CellError:
-        return x
-    y = to_number(b)
-    if y.__class__ is CellError:
-        return y
-    return _finite(x - y)
-
-
-def multiply(a: CellValue, b: CellValue) -> CellValue:
-    x = to_number(a)
-    if x.__class__ is CellError:
-        return x
-    y = to_number(b)
-    if y.__class__ is CellError:
-        return y
-    return _finite(x * y)
-
-
-def divide(a: CellValue, b: CellValue) -> CellValue:
-    x = to_number(a)
-    if x.__class__ is CellError:
-        return x
-    y = to_number(b)
-    if y.__class__ is CellError:
-        return y
-    if y == 0.0:
-        return DIV0
-    return _finite(x / y)
-
-
-def power(a: CellValue, b: CellValue) -> CellValue:
-    x = to_number(a)
-    if x.__class__ is CellError:
-        return x
-    y = to_number(b)
-    if y.__class__ is CellError:
-        return y
-    if x == 0.0 and y == 0.0:
-        return NUM_ERROR
-    if x == 0.0 and y < 0.0:
-        return DIV0
+def _power(x: float, y: float) -> CellValue:
+    if x == 0.0 and y <= 0.0:
+        return NUM_ERROR if y == 0.0 else DIV0
     if x < 0.0 and not y.is_integer():
         return NUM_ERROR
     try:
@@ -246,12 +212,10 @@ def negate(a: CellValue) -> CellValue:
     return -x
 
 
-def unary_plus(a: CellValue) -> CellValue:
-    return to_number(a)
-
-
 # Type rank for ordering comparisons across kinds: number < text < boolean.
 _TYPE_RANK = {float: 0, str: 1, bool: 2}
+# The value a blank takes against an operand of each kind.
+_BLANK_AS = {float: 0.0, str: "", bool: False}
 
 
 def compare(a: CellValue, b: CellValue) -> int:
@@ -264,22 +228,12 @@ def compare(a: CellValue, b: CellValue) -> int:
     when it compiles and checks every operand for an error first.
     """
     ca, cb = a.__class__, b.__class__
-    if ca is Blank and cb is Blank:
-        return 0
     if ca is Blank:
-        if cb is float:
-            a, ca = 0.0, float
-        elif cb is str:
-            a, ca = "", str
-        else:
-            a, ca = False, bool
+        if cb is Blank:
+            return 0
+        a, ca = _BLANK_AS[cb], cb
     elif cb is Blank:
-        if ca is float:
-            b, cb = 0.0, float
-        elif ca is str:
-            b, cb = "", str
-        else:
-            b, cb = False, bool
+        b, cb = _BLANK_AS[ca], ca
     if ca is not cb:
         return _TYPE_RANK[ca] - _TYPE_RANK[cb]
     if ca is str:
@@ -287,33 +241,19 @@ def compare(a: CellValue, b: CellValue) -> int:
     return (a > b) - (a < b)
 
 
-def _cmp_op(op):
-    def run(a: CellValue, b: CellValue) -> bool:
-        return op(compare(a, b))  # operands as ``compare`` takes them
-
-    return run
-
-
-eq = _cmp_op(lambda c: c == 0)
-ne = _cmp_op(lambda c: c != 0)
-lt = _cmp_op(lambda c: c < 0)
-le = _cmp_op(lambda c: c <= 0)
-gt = _cmp_op(lambda c: c > 0)
-ge = _cmp_op(lambda c: c >= 0)
-
 BINARY_OPS = {
-    "+": add,
-    "-": subtract,
-    "*": multiply,
-    "/": divide,
-    "^": power,
+    "+": _numeric(lambda x, y: _finite(x + y)),
+    "-": _numeric(lambda x, y: _finite(x - y)),
+    "*": _numeric(lambda x, y: _finite(x * y)),
+    "/": _numeric(lambda x, y: DIV0 if y == 0.0 else _finite(x / y)),
+    "^": _numeric(_power),
     "&": concat,
-    "=": eq,
-    "<>": ne,
-    "<": lt,
-    "<=": le,
-    ">": gt,
-    ">=": ge,
+    "=": lambda a, b: compare(a, b) == 0,
+    "<>": lambda a, b: compare(a, b) != 0,
+    "<": lambda a, b: compare(a, b) < 0,
+    "<=": lambda a, b: compare(a, b) <= 0,
+    ">": lambda a, b: compare(a, b) > 0,
+    ">=": lambda a, b: compare(a, b) >= 0,
 }
 
-UNARY_OPS = {"-": negate, "+": unary_plus}
+UNARY_OPS = {"-": negate, "+": to_number}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +19,11 @@ from gridpipe.functions import (
     roman_text,
 )
 from gridpipe.values import (
+    BINARY_OPS,
     BLANK,
     Blank,
     CellError,
+    DIV0,
     NA_ERROR,
     NUM_ERROR,
     RangeValue,
@@ -28,6 +32,7 @@ from gridpipe.values import (
     _NUMBER_RE,
     parse_number,
     render_value,
+    UNARY_OPS,
     to_number,
 )
 from gridpipe.workbook import Workbook, parse_a1
@@ -417,3 +422,130 @@ def test_an_error_renders_as_its_code_and_coerces_to_value_error():
     assert to_number(NUM_ERROR) == VALUE_ERROR  # not a scalar to coerce
     with pytest.raises(TypeError):
         render_value(object())
+
+
+# --- operand rules, over a grid ------------------------------------------------
+# Every operator, and every count argument of LEFT, RIGHT, MID and
+# SUBSTITUTE, against a reference written here: the kinds
+# ``_random_scalar`` draws, numeric text with spaces, and fractions.
+
+_OPERANDS = [BLANK, 0.0, 3.0, -5.0, "", "x", "3", "TRUE", "Skip", True, False, " 4 ", 2.5, -1.5]
+_TEXT_NUMBERS = {"3": 3.0, " 4 ": 4.0, "2": 2.0}  # every other text in the grid is not a number
+
+
+def _number(v):
+    if v is BLANK:
+        return 0.0
+    if isinstance(v, bool):
+        return 1.0 if v else 0.0
+    if isinstance(v, float):
+        return v
+    return _TEXT_NUMBERS.get(v, VALUE_ERROR)
+
+
+def _arithmetic(op):
+    def run(a, b):
+        x, y = _number(a), _number(b)
+        if isinstance(x, CellError):
+            return x
+        return y if isinstance(y, CellError) else op(x, y)
+
+    return run
+
+
+def _over(x, y):
+    return DIV0 if y == 0 else x / y
+
+
+def _raised(x, y):
+    if x == 0 and y <= 0:
+        return NUM_ERROR if y == 0 else DIV0
+    return NUM_ERROR if x < 0 and y != int(y) else float(x**y)
+
+
+def _text(v):
+    if v is BLANK:
+        return ""
+    if isinstance(v, bool):
+        return "TRUE" if v else "FALSE"
+    if isinstance(v, float):
+        return str(int(v)) if v == int(v) else repr(v)
+    return v
+
+
+def _ordered(a, b):
+    """Blank is the other side's zero; number < text < boolean; text
+    ignores case."""
+    zero = {Blank: 0.0, float: 0.0, str: "", bool: False}
+    a, b = (zero[type(b)] if a is BLANK else a), (zero[type(a)] if b is BLANK else b)
+    rank = {float: 0, str: 1, bool: 2}
+    ka, kb = ((rank[type(v)], v.upper() if isinstance(v, str) else v) for v in (a, b))
+    return (ka > kb) - (ka < kb)
+
+
+def _comparison(test):
+    return lambda a, b: test(_ordered(a, b))
+
+
+_BINARY_REFERENCE = {
+    "+": _arithmetic(operator.add),
+    "-": _arithmetic(operator.sub),
+    "*": _arithmetic(operator.mul),
+    "/": _arithmetic(_over),
+    "^": _arithmetic(_raised),
+    "&": lambda a, b: _text(a) + _text(b),
+    "=": _comparison(lambda c: c == 0),
+    "<>": _comparison(lambda c: c != 0),
+    "<": _comparison(lambda c: c < 0),
+    "<=": _comparison(lambda c: c <= 0),
+    ">": _comparison(lambda c: c > 0),
+    ">=": _comparison(lambda c: c >= 0),
+}
+_UNARY_REFERENCE = {
+    "-": lambda a: _number(a) if isinstance(_number(a), CellError) else -_number(a),
+    "+": _number,
+}
+
+
+def _same(got, want):
+    return (type(got), repr(got)) == (type(want), repr(want))
+
+
+def test_operators_follow_the_operand_rules_over_a_grid():
+    assert set(BINARY_OPS) == set(_BINARY_REFERENCE) and set(UNARY_OPS) == set(_UNARY_REFERENCE)
+    for op, fn in BINARY_OPS.items():
+        for a, b in product(_OPERANDS, repeat=2):
+            want = _BINARY_REFERENCE[op](a, b)
+            assert _same(fn(a, b), want), (a, op, b, want)
+    for op, fn in UNARY_OPS.items():
+        for a in _OPERANDS:
+            want = _UNARY_REFERENCE[op](a)
+            assert _same(fn(a), want), (op, a, want)
+
+
+# Each count, and the whole number it stands for (None: not one).
+_COUNTS = [(0.0, 0), (1.0, 1), (2.5, None), (-1.0, None), ("2", 2), (True, 1), (BLANK, 0), ("x", None)]
+
+
+def _whole(n, least):
+    return VALUE_ERROR if n is None or n < least else n
+
+
+def test_count_arguments_must_be_whole_numbers_over_a_grid():
+    t = "abcab"
+    impl = {name: REGISTRY[name].impl for name in ("LEFT", "RIGHT", "MID", "SUBSTITUTE")}
+    assert _same(impl["LEFT"]([t]), "a") and _same(impl["RIGHT"]([t]), "b")
+    for count, n in _COUNTS:
+        k = _whole(n, 0)
+        for name, want in ("LEFT", k if k is VALUE_ERROR else t[:k]), \
+                          ("RIGHT", k if k is VALUE_ERROR else t[len(t) - k:]):
+            assert _same(impl[name]([t, count]), want), (name, count, want)
+        k = _whole(n, 1)
+        parts = t.split("b")
+        want = k if k is VALUE_ERROR else t if k >= len(parts) else \
+            "b".join(parts[:k]) + "X" + "b".join(parts[k:])
+        assert _same(impl["SUBSTITUTE"]([t, "b", "X", count]), want), (count, want)
+    for (start, s), (length, n) in product(_COUNTS, repeat=2):
+        s, n = _whole(s, 1), _whole(n, 0)
+        want = s if s is VALUE_ERROR else n if n is VALUE_ERROR else t[s - 1 : s - 1 + n]
+        assert _same(impl["MID"]([t, start, length]), want), (start, length, want)
