@@ -7,6 +7,7 @@ the throughput figure.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 import time
 from collections import Counter
@@ -122,11 +123,21 @@ def test_criterion_4_dedup_matches_first_occurrence_filter(workdir):
 
 
 def _sort_rows(directory, rows, keys):
-    """Rows sorted by ``sort_file`` through a file in ``directory``."""
+    """Rows sorted by ``sort_file`` through new files in ``directory``.
+
+    Each call writes files of its own. On ext4 (auto_da_alloc), truncating
+    or replacing an existing file flushes it to disk first, so rewriting
+    the same two files hundreds of times would time the disk, not the sort.
+    """
+    work = directory / f"sort{next(_sort_calls)}"
+    work.mkdir()
     text = "".join(",".join(row) + "\n" for row in rows)
-    (directory / "rows.csv").write_text(text, "utf-8")
-    sort_file(SortSpec(str(directory / "rows.csv"), str(directory / "sorted.csv"), keys=keys))
-    return [line.split(",") for line in (directory / "sorted.csv").read_text("utf-8").splitlines()]
+    (work / "rows.csv").write_text(text, "utf-8")
+    sort_file(SortSpec(str(work / "rows.csv"), str(work / "sorted.csv"), keys=keys))
+    return [line.split(",") for line in (work / "sorted.csv").read_text("utf-8").splitlines()]
+
+
+_sort_calls = itertools.count()
 
 
 def test_criterion_5_sort_properties(tmp_path):
