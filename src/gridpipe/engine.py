@@ -20,10 +20,11 @@ before it.
 A record loop's plan is pruned by demand: cells downstream of the fields
 and upstream of the output, skip or status cells. ``recalculate``
 evaluates every cell downstream of its dirty cells, and caches its plan
-per dirty set. Before a loop starts, ``inline_plan`` evaluates once the
-cells its plan reads that no record changes; every other cell stays
-stale, or never evaluated, until the next ``recalculate(wb)``. A loop is
-compiled once per call, so nothing is rebuilt per record.
+per dirty set. Before a loop starts, ``inline_plan`` copies the
+workbook's values once and evaluates into the copy the cells its plan
+reads that no record changes: the loop runs over the copy, and the
+workbook keeps the values it had. A loop is compiled once per call, so
+nothing is rebuilt per record.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ class _Emitter:
         self.fields = fields
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}  # globals of the generated function
+        self.values = wb.values  # the value dict a defined function reads as ``values``
         # plan cell, field or carry key -> local name, and the kind of its value
         self.locals = {key: f"p{i}" for i, key in enumerate(fields)}
         self.kinds = dict.fromkeys(self.locals, TEXT)
@@ -329,10 +331,10 @@ class _Emitter:
         return self.text(self.operand(key), self.kinds.get(key, _ANY))
 
     def define(self, name: str, label: str, source: str, **names):
-        """Compile ``source`` with this emitter's globals and ``names``;
-        returns what it defines as ``name``. ``label`` names the source
-        in tracebacks."""
-        namespace = {**_GLOBALS, **self.consts, **names}
+        """Compile ``source`` with this emitter's globals, ``values`` and
+        ``names``; returns what it defines as ``name``. ``label`` names the
+        source in tracebacks."""
+        namespace = {**_GLOBALS, "values": self.values, **self.consts, **names}
         exec(compile(source, f"<{label}>", "exec"), namespace)
         return namespace[name]
 
@@ -532,25 +534,28 @@ def build_graph(wb: Workbook) -> DependencyGraph:
 def inline_plan(wb: Workbook, observed, fields=(), carry=()):
     """The formula cells downstream of the ``fields`` and ``carry`` keys
     and upstream of the ``observed`` keys, as code for a function the
-    caller writes around it, once the cells upstream of ``observed`` that
-    neither feeds are evaluated into ``values``. Returns ``(cells, lines,
-    emitter)``: the cells, the plan's statements (see
-    ``_Emitter.statements``), which take the ``fields``' texts from
-    ``row``, and their emitter. It gives the code for each key's value
-    (``operand``), says whether that can be an error, and compiles the
-    caller's source with the names the statements use (``define``). Its
-    ``carry`` keys (see ``DependencyGraph.emit``) are locals the caller
-    sets before the statements run; the other carry keys are read from
-    ``values``.
+    caller writes around it. Returns ``(cells, lines, emitter)``: the
+    cells, the plan's statements (see ``_Emitter.statements``), which take
+    the ``fields``' texts from ``row``, and their emitter. It gives the
+    code for each key's value (``operand``), says whether that can be an
+    error, and compiles the caller's source with the names the statements
+    use (``define``). One of them is ``values``: a copy of the workbook's
+    values, into which the cells upstream of ``observed`` that neither
+    feeds are evaluated here, so nothing the caller's function writes
+    reaches the workbook. Its ``carry`` keys (see ``DependencyGraph.emit``)
+    are locals the caller sets before the statements run; the other carry
+    keys are read from ``values``.
     """
     graph = _current_graph(wb)
     observed, fields = tuple(observed), tuple(fields)
     upstream = graph.upstream(observed)
     fed = graph.affected(frozenset(fields).union(carry))
     constants = (upstream - fed) & graph.precedents.keys()
+    values = dict(wb.values)
     if constants:
-        graph.compile(wb, constants).run(wb.values)
+        graph.compile(wb, constants).run(values)
     cells, emitter, top, before = graph.emit(wb, fed & upstream, observed, fields, carry)
+    emitter.values = values
     return cells, emitter.statements(top, before), emitter
 
 

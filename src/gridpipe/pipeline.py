@@ -34,7 +34,6 @@ from .engine import inline_plan
 from .errors import ConfigError, DataError, check_choices, warn
 from .functions import NUMBER
 from .report import Subtotals
-from .values import BLANK
 from .workbook import CellRange, Workbook
 
 __all__ = [
@@ -244,14 +243,12 @@ def run_pipeline(
     """Stream the input file through the workbook into the output file.
 
     Each record evaluates only the formula cells the output and skip
-    cells read (``plan_cells`` in the stats). The carry-forward cells
-    start from the definition's literals, so two runs of one workbook
-    agree. Afterwards the input, output and skip cells hold the last
-    record's values, the carry-forward cells the last kept record's, and
-    the other formula cells are stale, or never evaluated if the run did
-    not need them; ``recalculate(wb)`` refreshes them. With
-    ``progress_every``, a ``records processed: N`` line goes to stderr
-    every N records read.
+    cells read (``plan_cells`` in the stats), over a copy of the
+    workbook's values: the run writes nothing into ``wb``, so the
+    carry-forward cells start from the definition's literals and two runs
+    of one workbook agree. ``recalculate(wb)`` fills its formula cells.
+    With ``progress_every``, a ``records processed: N`` line goes to
+    stderr every N records read.
 
     With a ``report``, its jobs resolve against the header line and each
     written record is added to its tables as it is written, as if the
@@ -263,8 +260,6 @@ def run_pipeline(
     observed = dict.fromkeys(payload_keys, "output cell")
     if skip_key is not None:
         observed = {skip_key: "skip cell", **observed}
-    for key in carry_keys:  # from the definition, not from an earlier run
-        wb.values[key] = wb._literals.get(key, BLANK)
     cells, lines, emitter = inline_plan(wb, observed, input_range.keys(), carry_keys)
     stats = RunStats(plan_cells=[wb.cell_name(key) for key in cells])
     with (atomic_output(spec.output_path) as out,
@@ -280,8 +275,7 @@ def run_pipeline(
                 report.resolve(names)
         source, report_names = _loop_source(wb, emitter, lines, spec, observed, carry_keys,
                                             header_width, progress_every, report)
-        stream = emitter.define("stream", "record loop", source, values=wb.values,
-                                **_LOOP_NAMES, **report_names)
+        stream = emitter.define("stream", "record loop", source, **_LOOP_NAMES, **report_names)
         counts = stream(records, out.write)
 
     (stats.records_read, stats.records_written, stats.records_skipped,
@@ -319,8 +313,7 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
     counted and logged and the reader goes on at the next physical line,
     as one ``try`` per record counts and logs a record's ``DataError``.
     The carry-forward cells the plan takes as locals (``emitter.carry``)
-    are locals of the loop; it writes them, and the last record's fields
-    and observed values, back to ``values`` at the end.
+    are locals of the loop.
     """
     operand, fields, carry_locals = emitter.operand, emitter.fields, emitter.carry
     skip_key = next((key for key, role in observed.items() if role == "skip cell"), None)
@@ -402,18 +395,10 @@ def _loop_source(wb, emitter, lines, spec, observed, carry_keys, header_width,
             "        break",
             "    except CsvError as exc:",
             *(f"        {text}" for text in rejected)]
-    if carry_locals:
-        loop = ["try:", *(f"    {text}" for text in loop), "finally:", "    if written:",
-                *(f"        values[{key!r}] = {emitter.locals[key]}" for key in carry_locals)]
-
-    first = operand(fields[0])  # None until a record reaches the plan
     source = ["get = values.get",
               "read = written = skipped = errored = 0",
-              f"{first} = None",
               *(f"{emitter.locals[key]} = get({key!r}, BLANK)" for key in carry_locals),
               *loop,
-              f"if {first} is not None:",
-              *(f"    values[{key!r}] = {operand(key)}" for key in [*fields, *observed]),
               "return read, written, skipped, errored"]
     return "def stream(records, write):\n" + "".join(f"    {text}\n" for text in source), names
 
@@ -450,14 +435,14 @@ def compare_files(spec: CompareSpec, wb: Workbook) -> CompareReport:
     record is unmatched (advance left), RIGHT the converse, MATCH
     advances both. The tail of the longer file is one-sided by
     construction. Only the status cell and the formula cells it reads
-    are evaluated; afterwards the others are stale, or never evaluated,
-    until ``recalculate(wb)``.
+    are evaluated, over a copy of the workbook's values: the comparison
+    writes nothing into ``wb``.
     """
     left_range, right_range, status_key = compare_cells(wb)
     _, lines, emitter = inline_plan(wb, [status_key], [*left_range.keys(), *right_range.keys()])
     source = _merge_source(wb, emitter, lines, left_range.size(), status_key)
-    merge = emitter.define("merge", "compare loop", source, values=wb.values,
-                           _fit_fields=_fit_fields, StatusCellError=StatusCellError)
+    merge = emitter.define("merge", "compare loop", source, _fit_fields=_fit_fields,
+                           StatusCellError=StatusCellError)
 
     lefts, rights = read_records(spec.left_path), read_records(spec.right_path)
     if spec.has_headings:
@@ -479,8 +464,7 @@ def _merge_source(wb, emitter, lines, left_width, status_key) -> str:
     status plan's ``lines``; it returns the number of matches. Each side
     is fitted to its range (pad-truncate), the status is tested for an
     error if it can be one, and its text, stripped and upper-cased, is the
-    verdict. Afterwards the last pair's fields and status, if a pair was
-    evaluated, are written back to ``values``."""
+    verdict."""
     status, name = emitter.operand(status_key), emitter.const(wb.cell_name(status_key))
     sides = (("left", left_width), ("right", len(emitter.fields) - left_width))
     body = ["index += 1",
@@ -513,9 +497,6 @@ def _merge_source(wb, emitter, lines, left_width, status_key) -> str:
     for side, _ in sides:  # each side's tail is one-sided
         source += [f"if {side} is not None:", f"    {side}_only.append({side}[0])",
                    f"    {side}_only.extend(raw for raw, _ in {side}s)"]
-    source += ["if index:",
-               *(f"    values[{key!r}] = {emitter.operand(key)}"
-                 for key in [*emitter.fields, status_key]),
-               "return matches"]
+    source.append("return matches")
     return ("def merge(lefts, rights, left_only, right_only):\n"
             + "".join(f"    {text}\n" for text in source))

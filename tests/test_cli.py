@@ -690,6 +690,14 @@ def test_compare_command(workdir, capsys):
     assert "left-only 1" in capsys.readouterr().err
 
 
+def test_compare_prints_its_summary_line_on_stderr(workdir, capsys):
+    _write(workdir, "left.csv", '1,Toga,Purple,I\n2,"Belt, wide",Tan,II\n4,Crown,Gold,IV\n')
+    _write(workdir, "right.csv", '2,"Belt, wide",Tan,II\n3,Sandal,Red,III\n4,Crown,Gold,IV\n'
+                                 '5,Ring,"Gold ""old""",V\n')
+    assert main(["compare", str(workdir / "compare.job")]) == 0
+    assert capsys.readouterr() == ("", "matched 2, left-only 1, right-only 2\n")
+
+
 def test_a_compare_whose_status_cell_errs_exits_2_and_writes_no_diff(workdir, capsys):
     sheet = _read(workdir, "compare.sheet").replace('=IF(A2=F2,"MATCH"', '=IF(A2=F2,1/0')
     _write(workdir, "compare.sheet", sheet)

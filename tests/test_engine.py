@@ -481,7 +481,7 @@ def _record_step_matches_full_recalculation(rng, max_cells=50):
     before = wbgen.snapshot(wb)
     out = _compile(wb, [], observed, fields).run(wb.values, row)
     written = {k: v for k, v in wbgen.snapshot(wb).items() if before.get(k) != v}
-    wb.values.update(zip(fields, row))  # the pipeline's write-back
+    wb.values.update(zip(fields, row))  # the fields, as a write to the input range stores them
     wb.values.update(zip(observed, out))
     got = wbgen.snapshot(wb)
     recalculate(wb)  # the fields are in ``values`` now, so this is the oracle

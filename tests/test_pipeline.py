@@ -208,9 +208,11 @@ def test_run_reads_formula_constants_outside_the_stream(workdir, output):
     # Z1 is upstream of the output but not fed by the input, so it is
     # not in the per-record plan; the run must still compute it first.
     _write(workdir, "n,roman\n1,MM\n2,D\n")
-    stats = run_pipeline(_spec(workdir), _constant_workbook(output))
+    wb = _constant_workbook(output)
+    stats = run_pipeline(_spec(workdir), wb)
     assert stats.plan_cells == ["Main!C2"]
     assert _output(workdir) == "n,roman\n2\n0.5\n"
+    assert wb.values == {}  # computed in the loop's copy of the values
 
 
 def test_a_loop_compiles_a_constants_function_only_where_it_has_constants(workdir, monkeypatch):
@@ -279,19 +281,23 @@ def test_unknown_range_name_is_config_error(workdir):
             run_pipeline(_spec(workdir), wb)
 
 
-def test_run_leaves_input_and_output_cells_holding_the_last_record(workdir):
-    # The step keeps fields and outputs out of the workbook per record;
-    # the run writes the last record's back once, errored or not.
-    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,V\n2,Belt,Tan,MCDLIX\n")
+def test_a_run_leaves_the_workbook_as_it_found_it(workdir):
+    # The record loop runs over a copy of the workbook's values: neither
+    # a run's records nor its error reach the workbook.
     wb = _caesar(workdir)
+    before = dict(wb.values)
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,V\n2,Belt,Tan,MCDLIX\n")
     run_pipeline(_spec(workdir), wb)
-    assert wb.read_range(wb.resolve_name("InputCells")) == [["2", "Belt", "Tan", "MCDLIX"]]
-    assert wb.read_range(wb.resolve_name("OutputCells")) == [["2,Belt,Tan,1459"]]
+    assert _output(workdir) == "Id,Item,Colour,Number\n1,Toga,Purple,5\n2,Belt,Tan,1459\n"
+    assert wb.values == before
 
     _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,V\n2,Belt,Tan\n")  # padded
-    run_pipeline(_spec(workdir, on_record_error="skip-and-log"), wb)
-    assert wb.read_range(wb.resolve_name("InputCells")) == [["2", "Belt", "Tan", ""]]
-    assert wb.read_range(wb.resolve_name("OutputCells")) == [[VALUE_ERROR]]
+    stats = run_pipeline(_spec(workdir, on_record_error="skip-and-log"), wb)
+    assert (stats.records_written, stats.records_errored) == (1, 1)
+    assert wb.values == before
+    with pytest.raises(RecordError, match="^record 2: output cell Main!H2 is #VALUE!$"):
+        run_pipeline(_spec(workdir), wb)
+    assert wb.values == before
 
 
 def test_failed_run_leaves_no_output_file(workdir):
@@ -320,12 +326,18 @@ def test_multi_cell_payload_is_quoted_and_carried_unquoted(workdir):
     wb = _echo_workbook(2, carry=("A5", "B5"))
     run_pipeline(_spec(workdir), wb)
     assert _output(workdir) == 'h,h\n"Toga, large","5"" wide"\nplain,text\n'
-    assert wb.read_range(wb.resolve_name("CarryForward")) == [["plain", "text"]]
-
-    _write(workdir, 'h,h\n"Toga, large",x\n')
-    wb = _echo_workbook(2, carry=("A5", "A5"))
+    # G2 shows the cells carried from the record before: its texts, unquoted.
+    wb.set_cell(_addr("G2"), parse_formula('=B2&"|"&A5&"|"&B5'))
     run_pipeline(_spec(workdir), wb)
-    assert wb.get_value(_addr("A5")) == '"Toga, large",x'  # the line as written
+    assert _output(workdir) == ('h,h\n"Toga, large","5"" wide||"\n'
+                                'plain,"text|Toga, large|5"" wide||"\n')
+
+    _write(workdir, 'h,h\n"Toga, large",x\ny,z\n')
+    wb = _echo_workbook(2, carry=("A5", "A5"))
+    wb.set_cell(_addr("G2"), parse_formula('=B2&"|"&A5'))
+    run_pipeline(_spec(workdir), wb)
+    # A5 holds the line as written
+    assert _output(workdir) == 'h,h\n"Toga, large",x|\ny,"z|""Toga, large"",x|"\n'
 
 
 _PAYLOAD_TEXT = st.text(
@@ -533,11 +545,15 @@ def test_dedup_against_first_occurrence_oracle(workdir):
 
 
 def test_carry_forward_holds_last_kept_record(workdir):
-    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n1,Toga,White,XC\n")
+    # J2 shows the Colour carried in O2: the skipped White never reaches it.
+    sheet = (workdir / "dedup.sheet").read_text(encoding="utf-8")
+    _write(workdir, sheet.replace("cell J2 = =C2", 'cell J2 = =C2&"<"&O2'), "dedup.sheet")
+    _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,MCDLIX\n1,Toga,White,XC\n"
+                    "2,Belt,Tan,V\n")
     wb = load_definition(workdir / "dedup.sheet")
     run_pipeline(_spec(workdir), wb)
-    carried = wb.read_range(wb.resolve_name("CarryForward"))
-    assert carried == [["1", "Toga", "Purple", "1459"]]
+    assert _output(workdir) == ("Id,Item,Colour,Number\n1,Toga,Purple<,1459\n"
+                                "2,Belt,Tan<Purple<,5\n")
 
 
 @pytest.mark.parametrize(
@@ -555,24 +571,45 @@ def test_two_runs_of_one_workbook_both_write_the_record(workdir, skip):
                                   f"cell G2 = {skip}"), "dedup.sheet")
     _write(workdir, "Id,Item,Colour,Number\n1,Toga,Purple,I\n")
     wb = load_definition(workdir / "dedup.sheet")
+    before = dict(wb.values)
     outputs = []
     for _ in range(2):
         stats = run_pipeline(_spec(workdir), wb)
         outputs.append((_output(workdir), stats.records_written, stats.records_skipped))
     assert outputs == [("Id,Item,Colour,Number\n1,Toga,Purple,1\n", 1, 0)] * 2
-    assert wb.read_range(wb.resolve_name("CarryForward")) == [["1", "Toga", "Purple", "1"]]
+    assert wb.values == before
 
 
 def test_single_cell_carry_forward_receives_joined_record(workdir):
     wb = Workbook()
     wb.set_cell(_addr("C2"), parse_formula("=A2"))
-    wb.set_cell(_addr("D2"), parse_formula("=B2"))
+    wb.set_cell(_addr("D2"), parse_formula('=B2&"|"&F2'))  # shows the line carried
     wb.define_name("InputCells", _rng("A2", "B2"))
     wb.define_name("OutputCells", _rng("C2", "D2"))
     wb.define_name("CarryForward", _rng("F2", "F2"))
     _write(workdir, "h1,h2\na,b\nc,d\n")
     run_pipeline(_spec(workdir), wb)
-    assert wb.get_value(_addr("F2")) == "c,d"
+    assert _output(workdir) == 'h1,h2\na,b|\nc,"d|a,b|"\n'
+
+
+def test_a_run_of_several_generated_functions_carries_through_its_copy(workdir):
+    # Twelve cells between the field and the output: more than _CHUNK, so
+    # the carry-forward cell E2 goes through the loop's copy of the values.
+    wb = Workbook()
+    wb.set_cell(_addr("B1"), parse_formula('=A2&"|"&E2'))
+    for row in range(2, 13):
+        wb.set_cell(_addr(f"B{row}"), parse_formula(f'=B{row - 1}&""'))
+    wb.set_cell(_addr("C2"), parse_formula("=B12"))
+    wb.define_name("InputCells", _rng("A2", "A2"))
+    wb.define_name("OutputCells", _rng("C2", "C2"))
+    wb.define_name("CarryForward", _rng("E2", "E2"))
+    before = dict(wb.values)
+    _write(workdir, "h\na\nb\n")
+    for _ in range(2):
+        stats = run_pipeline(_spec(workdir), wb)
+        assert len(stats.plan_cells) > _CHUNK
+        assert _output(workdir) == "h\na|\nb|a|\n"
+    assert wb.values == before
 
 
 def test_carry_forward_width_must_match_payload(workdir):
@@ -660,8 +697,7 @@ def _reference_run(wb, path, spec):
     """What ``run_pipeline`` should do, record by record through public
     calls: write the fields to the input range, recalculate, read the
     output cells and encode them. Returns the output text (None if the
-    run fails), the four counts, the warnings, the error raised and
-    whether any record was written to the input range."""
+    run fails), the four counts, the warnings and the error raised."""
     input_range = wb.resolve_name("InputCells")
     width = input_range.size()
     skip = wb.resolve_name("Skip").start if wb.has_name("Skip") else None
@@ -674,7 +710,7 @@ def _reference_run(wb, path, spec):
         header = records.pop(0)
         lines.append(encode_record(header))
         header_width = len(header)
-    counts, warnings, reached = [0, 0, 0, 0], [], False
+    counts, warnings = [0, 0, 0, 0], []
     for number, fields in enumerate(records, start=1):
         counts[0] += 1
         try:
@@ -685,7 +721,6 @@ def _reference_run(wb, path, spec):
                 fields = (fields + [""] * width)[:width]
             wb.write_range(input_range, [fields])
             recalculate(wb)
-            reached = True
             if skip is not None:
                 flag = wb.get_value(skip)
                 if flag is True or isinstance(flag, str) and flag.upper() == "SKIP":
@@ -704,14 +739,14 @@ def _reference_run(wb, path, spec):
         except DataError as exc:
             counts[3] += 1
             if spec.on_record_error == "fail-fast":
-                return None, counts, warnings, exc, reached
+                return None, counts, warnings, exc
             warnings.append(f"{exc} (record skipped)")
             continue
         lines.append(line)
         counts[1] += 1
         if carry is not None:
             wb.write_range(carry, [[line] if carry.size() == 1 else texts])
-    return "".join(line + "\n" for line in lines), counts, warnings, None, reached
+    return "".join(line + "\n" for line in lines), counts, warnings, None
 
 
 @given(
@@ -746,12 +781,10 @@ def test_the_record_loop_matches_a_reference_built_from_public_calls(
                  field_count_policy=field_count_policy, on_record_error=on_record_error)
     shape = (width, payload, skip, skip_in_output, carry, m2_error)
     reference = _glue_workbook(*shape)
-    text, counts, warnings, error, reached = _reference_run(reference, tmp / "in.csv", spec)
-
-    def cells(wb, *names):
-        return [wb.read_range(wb.resolve_name(name)) for name in names if wb.has_name(name)]
+    text, counts, warnings, error = _reference_run(reference, tmp / "in.csv", spec)
 
     wb = _glue_workbook(*shape)
+    before = dict(wb.values)
     logged = []
     errors.printer = logged.append
     try:
@@ -764,13 +797,10 @@ def test_the_record_loop_matches_a_reference_built_from_public_calls(
         assert (tmp / "out.csv").read_bytes() == text.encode("utf-8")
         assert [stats.records_read, stats.records_written, stats.records_skipped,
                 stats.records_errored] == counts
-        if reached:  # the last record's fields and values, which a failed run leaves
-            assert cells(wb, "InputCells", "OutputCells") == cells(reference, "InputCells",
-                                                                   "OutputCells")
     finally:
         errors.printer = None
     assert logged == warnings
-    assert cells(wb, "CarryForward") == cells(reference, "CarryForward")
+    assert wb.values == before  # the run, failed or not, writes nothing into the workbook
 
 
 # --- malformed records -------------------------------------------------------------
@@ -950,12 +980,7 @@ def test_compare_reads_formula_constants_outside_the_stream(workdir, verdict):
     wb.define_name("LeftCells", _rng("A2", "A2"))
     wb.define_name("RightCells", _rng("F2", "F2"))
     wb.define_name("Status", _rng("K2", "K2"))
-    _write(workdir, "1\n2\n", "left.csv")
-    _write(workdir, "2\n3\n", "right.csv")
-    report = compare_files(
-        CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv")), wb
-    )
-    assert (report.left_only, report.right_only, report.matches) == (["1"], ["3"], 1)
+    assert _compare(workdir, wb, "1\n2\n", "2\n3\n") == (["1"], ["3"], 1)
 
 
 def test_compare_status_cell_must_name_a_side(workdir):
@@ -987,14 +1012,9 @@ def test_compare_with_headings_skips_first_lines(workdir):
     assert report.matches == 1
 
 
-def test_compare_leaves_the_last_pair_in_its_cells(workdir):
-    _write(workdir, "1,a\n3,b\n", "left.csv")
-    _write(workdir, "2,c\n3\n", "right.csv")
+def test_compare_leaves_the_workbook_as_it_found_it(workdir):
     wb = load_definition(workdir / "compare.sheet")
-    compare_files(CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv")), wb)
-    assert wb.read_range(wb.resolve_name("LeftCells")) == [["3", "b", "", ""]]
-    assert wb.read_range(wb.resolve_name("RightCells")) == [["3", "", "", ""]]
-    assert wb.get_value(_addr("K2")) == "MATCH"
+    assert _compare(workdir, wb, "1,a\n3,b\n", "2,c\n3\n") == (["1,a"], ["2,c"], 1)
 
 
 def _status_workbook(status, left_width=1, right_width=1, cells=None):
@@ -1012,12 +1032,17 @@ def _status_workbook(status, left_width=1, right_width=1, cells=None):
 
 def _compare(workdir, wb, left, right, **kw):
     """The one-sided records and the matches of comparing ``left`` with
-    ``right``; the diff file must hold the report's lines."""
+    ``right``; the diff file must hold the report's lines, and the
+    workbook, whether the comparison fails or not, its values."""
     _write(workdir, left, "left.csv")
     _write(workdir, right, "right.csv")
     spec = CompareSpec(str(workdir / "left.csv"), str(workdir / "right.csv"),
                        output_path=str(workdir / "diff.txt"), **kw)
-    report = compare_files(spec, wb)
+    before = dict(wb.values)
+    try:
+        report = compare_files(spec, wb)
+    finally:
+        assert wb.values == before
     assert (workdir / "diff.txt").read_text() == "".join(line + "\n" for line in report.lines())
     return report.left_only, report.right_only, report.matches
 
@@ -1061,8 +1086,6 @@ def test_a_status_plan_of_several_generated_functions_compares(workdir):
     assert len(wb._formulas) > 1.5 * _CHUNK
     report = _compare(workdir, wb, "1\n3\n4\n6\n", "2\n3\n5\n6\n7\n")
     assert report == (["1", "4"], ["2", "5", "7"], 2)
-    # the last pair evaluated, 6 against 6, is left in the cells
-    assert [wb.get_value(_addr(a1)) for a1 in ("A2", "F2", "K2")] == ["6", "6", "MATCH"]
 
 
 def test_short_and_long_records_are_fitted_for_the_status_and_reported_as_read(workdir):
@@ -1075,10 +1098,6 @@ def test_short_and_long_records_are_fitted_for_the_status_and_reported_as_read(w
     left = '1,a\n2,a,b,c,d,e\n"3,x",y,z\n4,p,q,r,s\n\n'
     right = '1\n2,p,q,c,extra\n"3,x","y",,w\n4,,,r\n'
     assert _compare(workdir, wb, left, right) == (['"3,x",y,z', ""], ['"3,x","y",,w'], 3)
-    # the last pair, fitted: "4,p,q,r,s" against "4,,,r"
-    assert wb.read_range(wb.resolve_name("LeftCells")) == [["4", "p", "q", "r"]]
-    assert wb.read_range(wb.resolve_name("RightCells")) == [["4", "", "", "r"]]
-    assert wb.get_value(_addr("K2")) == "MATCH"
 
 
 @pytest.mark.parametrize("left,right,expected", [
@@ -1087,10 +1106,7 @@ def test_short_and_long_records_are_fitted_for_the_status_and_reported_as_read(w
     ("", "", ([], [], 0)),
 ])
 def test_an_empty_side_is_all_one_sided_and_evaluates_no_pair(workdir, left, right, expected):
-    wb = load_definition(workdir / "compare.sheet")
-    before = dict(wb.values)
-    assert _compare(workdir, wb, left, right) == expected
-    assert wb.values == before
+    assert _compare(workdir, load_definition(workdir / "compare.sheet"), left, right) == expected
 
 
 @pytest.mark.parametrize("left,right,expected", [
@@ -1101,9 +1117,7 @@ def test_an_empty_side_is_all_one_sided_and_evaluates_no_pair(workdir, left, rig
 ])
 def test_header_only_files_compare_with_headings(workdir, left, right, expected):
     wb = load_definition(workdir / "compare.sheet")
-    before = dict(wb.values)
     assert _compare(workdir, wb, left, right, has_headings=True) == expected
-    assert wb.values == before
 
 
 def test_a_miscounting_record_loop_is_an_error_not_an_assertion(workdir, monkeypatch):

@@ -42,11 +42,18 @@ def _read_lines(path):
 
 
 def _sort_rows(directory, rows, keys):
-    """Rows sorted by ``sort_file`` through a file in ``directory``."""
-    _write_rows(directory / "rows.csv", rows)
-    spec = SortSpec(str(directory / "rows.csv"), str(directory / "sorted.csv"), keys=keys)
+    """Rows sorted by ``sort_file`` through new files in a new directory
+    in ``directory``.
+
+    On ext4 (auto_da_alloc), truncating or replacing an existing file
+    flushes it to disk first, so rewriting the same two files on every
+    call would time the disk, not the sort.
+    """
+    work = Path(tempfile.mkdtemp(dir=directory))
+    _write_rows(work / "rows.csv", rows)
+    spec = SortSpec(str(work / "rows.csv"), str(work / "sorted.csv"), keys=keys)
     sort_file(spec)
-    return [line.split(",") for line in _read_lines(directory / "sorted.csv")]
+    return [line.split(",") for line in _read_lines(work / "sorted.csv")]
 
 
 # --- sort_file --------------------------------------------------------------------
@@ -550,8 +557,10 @@ def test_key_orders_like_the_three_item_key(tmp_path):
         ]
         keys = _random_keys(rng, cols)
         text = "".join(",".join(row) + "\n" for row in rows)
-        (tmp_path / "in.csv").write_text(text, encoding="utf-8")
-        spec = SortSpec(str(tmp_path / "in.csv"), str(tmp_path / "out.csv"), keys=keys)
+        work = tmp_path / f"t{trial}"  # new files each trial, as in ``_sort_rows``
+        work.mkdir()
+        (work / "in.csv").write_text(text, encoding="utf-8")
+        spec = SortSpec(str(work / "in.csv"), str(work / "out.csv"), keys=keys)
         sort_file(spec)
 
         # Stable sorts from the last key to the first give the composite order.
@@ -561,7 +570,7 @@ def test_key_orders_like_the_three_item_key(tmp_path):
                 key=lambda row: _three_item_key_element(row[key.column - 1], key.collation),
                 reverse=key.descending,
             )
-        assert _read_lines(tmp_path / "out.csv") == [",".join(r) for r in expected], trial
+        assert _read_lines(work / "out.csv") == [",".join(r) for r in expected], trial
 
 
 def _oracle_lines(rows, keys):
@@ -600,10 +609,11 @@ def test_every_budget_writes_the_three_item_key_order(tmp_path_factory, pairs, f
     # The last budget spills more than MERGE_FAN_IN runs, so runs merge
     # in a generation before the final merge; so do budgets 1 and 2.
     for budget in (0, 1, 2, 7, len(rows) // (MERGE_FAN_IN + 1)):
-        spec = SortSpec(str(directory / "in.csv"), str(directory / "out.csv"), keys=keys,
+        out = Path(tempfile.mkdtemp(dir=directory)) / "out.csv"  # as in ``_sort_rows``
+        spec = SortSpec(str(directory / "in.csv"), str(out), keys=keys,
                         memory_budget_rows=budget, scratch_dir=str(directory))
         assert sort_file(spec) == len(rows)
-        assert (directory / "out.csv").read_bytes() == expected, budget
+        assert out.read_bytes() == expected, budget
 
 
 @pytest.mark.parametrize("budget", [0, 7])
