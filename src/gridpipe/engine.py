@@ -360,10 +360,10 @@ def _key_rows(sheet, row1, col1, row2, col2):
 Plan = namedtuple("Plan", ["cells", "run"])
 
 
-def evaluate_source(workbook: Workbook, source: str, sheet: str | None = None) -> CellValue:
-    """One-shot parse and evaluate of a formula against cached values."""
+def evaluate_source(workbook: Workbook, source: str) -> CellValue:
+    """One-shot parse and evaluate of a formula on the default sheet, against cached values."""
     ast = parse_formula(source)
-    key = ((sheet or workbook.default_sheet()).upper(), 0, 0)
+    key = (workbook.default_sheet().upper(), 0, 0)
     emitter = _Emitter(workbook)
     emitter.cell(key, ast, write=False)
     return emitter.function("formula", observed=(key,))(workbook.values)[0]
@@ -376,7 +376,10 @@ class DependencyGraph:
     """Formula cells, their precedent edges, a topo order, and plans."""
 
     def __init__(self):
-        self.order: list[tuple] = []  # formula keys, topological
+        # Formula keys, topological: the cells that read no formula cell,
+        # in the definition's order, then each other cell once every
+        # formula cell it reads is placed.
+        self.order: list[tuple] = []
         self.dependents: dict[tuple, list[tuple]] = {}  # precedent key -> formula keys
         self.precedents: dict[tuple, set[tuple]] = {}  # formula key -> precedent keys
         self.block_reads: set[tuple] = set()  # keys some formula reads through a range
@@ -496,23 +499,18 @@ def build_graph(wb: Workbook) -> DependencyGraph:
     graph = DependencyGraph()
     formula_deps = graph.precedents
     for key, ast in wb._formulas.items():
-        formula_deps[key] = _formula_dependencies(wb, key, ast, graph.block_reads)
-
-    for key, deps in formula_deps.items():
+        deps = formula_deps[key] = _formula_dependencies(wb, key, ast, graph.block_reads)
         for dep in deps:
             graph.dependents.setdefault(dep, []).append(key)
 
-    # Kahn's algorithm over formula-to-formula edges.
+    # Kahn's algorithm over formula-to-formula edges; ``order`` is its queue.
     indegree = {key: sum(dep in formula_deps for dep in deps) for key, deps in formula_deps.items()}
-    ready = sorted(key for key, deg in indegree.items() if deg == 0)
-    order = graph.order
-    while ready:
-        key = ready.pop()
-        order.append(key)
+    order = graph.order = [key for key, deg in indegree.items() if deg == 0]
+    for key in order:
         for dependent in graph.dependents.get(key, ()):
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
-                ready.append(dependent)
+                order.append(dependent)
     if len(order) != len(formula_deps):
         # Every cell left over has a left-over precedent: walk them
         # until one repeats.

@@ -11,6 +11,7 @@ back.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .csvio import encode_record
@@ -233,8 +234,8 @@ class Subtotals:
 
     def tables(self, data_path=None) -> list[ReportTable]:
         """One table per job, its rows in key order; or the error that
-        stopped the report: ``data_path`` had no header line, or a
-        measure was not numeric."""
+        stopped the report: ``data_path`` had no header line, a measure
+        was not numeric, or a total overflowed."""
         if self.jobs is None:
             raise DataError(f"{data_path}: no header row to aggregate against")
         if self.failure is not None:
@@ -244,6 +245,11 @@ class Subtotals:
             rows = sorted(groups.items())
             if len(job.group_indices) == 1:  # the key was the bare field
                 rows = [((key,), totals) for key, totals in rows]
+            for key, totals in rows:
+                for measure, total in zip(job.measures, totals):
+                    if not math.isfinite(total):
+                        group = ", ".join(f"{n}={v!r}" for n, v in zip(job.group_by, key))
+                        raise DataError(f"sum of column {measure!r} overflows in group {group}")
             labels = [f"{job.aggregate.capitalize()} of {m}" for m in job.measures]
             tables.append(ReportTable(list(job.group_by), labels, rows))
         return tables

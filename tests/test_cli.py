@@ -133,6 +133,17 @@ def test_run_stats_json_lists_the_plan_cells(workdir):
     assert json.loads(stats_path.read_text())["plan_cells"] == ["Main!F2", "Main!H2"]
 
 
+def test_a_plan_lists_its_independent_cells_in_the_definition_s_order(workdir):
+    # dedup.sheet's five plan cells read no formula cell: G2 ... K2.
+    _write(workdir, "store_raw.csv", _store_rows("2,Toga,Purple,XLI", "1,Belt,Tan,V"))
+    stats_path = workdir / "stats.json"
+    assert main(
+        ["--quiet", "run", str(workdir / "store.job"), "--stats-json", str(stats_path)]
+    ) == 0
+    assert json.loads(stats_path.read_text())["plan_cells"] == [
+        "Main!G2", "Main!H2", "Main!I2", "Main!J2", "Main!K2"]
+
+
 def test_store_job_run_logs_no_warnings(workdir, caplog, capsys):
     # The job line "Number : Item, Colour" has ordinary spaces around
     # ":" and ","; they are syntax, not a data smell worth a warning.
@@ -441,6 +452,35 @@ def test_a_non_numeric_measure_fails_the_report_after_the_run_is_written(workdir
     assert not (workdir / "store_report.csv").exists()
     assert main(["--quiet", "report", job, str(workdir / "store_out.csv")]) == 2
     assert capsys.readouterr().err == message
+
+
+_OVERFLOW = "error: sum of column 'Number' overflows in group Item='Toga', Colour='Purple'\n"
+
+
+def test_a_subtotal_that_overflows_fails_the_report(workdir, capsys):
+    _write(workdir, "data.csv", _store_rows("1,Toga,Purple,1e308", "2,Belt,Tan,5",
+                                            "3,Toga,Purple,1e308"))
+    assert main(["--quiet", "report", str(workdir / "store.job"), str(workdir / "data.csv")]) == 2
+    assert capsys.readouterr().err == _OVERFLOW
+    assert not (workdir / "store_report.csv").exists()
+
+
+def test_a_subtotal_that_overflows_fails_the_report_after_the_run_is_written(workdir, capsys):
+    # The run's report sums the payload cell's numbers as it writes them.
+    _write(workdir, "gen.sheet", "[sheet Main]\ncell H2 = =A2\ncell I2 = =B2\ncell J2 = =C2\n"
+           "cell K2 = =VALUE(D2)\n[names]\nInputCells = Main!A2:D2\nOutputCells = Main!H2:K2\n")
+    _write(workdir, "gen.job", "format = 1\ndefinition = gen.sheet\ninput = in.csv\n"
+           "[pipeline]\noutput = out.csv\n"
+           "[subtotals]\noutput = report.csv\njob = Number : Item, Colour\n")
+    _write(workdir, "in.csv", _store_rows("1,Toga,Purple,1e308", "2,Toga,Purple,1e308"))
+    job, stats = str(workdir / "gen.job"), str(workdir / "stats.json")
+    assert main(["--quiet", "run", job, "--stats-json", stats]) == 2
+    assert capsys.readouterr().err == _OVERFLOW
+    number = str(int(1e308))
+    assert _read(workdir, "out.csv") == _store_rows(f"1,Toga,Purple,{number}",
+                                                    f"2,Toga,Purple,{number}")
+    assert json.loads(_read(workdir, "stats.json"))["records_written"] == 2
+    assert not (workdir / "report.csv").exists()
 
 
 def test_a_run_over_an_empty_input_has_no_header_to_report_against(workdir, capsys):
@@ -1032,3 +1072,10 @@ def test_python_dash_m_runs_the_cli(workdir):
     done = _python("-m", "gridpipe.cli", "check", bad_job)
     assert done.returncode == 1
     assert "[pipeline] on-error: must be one of" in done.stderr
+
+
+def test_the_loops_script_prints_each_workload_s_generated_loop():
+    done = _python("scripts/loops.py")
+    assert done.returncode == 0, done.stderr
+    assert "### caesar: record loop\ndef stream(" in done.stdout
+    assert "### compare: compare loop\ndef merge(" in done.stdout
